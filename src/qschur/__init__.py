@@ -6,12 +6,11 @@ zeros on the unit ball and the right half-space, Schur-kernel Gram
 sampling with negative-squares estimation, coisometric realizations, and
 desk-scale verification of the factorization S = B0^{-*} * S0.
 
-Hot numeric kernels run through numba when available; set
-QSCHUR_BACKEND=numpy to force the pure-numpy fallback (see
-qschur._accel.backend()).
+Everything runs on numpy alone.  Schur kernels are summed in closed
+form, and the kernel identity of the factorization is assembled from
+block-Toeplitz products of Taylor coefficients.
 """
 
-from ._accel import backend
 from .blaschke import (
     BALL,
     HALFSPACE,

@@ -1,54 +1,15 @@
-"""Hot numeric kernels: numba fast path with a pure-numpy fallback.
+"""Batched quaternion helpers on numpy arrays.
 
 Quaternions travel as float64 arrays whose last axis has length 4,
 ordered (x0, x1, x2, x3) for p = x0 + i x1 + j x2 + k x3.
 
-Backend selection is done once at import time through the environment
-variable ``QSCHUR_BACKEND``:
-
-    auto   (default) use numba when importable, else numpy
-    numba  require numba, raise if missing
-    numpy  force the pure-numpy path
-
-``benchmarks/bench_backends.py`` times both paths against each other.
+series_sandwich and double_series sum power series term by term; the
+kernels compute the same sums in closed form or as block-Toeplitz
+products, and the tests keep these two as their slow reference.
 """
-
-import os
 
 import numpy as np
 
-ENV_VAR = "QSCHUR_BACKEND"
-_CHOICES = ("auto", "numba", "numpy")
-
-
-def _select_backend():
-    choice = os.environ.get(ENV_VAR, "auto").strip().lower()
-    if choice not in _CHOICES:
-        raise ValueError(
-            "%s must be one of %s, got %r" % (ENV_VAR, "/".join(_CHOICES), choice)
-        )
-    if choice == "numpy":
-        return "numpy"
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        if choice == "numba":
-            raise
-        return "numpy"
-    return "numba"
-
-
-_BACKEND = _select_backend()
-
-
-def backend():
-    """Name of the active backend, 'numba' or 'numpy'."""
-    return _BACKEND
-
-
-# ---------------------------------------------------------------------------
-# broadcast quaternion helpers (always numpy; cheap glue used package-wide)
-# ---------------------------------------------------------------------------
 
 def qmul(a, b):
     """Hamilton product on broadcastable (..., 4) arrays."""
@@ -85,33 +46,28 @@ def qinv(a):
     return qconj(a) / qnormsq(a)[..., None]
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations of the hot kernels
-# ---------------------------------------------------------------------------
-
-def _qpow_table_np(points, nmax):
+def qpow_table(points, nmax):
+    """Powers p_l^n for n = 0..nmax, shape (B, nmax + 1, 4)."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
-    b = pts.shape[0]
-    out = np.zeros((b, nmax + 1, 4))
+    out = np.zeros((pts.shape[0], nmax + 1, 4))
     out[:, 0, 0] = 1.0
     for n in range(1, nmax + 1):
         out[:, n] = qmul(out[:, n - 1], pts)
     return out
 
 
-def _series_sandwich_np(pw, mid, qwc):
-    # sum_n pw[l,n] * mid[l,j,u,v] * qwc[j,n]
-    b, n1 = pw.shape[0], pw.shape[1]
+def series_sandwich(pw, mid, qwc):
+    """sum_n pw[l, n] mid[l, j] qwc[j, n], one term at a time."""
     out = np.zeros_like(mid)
-    for n in range(n1):
+    for n in range(pw.shape[1]):
         left = pw[:, None, n, None, None, :]
         right = qwc[None, :, n, None, None, :]
         out += qmul(qmul(left, mid), right)
     return out
 
 
-def _double_series_np(pw, coeffs, qwc):
-    # sum_{n,m} pw[l,n] * coeffs[n,m,u,v] * qwc[j,m]
+def double_series(pw, coeffs, qwc):
+    """sum_{n,m} pw[l, n] coeffs[n, m] qwc[j, m], one index at a time."""
     t1 = coeffs.shape[0]
     b1 = pw.shape[0]
     r, c = coeffs.shape[2], coeffs.shape[3]
@@ -125,218 +81,11 @@ def _double_series_np(pw, coeffs, qwc):
     return out
 
 
-def _polyval_batch_np(coeffs, points):
-    # left evaluation sum_n p^n C_n by Horner from the top degree down
+def polyval_batch(coeffs, points):
+    """Left evaluation sum_n p^n C_n by Horner from the top degree down."""
     d1 = coeffs.shape[0]
     b = points.shape[0]
     val = np.broadcast_to(coeffs[d1 - 1], (b,) + coeffs.shape[1:]).copy()
     for n in range(d1 - 2, -1, -1):
         val = qmul(points[:, None, None, :], val) + coeffs[n]
     return val
-
-
-_IMPL_NUMPY = {
-    "qpow_table": _qpow_table_np,
-    "series_sandwich": _series_sandwich_np,
-    "double_series": _double_series_np,
-    "polyval_batch": _polyval_batch_np,
-}
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_IMPL_NUMBA = None
-
-try:
-    import numba as _nb
-except ImportError:  # pragma: no cover - exercised via QSCHUR_BACKEND=numpy
-    _nb = None
-
-if _nb is not None:
-    _njit = _nb.njit(cache=True)
-
-    @_njit
-    def _qpow_table_nb(pts, out):
-        b = pts.shape[0]
-        n1 = out.shape[1]
-        for l in range(b):
-            out[l, 0, 0] = 1.0
-            out[l, 0, 1] = 0.0
-            out[l, 0, 2] = 0.0
-            out[l, 0, 3] = 0.0
-            b0 = pts[l, 0]
-            b1 = pts[l, 1]
-            b2 = pts[l, 2]
-            b3 = pts[l, 3]
-            for n in range(1, n1):
-                a0 = out[l, n - 1, 0]
-                a1 = out[l, n - 1, 1]
-                a2 = out[l, n - 1, 2]
-                a3 = out[l, n - 1, 3]
-                out[l, n, 0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-                out[l, n, 1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-                out[l, n, 2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-                out[l, n, 3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-
-    @_njit
-    def _series_sandwich_nb(pw, mid, qwc, out):
-        b = pw.shape[0]
-        n1 = pw.shape[1]
-        r = mid.shape[2]
-        c = mid.shape[3]
-        for l in range(b):
-            for j in range(b):
-                for u in range(r):
-                    for v in range(c):
-                        m0 = mid[l, j, u, v, 0]
-                        m1 = mid[l, j, u, v, 1]
-                        m2 = mid[l, j, u, v, 2]
-                        m3 = mid[l, j, u, v, 3]
-                        acc0 = 0.0
-                        acc1 = 0.0
-                        acc2 = 0.0
-                        acc3 = 0.0
-                        for n in range(n1):
-                            p0 = pw[l, n, 0]
-                            p1 = pw[l, n, 1]
-                            p2 = pw[l, n, 2]
-                            p3 = pw[l, n, 3]
-                            t0 = p0 * m0 - p1 * m1 - p2 * m2 - p3 * m3
-                            t1 = p0 * m1 + p1 * m0 + p2 * m3 - p3 * m2
-                            t2 = p0 * m2 - p1 * m3 + p2 * m0 + p3 * m1
-                            t3 = p0 * m3 + p1 * m2 - p2 * m1 + p3 * m0
-                            q0 = qwc[j, n, 0]
-                            q1 = qwc[j, n, 1]
-                            q2 = qwc[j, n, 2]
-                            q3 = qwc[j, n, 3]
-                            acc0 += t0 * q0 - t1 * q1 - t2 * q2 - t3 * q3
-                            acc1 += t0 * q1 + t1 * q0 + t2 * q3 - t3 * q2
-                            acc2 += t0 * q2 - t1 * q3 + t2 * q0 + t3 * q1
-                            acc3 += t0 * q3 + t1 * q2 - t2 * q1 + t3 * q0
-                        out[l, j, u, v, 0] = acc0
-                        out[l, j, u, v, 1] = acc1
-                        out[l, j, u, v, 2] = acc2
-                        out[l, j, u, v, 3] = acc3
-
-    @_njit
-    def _double_series_nb(pw, coeffs, qwc, out):
-        b1 = pw.shape[0]
-        b2 = qwc.shape[0]
-        t1 = coeffs.shape[0]
-        r = coeffs.shape[2]
-        c = coeffs.shape[3]
-        for l in range(b1):
-            for j in range(b2):
-                for u in range(r):
-                    for v in range(c):
-                        acc0 = 0.0
-                        acc1 = 0.0
-                        acc2 = 0.0
-                        acc3 = 0.0
-                        for n in range(t1):
-                            p0 = pw[l, n, 0]
-                            p1 = pw[l, n, 1]
-                            p2 = pw[l, n, 2]
-                            p3 = pw[l, n, 3]
-                            for m in range(t1):
-                                m0 = coeffs[n, m, u, v, 0]
-                                m1 = coeffs[n, m, u, v, 1]
-                                m2 = coeffs[n, m, u, v, 2]
-                                m3 = coeffs[n, m, u, v, 3]
-                                t0 = p0 * m0 - p1 * m1 - p2 * m2 - p3 * m3
-                                t1_ = p0 * m1 + p1 * m0 + p2 * m3 - p3 * m2
-                                t2_ = p0 * m2 - p1 * m3 + p2 * m0 + p3 * m1
-                                t3_ = p0 * m3 + p1 * m2 - p2 * m1 + p3 * m0
-                                q0 = qwc[j, m, 0]
-                                q1 = qwc[j, m, 1]
-                                q2 = qwc[j, m, 2]
-                                q3 = qwc[j, m, 3]
-                                acc0 += t0 * q0 - t1_ * q1 - t2_ * q2 - t3_ * q3
-                                acc1 += t0 * q1 + t1_ * q0 + t2_ * q3 - t3_ * q2
-                                acc2 += t0 * q2 - t1_ * q3 + t2_ * q0 + t3_ * q1
-                                acc3 += t0 * q3 + t1_ * q2 - t2_ * q1 + t3_ * q0
-                        out[l, j, u, v, 0] = acc0
-                        out[l, j, u, v, 1] = acc1
-                        out[l, j, u, v, 2] = acc2
-                        out[l, j, u, v, 3] = acc3
-
-    @_njit
-    def _polyval_batch_nb(coeffs, points, out):
-        d1 = coeffs.shape[0]
-        b = points.shape[0]
-        r = coeffs.shape[1]
-        c = coeffs.shape[2]
-        for l in range(b):
-            p0 = points[l, 0]
-            p1 = points[l, 1]
-            p2 = points[l, 2]
-            p3 = points[l, 3]
-            for u in range(r):
-                for v in range(c):
-                    v0 = coeffs[d1 - 1, u, v, 0]
-                    v1 = coeffs[d1 - 1, u, v, 1]
-                    v2 = coeffs[d1 - 1, u, v, 2]
-                    v3 = coeffs[d1 - 1, u, v, 3]
-                    for n in range(d1 - 2, -1, -1):
-                        t0 = p0 * v0 - p1 * v1 - p2 * v2 - p3 * v3
-                        t1 = p0 * v1 + p1 * v0 + p2 * v3 - p3 * v2
-                        t2 = p0 * v2 - p1 * v3 + p2 * v0 + p3 * v1
-                        t3 = p0 * v3 + p1 * v2 - p2 * v1 + p3 * v0
-                        v0 = t0 + coeffs[n, u, v, 0]
-                        v1 = t1 + coeffs[n, u, v, 1]
-                        v2 = t2 + coeffs[n, u, v, 2]
-                        v3 = t3 + coeffs[n, u, v, 3]
-                    out[l, u, v, 0] = v0
-                    out[l, u, v, 1] = v1
-                    out[l, u, v, 2] = v2
-                    out[l, u, v, 3] = v3
-
-    def _qpow_table_jit(points, nmax):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        out = np.zeros((pts.shape[0], nmax + 1, 4))
-        _qpow_table_nb(pts, out)
-        return out
-
-    def _series_sandwich_jit(pw, mid, qwc):
-        pw = np.ascontiguousarray(pw)
-        mid = np.ascontiguousarray(mid)
-        qwc = np.ascontiguousarray(qwc)
-        out = np.zeros_like(mid)
-        _series_sandwich_nb(pw, mid, qwc, out)
-        return out
-
-    def _double_series_jit(pw, coeffs, qwc):
-        pw = np.ascontiguousarray(pw)
-        coeffs = np.ascontiguousarray(coeffs)
-        qwc = np.ascontiguousarray(qwc)
-        out = np.zeros((pw.shape[0], qwc.shape[0]) + coeffs.shape[2:4] + (4,))
-        _double_series_nb(pw, coeffs, qwc, out)
-        return out
-
-    def _polyval_batch_jit(coeffs, points):
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
-        points = np.ascontiguousarray(points, dtype=np.float64)
-        out = np.zeros((points.shape[0],) + coeffs.shape[1:3] + (4,))
-        _polyval_batch_nb(coeffs, points, out)
-        return out
-
-    _IMPL_NUMBA = {
-        "qpow_table": _qpow_table_jit,
-        "series_sandwich": _series_sandwich_jit,
-        "double_series": _double_series_jit,
-        "polyval_batch": _polyval_batch_jit,
-    }
-
-
-def implementations():
-    """Mapping backend name -> kernel dict; numba entry is None if missing."""
-    return {"numpy": _IMPL_NUMPY, "numba": _IMPL_NUMBA}
-
-
-_ACTIVE = _IMPL_NUMBA if (_BACKEND == "numba" and _IMPL_NUMBA is not None) else _IMPL_NUMPY
-
-qpow_table = _ACTIVE["qpow_table"]
-series_sandwich = _ACTIVE["series_sandwich"]
-double_series = _ACTIVE["double_series"]
-polyval_batch = _ACTIVE["polyval_batch"]

@@ -413,16 +413,6 @@ class FactoredProduct:
             acc = acc_new
         return acc
 
-    def star_with(self, other):
-        if self.domain != other.domain:
-            raise DomainError("cannot mix ball and half-space products")
-        return FactoredProduct(
-            self.domain,
-            self.factors + other.factors,
-            size=max(self.size, other.size),
-            rational=self.rational.star(other.rational),
-        )
-
     def inverse(self):
         inv = [f.inverse(self.domain) for f in reversed(self.factors)]
         return FactoredProduct(self.domain, inv, size=self.size)

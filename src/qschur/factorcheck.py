@@ -33,7 +33,11 @@ DEFAULT_SEED = 0x5C05
 
 @dataclass(frozen=True)
 class Budget:
-    """Sampling and truncation budget for one verification run."""
+    """Sampling and truncation budget for one verification run.
+
+    kernel_tol is accepted and echoed in reports but changes no result:
+    the Schur kernel is summed in closed form, without truncation.
+    """
 
     trials: int = 200
     batch: int = 40
@@ -169,7 +173,8 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
 
     expected_kappa overrides the case target (negative controls inject a
     wrong value and must flip the verdict to FAIL).  An insufficient
-    identity truncation yields INCONCLUSIVE, never a silent pass.
+    identity truncation yields INCONCLUSIVE, never a silent pass; a
+    kernel identity that deviates beyond a certified tail is a FAIL.
     """
     if case.domain == HALFSPACE:
         case = transport_case_to_ball(case)
@@ -182,7 +187,6 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
         seed=budget.seed,
         rho=budget.rho,
         cutoff=budget.cutoff,
-        tol=budget.kernel_tol,
     )
 
     try:
@@ -204,9 +208,13 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
             negsq=negsq,
         )
 
-    if ident.status != "ok":
+    if ident.status == "inconclusive":
         verdict = "INCONCLUSIVE"
         reason = "identity truncation insufficient (tail %.3e)" % ident.tail_bound
+    elif ident.status == "fail":
+        verdict = "FAIL"
+        reason = "identity deviation %.3e with certified tail %.3e" % (
+            ident.max_coeff_dev, ident.tail_bound)
     elif negsq.kappa_hat != target:
         verdict = "FAIL"
         reason = "kappa-hat %d differs from target %d" % (negsq.kappa_hat, target)

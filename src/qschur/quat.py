@@ -84,9 +84,6 @@ class Quaternion:
         v = self._a[1:]
         return float(np.sqrt(np.dot(v, v)))
 
-    def is_real(self, rtol=REAL_AXIS_RTOL):
-        return self.imag_modulus() < rtol * max(1.0, self.norm())
-
     def inverse(self):
         n2 = self.normsq()
         if n2 == 0.0:

@@ -207,12 +207,6 @@ class StarPoly:
         c[..., 1:] = -c[..., 1:]
         return StarPoly(c)
 
-    def coeff_adjoints(self):
-        """Array of adjoint coefficients f_n^* with shape (deg+1, s, r, 4)."""
-        out = np.swapaxes(self._c, 1, 2).copy()
-        out[..., 1:] = -out[..., 1:]
-        return out
-
     # -- evaluation -------------------------------------------------------------
 
     def eval_left(self, p):
@@ -461,11 +455,6 @@ def zero_multiplicity(f, a, tol=ROOT_RTOL):
     if m > 0:
         return "spherical", m
     raise NotARootError("polynomial does not vanish at %r or on its sphere" % (a,))
-
-
-def taylor_coeffs(r, n):
-    """Degree-n Taylor truncation of a SliceRational at the origin."""
-    return r.taylor(n)
 
 
 def extend_from_slice(h, axis, q):

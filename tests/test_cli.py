@@ -158,6 +158,20 @@ def test_dim_hb_command(tmp_path):
     assert doc["dim"] == 2 and doc["degree"] == 2
 
 
+def test_dim_hb_command_halfspace(tmp_path):
+    cfg = write_config(
+        tmp_path, "dim_hs.json",
+        {"command": "dim-hb",
+         "zeros": {"domain": "halfspace",
+                   "points": [{"a": [0.6, 0.5, 0.0, 0.0], "n": 1},
+                              {"a": [1.0, 0.0, 0.6, 0.0], "n": 1}]}},
+    )
+    out = str(tmp_path / "r.json")
+    assert main(["dim-hb", "--config", cfg, "--out", out]) == EXIT_OK
+    doc = json.loads(open(out).read())
+    assert doc["dim"] == 2 and doc["degree"] == 2
+
+
 def test_realize_command(tmp_path):
     cfg = write_config(
         tmp_path, "real.json",

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from qschur.blaschke import ZeroSet, blaschke_factor
@@ -59,6 +61,18 @@ def test_krein_langer_negative_control():
     rep = krein_langer_check(case, SMALL, expected_kappa=2)
     assert rep.verdict == "FAIL"
     assert "kappa" in rep.reason
+
+
+def test_krein_langer_identity_negative_control():
+    # S = B^{-*} * 1 paired with the wrong S0 = 0.5: the identity deviates
+    # beyond a certified tail, which is a FAIL, not an INCONCLUSIVE
+    case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]))
+    wrong = dataclasses.replace(case, s0=SchurFunction.constant(Quaternion.from_real(0.5)))
+    rep = krein_langer_check(wrong, Budget(trials=5, batch=15))
+    assert rep.identity.status == "fail"
+    assert rep.identity.tail_bound <= 1e-9 < rep.identity.max_coeff_dev
+    assert rep.verdict == "FAIL"
+    assert "deviation" in rep.reason and "tail" in rep.reason
 
 
 def test_krein_langer_inconclusive_truncation():

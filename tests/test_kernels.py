@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qschur import _accel
 from qschur.blaschke import ZeroSet, blaschke_factor, build_product, product_inverse
 from qschur.errors import DivergenceError, DomainError
 from qschur.kernels import (
@@ -11,11 +12,19 @@ from qschur.kernels import (
     estimate_neg_squares,
     gram,
     kernel_identity_check,
+    kernel_sum,
     moebius_identity_check,
     sample_gram_vectors,
     schur_kernel_eval,
+    series_sum_pair,
 )
-from qschur.qlinalg import SignatureMatrix, herm_eigen_neg
+from qschur.qlinalg import (
+    QMatrix,
+    SignatureMatrix,
+    herm_eigen_neg,
+    qadjoint_arr,
+    qmatmul_arr,
+)
 from qschur.quat import I, ONE, Quaternion, sample_ball_point
 
 def brute_series(p, q, terms=400):
@@ -61,7 +70,7 @@ def test_schur_kernel_zero_function(rng):
     for _ in range(10):
         p = sample_ball_point(rng, 0.8)
         q = sample_ball_point(rng, 0.8)
-        val = schur_kernel_eval(zero, p, q, tol=1e-12).as_quaternion()
+        val = schur_kernel_eval(zero, p, q).as_quaternion()
         assert val.isclose(base_kernel("ball", p, q), 1e-10)
 
 
@@ -81,14 +90,21 @@ def test_schur_kernel_diag_positive(rng):
         assert val.imag_modulus() < 1e-9
 
 
-def test_truncation_consistency(rng):
-    s = SchurFunction.from_rational(blaschke_factor("ball", "point", Quaternion(0.1, 0.4, 0, 0)))
-    for _ in range(10):
-        p = sample_ball_point(rng, 0.8)
-        q = sample_ball_point(rng, 0.8)
-        v1 = schur_kernel_eval(s, p, q, tol=1e-8)
-        v2 = schur_kernel_eval(s, p, q, tol=1e-9)
-        assert (v1 - v2).norm() < 1e-8
+def test_closed_form_kernel_matches_series(rng):
+    # every pair of a (3 x 2) batch against the term-by-term series
+    for r in (1, 2):
+        for _ in range(5):
+            left = np.array([sample_ball_point(rng, 0.9).as_array() for _ in range(3)])
+            right = np.array([sample_ball_point(rng, 0.9).as_array() for _ in range(2)])
+            mid = rng.uniform(-1.0, 1.0, size=(3, 2, r, r, 4))
+            closed = kernel_sum(left, mid, right)
+            for l in range(3):
+                for j in range(2):
+                    series = series_sum_pair(
+                        Quaternion.from_array(left[l]), QMatrix(mid[l, j]),
+                        Quaternion.from_array(right[j]), tol=1e-12,
+                    )
+                    assert np.max(np.abs(closed[l, j] - series.data)) < 1e-11
 
 
 def test_gram_hermitian_and_positive(rng):
@@ -98,11 +114,11 @@ def test_gram_hermitian_and_positive(rng):
     vecs = sample_gram_vectors(rng, 12, 1)
     raw = gram(s, pts, vecs, hermitize=False)
     assert raw.herm_residual() < 1e-10 * max(1.0, raw.norm())
-    g = gram(s, pts, vecs, tol=1e-12)
+    g = gram(s, pts, vecs)
     eigs, neg = herm_eigen_neg(g)
     assert neg == 0
     assert np.min(eigs) > -1e-10
-    g3 = gram(s, pts[:3], vecs[:3], tol=1e-12)
+    g3 = gram(s, pts[:3], vecs[:3])
     eigs3, _ = herm_eigen_neg(g3)
     assert np.min(eigs3) > -1e-10
 
@@ -172,6 +188,17 @@ def test_dim_hb_examples():
     assert estimate_dim_HB(b3).dim == 3
 
 
+def test_dim_hb_halfspace_products():
+    # half-space products are carried to the ball before the Gram is formed
+    a = Quaternion(0.6, 0.5, 0, 0)
+    one = build_product(ZeroSet("halfspace", points=[(a, 1)]))
+    assert estimate_dim_HB(one).dim == 1
+    two = build_product(ZeroSet("halfspace", points=[(a, 1), (Quaternion(1.0, 0, 0.6, 0), 1)]))
+    assert estimate_dim_HB(two).dim == 2
+    sphere = build_product(ZeroSet("halfspace", spheres=[(Quaternion(0.8, 0.5, 0, 0), 1)]))
+    assert estimate_dim_HB(sphere).dim == 2
+
+
 def test_dim_hb_rejects_inverse_factors():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
     with pytest.raises(DomainError):
@@ -221,6 +248,66 @@ def test_kernel_identity_nontrivial_case():
     assert rep.min_gram_eig >= -1e-8
     small = kernel_identity_check(s, b, s0, trunc=6)
     assert small.status == "inconclusive"
+
+
+def loop_from_schur_taylor(s, j1, j2, trunc):
+    """C_{NM} = J2 delta_{NM} - sum_k s_{N-k} J1 s_{M-k}^*, one term at a time."""
+    r, t = s.shape[1], trunc + 1
+    sj = qmatmul_arr(s, np.broadcast_to(j1.data, s.shape[:1] + j1.data.shape))
+    sadj = qadjoint_arr(s)
+    c = np.zeros((t, t, r, r, 4))
+    for nn in range(t):
+        c[nn, nn] += j2.data
+        for mm in range(t):
+            for k in range(min(nn, mm) + 1):
+                c[nn, mm] -= qmatmul_arr(sj[nn - k], sadj[mm - k])
+    return c
+
+
+def loop_sandwich(coeffs, b):
+    """sum_{a,b} b_a C_{N-a, M-b} b_b^*, one term at a time."""
+    t, r = coeffs.shape[0], b.shape[1]
+    badj = qadjoint_arr(b)
+    out = np.zeros((t, t, r, r, 4))
+    for nn in range(t):
+        for mm in range(t):
+            for a in range(min(nn + 1, b.shape[0])):
+                for bb in range(min(mm + 1, b.shape[0])):
+                    out[nn, mm] += qmatmul_arr(
+                        qmatmul_arr(b[a], coeffs[nn - a, mm - bb]), badj[bb])
+    return out
+
+
+def test_from_schur_taylor_matches_loop(rng):
+    trunc = 7
+    for r, c, signs in ((1, 1, (1.0,)), (2, 2, (1.0, -1.0)), (2, 1, (-1.0,))):
+        taylor = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4))
+        j1 = SignatureMatrix.from_signs(signs).matrix
+        j2 = SignatureMatrix.identity(r).matrix
+        fast = DoubleSeriesKernel.from_schur_taylor(taylor, j1, j2, trunc).coeffs
+        assert np.max(np.abs(fast - loop_from_schur_taylor(taylor, j1, j2, trunc))) < 1e-13
+
+
+def test_sandwich_matches_loop(rng):
+    trunc = 6
+    for r, rc, nb in ((1, 1, trunc + 1), (2, 2, trunc + 1), (2, 1, 3)):
+        coeffs = rng.uniform(-1.0, 1.0, size=(trunc + 1, trunc + 1, rc, rc, 4))
+        b = rng.uniform(-1.0, 1.0, size=(nb, r, rc, 4))
+        fast = DoubleSeriesKernel(coeffs).sandwich(b).coeffs
+        assert np.max(np.abs(fast - loop_sandwich(coeffs, b))) < 1e-12
+
+
+def test_eval_gram_matches_double_series(rng):
+    trunc = 9
+    for r in (1, 2):
+        coeffs = rng.uniform(-1.0, 1.0, size=(trunc + 1, trunc + 1, r, r, 4))
+        pts = np.array([sample_ball_point(rng, 0.7).as_array() for _ in range(5)])
+        fast = DoubleSeriesKernel(coeffs).eval_gram(pts).data
+        pw = _accel.qpow_table(pts, trunc)
+        kmat = _accel.double_series(pw, coeffs, _accel.qconj(pw))
+        slow = np.transpose(kmat, (0, 2, 1, 3, 4)).reshape(5 * r, 5 * r, 4)
+        slow = 0.5 * (slow + qadjoint_arr(slow))
+        assert np.max(np.abs(fast - slow)) < 1e-12
 
 
 def test_double_series_kernel_hermitian():
