@@ -191,7 +191,7 @@ class PotapovFactor:
             fac = _point_rational(domain, self.a)
             den = fac.den
             diff = fac.num - scalar_poly_times_matrix(den, QMatrix.scalar(1.0))
-            num = scalar_poly_times_matrix(den, eye) + _outer_weight(diff, self.P)
+            num = scalar_poly_times_matrix(den, eye) + scalar_poly_times_matrix(diff, self.P)
             return SliceRational(num, den)
         gain = -self.k if self.inverted else self.k
         if domain == BALL:
@@ -204,7 +204,7 @@ class PotapovFactor:
             den = StarPoly.scalar([w.normsq(), 2.0 * w.re, 1.0])
             numf = StarPoly.scalar([w.conj(), 1.0])
         core = self.u @ self.u.adjoint() @ self.J
-        num = scalar_poly_times_matrix(den, eye) - _outer_weight(numf, core).scale(gain)
+        num = scalar_poly_times_matrix(den, eye) - scalar_poly_times_matrix(numf, core).scale(gain)
         return SliceRational(num, den)
 
     def inverse(self, domain):
@@ -233,10 +233,6 @@ class PotapovFactor:
             out["w0"] = self.w0.to_json()
             out["inverted"] = self.inverted
         return out
-
-
-def _outer_weight(scalar_poly, m):
-    return scalar_poly_times_matrix(scalar_poly, m)
 
 
 def potapov_factor(domain, kind, *, a=None, P=None, J=None, u=None, k=None, w0=None):

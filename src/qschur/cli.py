@@ -18,7 +18,7 @@ import numpy as np
 
 from ._jsonutil import Validator, dump_json, format_float
 from .blaschke import BALL, HALFSPACE, ZeroSet, build_product
-from .errors import QSchurError
+from .errors import ConfigError, QSchurError
 from .factorcheck import (
     DEFAULT_SEED,
     Budget,
@@ -116,11 +116,22 @@ def _parse_zero_set(obj, path, v):
         spheres.append((q, mult))
     if domain is None or not v.ok():
         return None
+    return _build(v, path, lambda: ZeroSet(domain, points, spheres).validate())
+
+
+def _build(v, path, make, *args):
+    """make(*args), or None with a violation at path if it raises a library error."""
     try:
-        return ZeroSet(domain, points, spheres).validate()
+        return make(*args)
     except QSchurError as exc:
         v.fail(path, str(exc))
         return None
+
+
+def _field(raw, key, default):
+    """raw[key], reading an explicit null as an absent field."""
+    value = raw.get(key)
+    return default if value is None else value
 
 
 def _parse_schur_spec(obj, path, v):
@@ -136,9 +147,8 @@ def _parse_schur_spec(obj, path, v):
             if key not in ("kind", "zeros"):
                 v.fail("%s/%s" % (path, key), "unknown field")
         zs = _parse_zero_set(obj.get("zeros"), "%s/zeros" % path, v)
-        if zs is None:
-            return None
-        return SchurFunction.from_product(build_product(zs))
+        product = None if zs is None else _build(v, "%s/zeros" % path, build_product, zs)
+        return None if product is None else SchurFunction.from_product(product)
     if kind == "quotient":
         for key in obj:
             if key not in ("kind", "b0", "s0"):
@@ -149,8 +159,8 @@ def _parse_schur_spec(obj, path, v):
             s0 = _parse_schur_spec(obj.get("s0"), "%s/s0" % path, v)
         if zs is None or not v.ok():
             return None
-        case = synthesize_generalized_schur(zs, s0)
-        return case.s
+        case = _build(v, path, synthesize_generalized_schur, zs, s0)
+        return None if case is None else case.s
     if kind == "constant":
         for key in obj:
             if key not in ("kind", "value", "domain"):
@@ -167,14 +177,9 @@ def _parse_schur_spec(obj, path, v):
             v.fail("%s/%s" % (path, key), "unknown field")
     domain = v.string(obj.get("domain", BALL), "%s/domain" % path,
                       choices=(BALL, HALFSPACE))
-    try:
-        num = StarPoly.from_json(obj.get("num"))
-        den = StarPoly.from_json(obj.get("den"))
-        rat = SliceRational(num, den)
-    except QSchurError as exc:
-        v.fail(path, str(exc))
-        return None
-    if domain is None:
+    rat = _build(v, path, lambda: SliceRational(StarPoly.from_json(obj.get("num")),
+                                                StarPoly.from_json(obj.get("den"))))
+    if rat is None or domain is None:
         return None
     return SchurFunction.from_rational(rat, domain=domain)
 
@@ -196,29 +201,30 @@ _SCHEMAS = {
 
 
 def parse_config(text):
-    """Parse and validate a config; returns RunConfig or raises ValueError
-    carrying the list of (path, message) violations."""
+    """Parse and validate a config; returns RunConfig or raises ConfigError
+    carrying the list of (path, message) violations.  An explicit null in
+    a top-level field reads as an absent field."""
     v = Validator()
     try:
         raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ConfigFailure([("/", "malformed JSON: %s" % exc)])
+        raise ConfigError([("/", "malformed JSON: %s" % exc)])
     if not isinstance(raw, dict):
-        raise ConfigFailure([("/", "config must be a JSON object")])
+        raise ConfigError([("/", "config must be a JSON object")])
     command = raw.get("command")
     if command not in COMMANDS:
-        raise ConfigFailure([("/command", "must be one of %s" % ", ".join(COMMANDS))])
+        raise ConfigError([("/command", "must be one of %s" % ", ".join(COMMANDS))])
     v.check_object(raw, "", _SCHEMAS[command])
 
-    seed = raw.get("seed", DEFAULT_SEED)
+    seed = _field(raw, "seed", DEFAULT_SEED)
     if v.integer(seed, "/seed") is None:
-        raise ConfigFailure(v.violations)
+        raise ConfigError(v.violations)
     out = raw.get("out")
     if out is not None and v.string(out, "/out") is None:
-        raise ConfigFailure(v.violations)
+        raise ConfigError(v.violations)
     csv = raw.get("csv")
     if csv is not None and v.string(csv, "/csv") is None:
-        raise ConfigFailure(v.violations)
+        raise ConfigError(v.violations)
 
     objects = {}
     effective = {"command": command, "seed": seed}
@@ -233,9 +239,9 @@ def parse_config(text):
             objects["zeros"] = zs
             effective["zeros"] = zs.to_json()
         if command == "dim-hb":
-            effective["points"] = raw.get("points", 0) or 0
-            effective["cutoff"] = raw.get("cutoff", 1e-8)
-            effective["radius"] = raw.get("radius", 0.75)
+            effective["points"] = _field(raw, "points", 0)
+            effective["cutoff"] = _field(raw, "cutoff", 1e-8)
+            effective["radius"] = _field(raw, "radius", 0.75)
             if raw.get("points") is not None:
                 v.integer(raw["points"], "/points", minimum=1)
             if raw.get("cutoff") is not None:
@@ -250,10 +256,10 @@ def parse_config(text):
         if s is not None:
             objects["schur"] = s
             effective["schur"] = spec
-        effective["trials"] = raw.get("trials", 200)
-        effective["batch"] = raw.get("batch", 40)
-        effective["rho"] = raw.get("rho", 0.9)
-        effective["cutoff"] = raw.get("cutoff", 1e-8)
+        effective["trials"] = _field(raw, "trials", 200)
+        effective["batch"] = _field(raw, "batch", 40)
+        effective["rho"] = _field(raw, "rho", 0.9)
+        effective["cutoff"] = _field(raw, "cutoff", 1e-8)
         for key in ("trials", "batch"):
             if raw.get(key) is not None:
                 v.integer(raw[key], "/%s" % key, minimum=1)
@@ -261,7 +267,7 @@ def parse_config(text):
             if raw.get(key) is not None:
                 v.number(raw[key], "/%s" % key)
     elif command == "realize":
-        pts = raw.get("points", [])
+        pts = _field(raw, "points", [])
         if not isinstance(pts, list):
             v.fail("/points", "expected an array of quaternions")
             pts = []
@@ -281,8 +287,10 @@ def parse_config(text):
                 if not 0.0 < q.norm() < 1.0:
                     v.fail("/blaschke_a", "need 0 < |a| < 1")
                 else:
-                    objects["colligation"] = colligation_from_blaschke_factor(q)
-                    effective["blaschke_a"] = raw["blaschke_a"]
+                    col = _build(v, "/blaschke_a", colligation_from_blaschke_factor, q)
+                    if col is not None:
+                        objects["colligation"] = col
+                        effective["blaschke_a"] = raw["blaschke_a"]
         else:
             try:
                 objects["colligation"] = Colligation.from_json(raw["colligation"])
@@ -294,11 +302,10 @@ def parse_config(text):
             if raw.get(key) is None:
                 v.fail("/%s" % key, "missing required field")
                 continue
-            try:
-                objects[key] = QMatrix.from_json(raw[key])
+            mat = _build(v, "/%s" % key, QMatrix.from_json, raw[key])
+            if mat is not None:
+                objects[key] = mat
                 effective[key] = raw[key]
-            except QSchurError as exc:
-                v.fail("/%s" % key, str(exc))
     elif command == "kl-check":
         zs = _parse_zero_set(raw.get("b0"), "/b0", v) if raw.get("b0") is not None else None
         if raw.get("b0") is None:
@@ -311,10 +318,10 @@ def parse_config(text):
             objects["s0"] = s0
             effective["b0"] = zs.to_json()
             effective["s0"] = raw.get("s0")
-        effective["trials"] = raw.get("trials", 200)
-        effective["batch"] = raw.get("batch", 40)
-        effective["rho"] = raw.get("rho", 0.9)
-        effective["identity_trunc"] = raw.get("identity_trunc", 48)
+        effective["trials"] = _field(raw, "trials", 200)
+        effective["batch"] = _field(raw, "batch", 40)
+        effective["rho"] = _field(raw, "rho", 0.9)
+        effective["identity_trunc"] = _field(raw, "identity_trunc", 48)
         if raw.get("expected_kappa") is not None:
             v.integer(raw["expected_kappa"], "/expected_kappa", minimum=0)
             effective["expected_kappa"] = raw["expected_kappa"]
@@ -332,14 +339,14 @@ def parse_config(text):
             if s is not None:
                 objects["schur"] = s
                 effective["schur"] = spec
-        x0 = v.number(raw.get("x0", 1.0), "/x0")
+        x0 = v.number(_field(raw, "x0", 1.0), "/x0")
         if x0 is not None and x0 <= 0:
             v.fail("/x0", "must be positive")
-        effective["x0"] = raw.get("x0", 1.0)
-        direction = v.string(raw.get("direction", "halfspace_to_ball"), "/direction",
+        effective["x0"] = _field(raw, "x0", 1.0)
+        direction = v.string(_field(raw, "direction", "halfspace_to_ball"), "/direction",
                              choices=("halfspace_to_ball", "ball_to_halfspace"))
-        effective["direction"] = raw.get("direction", "halfspace_to_ball")
-        pts = raw.get("points", [])
+        effective["direction"] = _field(raw, "direction", "halfspace_to_ball")
+        pts = _field(raw, "points", [])
         parsed_pts = []
         if not isinstance(pts, list):
             v.fail("/points", "expected an array")
@@ -350,24 +357,18 @@ def parse_config(text):
                     parsed_pts.append(Quaternion(*comps))
         objects["points"] = parsed_pts
         effective["points"] = [p.to_json() for p in parsed_pts]
-        effective["negsq"] = bool(raw.get("negsq", False))
-        effective["trials"] = raw.get("trials", 60)
-        effective["batch"] = raw.get("batch", 40)
+        effective["negsq"] = _field(raw, "negsq", False)
+        if not isinstance(effective["negsq"], bool):
+            v.fail("/negsq", "expected a boolean")
+        effective["trials"] = _field(raw, "trials", 60)
+        effective["batch"] = _field(raw, "batch", 40)
         for key in ("trials", "batch"):
             if raw.get(key) is not None:
                 v.integer(raw[key], "/%s" % key, minimum=1)
 
     if not v.ok():
-        raise ConfigFailure(v.violations)
+        raise ConfigError(v.violations)
     return RunConfig(command=command, effective=effective, objects=objects)
-
-
-class ConfigFailure(ValueError):
-    def __init__(self, violations):
-        self.violations = [(str(p), str(m)) for p, m in violations]
-        super().__init__(
-            "; ".join("%s: %s" % item for item in self.violations) or "invalid config"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +476,7 @@ def _run_transport(cfg):
         mapped.append({"p": p.to_json(), "image": image.to_json()})
     body = {"x0": x0, "direction": direction, "mapped_points": mapped,
             "domain": moved.domain}
-    if moved.rational is not None:
-        body["rational"] = moved.rational.to_json()
+    body["rational"] = moved.rational.to_json()
     if eff["negsq"]:
         target = moved if moved.domain == BALL else s
         rep = estimate_neg_squares(
@@ -565,7 +565,7 @@ def main(argv=None):
 
     try:
         cfg = parse_config(text)
-    except ConfigFailure as exc:
+    except ConfigError as exc:
         for path, message in exc.violations:
             print("qschur: config %s: %s" % (path, message), file=sys.stderr)
         return EXIT_USAGE

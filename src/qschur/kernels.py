@@ -36,7 +36,6 @@ from .blaschke import BALL, HALFSPACE, FactoredProduct
 from .errors import (
     DivergenceError,
     DomainError,
-    ExpansionError,
     PoleError,
     PrecondError,
     ShapeError,
@@ -61,147 +60,56 @@ def as_points(points):
 # ---------------------------------------------------------------------------
 
 class SchurFunction:
-    """Matrix-valued function with signature data and swappable value sources.
+    """A slice-rational matrix function with signature data.
 
-    A source supplies batch evaluation and, when available, Taylor
-    coefficients at 0.  Extra sources can be attached for cross-checks;
-    they must agree with the primary one at shared sample points.
+    The record is (rational, domain, J1, J2, label): rational is the one
+    value source, so eval_many is its batch evaluation and taylor(n) its
+    Taylor coefficients at 0; J1 and J2 are the signature matrices of the
+    kernel J2 - S(p) J1 S(q)^*, and domain is the ball or the half-space.
     """
 
-    def __init__(self, domain, rows, cols, eval_many_fn, taylor_fn=None,
-                 J1=None, J2=None, rational=None, extra_eval_fns=(), label=""):
+    def __init__(self, rational, domain=BALL, J1=None, J2=None, label=""):
         if domain not in (BALL, HALFSPACE):
             raise DomainError("domain must be 'ball' or 'halfspace'")
+        self.rational = rational
         self.domain = domain
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows, self.cols = rational.shape
         self.J1 = J1 if J1 is not None else SignatureMatrix.identity(self.cols)
         self.J2 = J2 if J2 is not None else SignatureMatrix.identity(self.rows)
-        self._eval_many = eval_many_fn
-        self._taylor = taylor_fn
-        self.rational = rational
-        self.extra_eval_fns = tuple(extra_eval_fns)
         self.label = label
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def from_rational(cls, rat, domain=BALL, J1=None, J2=None, label=""):
-        r, s = rat.shape
-        return cls(
-            domain, r, s,
-            eval_many_fn=rat.eval_many,
-            taylor_fn=lambda n: rat.taylor(n).coeffs,
-            J1=J1, J2=J2, rational=rat, label=label,
-        )
+        return cls(rat, domain, J1, J2, label)
 
     @classmethod
     def from_product(cls, product, J1=None, J2=None, label=""):
-        rat = product.rational
-        out = cls.from_rational(rat, product.domain, J1, J2, label or "blaschke-product")
-        return out
+        return cls(product.rational, product.domain, J1, J2, label or "blaschke-product")
 
     @classmethod
     def constant(cls, value, domain=BALL, J1=None, J2=None, label="constant"):
         value = value if isinstance(value, QMatrix) else QMatrix.scalar(value)
-        rat = SliceRational.constant(value)
-        return cls.from_rational(rat, domain, J1, J2, label)
-
-    @classmethod
-    def from_colligation(cls, col, label="realization"):
-        from .realization import realize_eval
-
-        def eval_many(points):
-            pts = as_points(points)
-            out = np.empty((pts.shape[0], col.C.rows, col.B.cols, 4))
-            for idx in range(pts.shape[0]):
-                out[idx] = realize_eval(col, Quaternion.from_array(pts[idx])).data
-            return out
-
-        def taylor(n):
-            if col.domain != BALL:
-                raise ExpansionError("Taylor data needs a ball colligation")
-            coeffs = np.zeros((n + 1, col.C.rows, col.B.cols, 4))
-            coeffs[0] = col.D.data
-            power = col.B
-            for k in range(1, n + 1):
-                coeffs[k] = (col.C @ power).data
-                power = col.A @ power
-            return coeffs
-
-        return cls(
-            col.domain, col.C.rows, col.B.cols,
-            eval_many_fn=eval_many, taylor_fn=taylor,
-            J1=col.J1, J2=col.J2, label=label,
-        )
+        return cls(SliceRational.constant(value), domain, J1, J2, label)
 
     @classmethod
     def star_quotient(cls, left_scalar_rational, s0, label="star-quotient"):
-        """Lazy star product f * S0 with a scalar left factor.
+        """The star product f * S0 with a scalar left factor f.
 
-        Evaluation uses the pointwise law f(p) S0(f(p)^{-1} p f(p)); the
-        Taylor data convolves the two truncated expansions.  The fully
-        multiplied rational is attached as a cross-check source when S0
-        carries a rational representation.
+        With real denominators the star product multiplies numerators by
+        coefficient convolution and denominators as real polynomials, so
+        the product is again one slice-rational function.
         """
         if not left_scalar_rational.is_scalar():
             raise ShapeError("the left quotient factor must be scalar")
-        f = left_scalar_rational
-
-        def eval_many(points):
-            pts = as_points(points)
-            fv = f.eval_many(pts)[:, 0, 0, :]
-            fmag = np.sqrt(np.sum(fv * fv, axis=-1))
-            zero = fmag <= 1e-14
-            finv = np.where(zero[:, None], np.array([1.0, 0, 0, 0]), _accel.qinv(fv))
-            moved = _accel.qmul(_accel.qmul(finv, pts), fv)
-            sv = s0.eval_many(moved)
-            out = _accel.qmul(fv[:, None, None, :], sv)
-            out[zero] = 0.0
-            return out
-
-        def taylor(n):
-            fc = f.taylor(n).coeffs
-            sc = s0.taylor(n)
-            out = np.zeros((n + 1,) + sc.shape[1:])
-            for a in range(n + 1):
-                for b in range(n + 1 - a):
-                    out[a + b] += _accel.qmul(fc[a, 0, 0], sc[b])
-            return out
-
-        extra = ()
-        rational = None
-        if s0.rational is not None:
-            rational = f.star(s0.rational)
-            extra = (rational.eval_many,)
-        return cls(
-            s0.domain, s0.rows, s0.cols,
-            eval_many_fn=eval_many, taylor_fn=taylor,
-            J1=s0.J1, J2=s0.J2, rational=rational,
-            extra_eval_fns=extra, label=label,
-        )
+        return cls(left_scalar_rational.star(s0.rational), s0.domain, s0.J1, s0.J2, label)
 
     @classmethod
     def compose_real_mobius(cls, s, alpha, beta, gamma, delta, domain=None, label=""):
         """S after the real Mobius map (alpha + beta p)(gamma + delta p)^{-1}."""
-        domain = domain or s.domain
-        if s.rational is not None:
-            rat = s.rational.compose_real_mobius(alpha, beta, gamma, delta)
-            return cls.from_rational(rat, domain, s.J1, s.J2, label or s.label)
-
-        def eval_many(points):
-            pts = as_points(points)
-            num = np.zeros_like(pts)
-            num[:, 0] = alpha
-            num += beta * pts
-            den = np.zeros_like(pts)
-            den[:, 0] = gamma
-            den += delta * pts
-            moved = _accel.qmul(num, _accel.qinv(den))
-            return s.eval_many(moved)
-
-        return cls(domain, s.rows, s.cols, eval_many_fn=eval_many,
-                   J1=s.J1, J2=s.J2, label=label or s.label)
+        rat = s.rational.compose_real_mobius(alpha, beta, gamma, delta)
+        return cls(rat, domain or s.domain, s.J1, s.J2, label or s.label)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -210,28 +118,14 @@ class SchurFunction:
         return (self.rows, self.cols)
 
     def eval_many(self, points):
-        return self._eval_many(as_points(points))
+        return self.rational.eval_many(as_points(points))
 
     def evaluate(self, p):
         p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
         return QMatrix(self.eval_many(p.as_array().reshape(1, 4))[0])
 
     def taylor(self, n):
-        if self._taylor is None:
-            raise ExpansionError("no Taylor source attached to %r" % (self.label,))
-        return self._taylor(n)
-
-    def source_agreement(self, points):
-        """Max deviation between the primary and any extra value sources."""
-        if not self.extra_eval_fns:
-            return 0.0
-        pts = as_points(points)
-        base = self._eval_many(pts)
-        worst = 0.0
-        for fn in self.extra_eval_fns:
-            dev = np.max(np.abs(fn(pts) - base)) if pts.size else 0.0
-            worst = max(worst, float(dev))
-        return worst
+        return self.rational.taylor(n).coeffs
 
     def __repr__(self):
         return "SchurFunction(%s, %dx%d, %s)" % (

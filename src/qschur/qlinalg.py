@@ -191,6 +191,8 @@ class QMatrix:
             raise DomainError("QMatrix JSON needs rows, cols, entries")
         if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
             raise DomainError("rows and cols must be positive integers")
+        if not isinstance(entries, list):
+            raise DomainError("QMatrix JSON entries must be an array")
         if len(entries) != rows * cols:
             raise DomainError("expected %d entries, got %d" % (rows * cols, len(entries)))
         quats = [Quaternion.from_json(e) for e in entries]

@@ -164,7 +164,6 @@ def _coerce(v):
     raise TypeError("cannot interpret %r as a quaternion" % (v,))
 
 
-ZERO = Quaternion(0.0, 0.0, 0.0, 0.0)
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blaschke import BALL, HALFSPACE
 from .errors import (
     DomainError,
     ExpansionError,
@@ -38,9 +39,6 @@ from .qlinalg import (
     vstack,
 )
 from .quat import Quaternion, qdecompose
-
-BALL = "ball"
-HALFSPACE = "halfspace"
 
 
 @dataclass

@@ -76,11 +76,6 @@ class StarPoly:
         return cls.constant(QMatrix.eye(n))
 
     @classmethod
-    def variable(cls):
-        """The scalar polynomial p."""
-        return cls.scalar([0.0, 1.0])
-
-    @classmethod
     def zero(cls, rows=1, cols=1):
         return cls(np.zeros((1, rows, cols, 4)))
 
@@ -232,6 +227,12 @@ class StarPoly:
         mags = np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3)))
         return float(sum(m * base**n for n, m in enumerate(mags)) + 1e-300)
 
+    def eval_scales(self, points):
+        """eval_scale at every point of an (B, 4) array, as a (B,) array."""
+        base = np.maximum(1.0, np.sqrt(np.sum(points * points, axis=-1)))
+        mags = np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3)))
+        return np.sum(mags * base[:, None] ** np.arange(mags.size), axis=1) + 1e-300
+
     # -- JSON ---------------------------------------------------------------------
 
     def to_json(self):
@@ -244,10 +245,13 @@ class StarPoly:
     def from_json(cls, obj):
         if not isinstance(obj, dict) or "shape" not in obj or "coeffs" not in obj:
             raise DomainError("StarPoly JSON needs shape and coeffs")
-        blocks = [QMatrix.from_json(c) for c in obj["coeffs"]]
-        if not blocks:
-            raise DomainError("StarPoly JSON needs at least one coefficient")
-        r, s = obj["shape"]
+        shape, coeffs = obj["shape"], obj["coeffs"]
+        if not isinstance(shape, list) or len(shape) != 2:
+            raise DomainError("StarPoly JSON shape must be an array [rows, cols]")
+        if not isinstance(coeffs, list) or not coeffs:
+            raise DomainError("StarPoly JSON needs a non-empty coeffs array")
+        blocks = [QMatrix.from_json(c) for c in coeffs]
+        r, s = shape
         for b in blocks:
             if b.shape != (r, s):
                 raise DomainError("coefficient shape disagrees with declared shape")
@@ -546,8 +550,7 @@ class SliceRational:
         pts = np.ascontiguousarray(points, dtype=np.float64)
         dv = self._den.eval_many(pts)[:, 0, 0, :]
         dmag = np.sqrt(np.sum(dv * dv, axis=-1))
-        scale = np.array([self._den.eval_scale(Quaternion.from_array(x)) for x in pts])
-        bad = np.nonzero(dmag <= pole_rtol * scale)[0]
+        bad = np.nonzero(dmag <= pole_rtol * self._den.eval_scales(pts))[0]
         if bad.size:
             rep = qdecompose(Quaternion.from_array(pts[bad[0]]))
             raise PoleError(rep.x, rep.y)
@@ -684,8 +687,3 @@ class SliceRational:
         return "SliceRational(shape=%dx%d, deg %d/%d)" % (
             self.shape + (self._num.degree, self._den.degree)
         )
-
-
-def eval_left(f, p):
-    """Left evaluation of a StarPoly or SliceRational at a quaternion."""
-    return f.eval_left(p)

@@ -1,6 +1,9 @@
+import copy
 import json
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from qschur.cli import (
     EXIT_FAIL,
@@ -8,10 +11,10 @@ from qschur.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_USAGE,
-    ConfigFailure,
     main,
     parse_config,
 )
+from qschur.errors import ConfigError
 
 BALL_ZEROS = {"domain": "ball", "points": [{"a": [0.0, 0.5, 0.0, 0.0], "n": 1}]}
 
@@ -32,7 +35,7 @@ def test_parse_minimal_kl_config():
 def test_parse_rejects_ball_modulus():
     bad = {"command": "kl-check",
            "b0": {"domain": "ball", "points": [{"a": [1.2, 0, 0, 0], "n": 1}]}}
-    with pytest.raises(ConfigFailure) as info:
+    with pytest.raises(ConfigError) as info:
         parse_config(json.dumps(bad).encode())
     paths = [p for p, _ in info.value.violations]
     assert any(p.endswith("/points/0/a") for p in paths)
@@ -42,18 +45,18 @@ def test_parse_rejects_nan_and_unknown_fields():
     bad = json.dumps(
         {"command": "kl-check", "b0": BALL_ZEROS, "mystery": 1}
     )
-    with pytest.raises(ConfigFailure) as info:
+    with pytest.raises(ConfigError) as info:
         parse_config(bad.encode())
     assert any(p == "/mystery" for p, _ in info.value.violations)
 
     nan_cfg = ('{"command": "kl-check", "b0": {"domain": "ball", '
                '"points": [{"a": [NaN, 0, 0, 0], "n": 1}]}}')
-    with pytest.raises(ConfigFailure):
+    with pytest.raises(ConfigError):
         parse_config(nan_cfg.encode())
 
 
 def test_parse_rejects_malformed_json():
-    with pytest.raises(ConfigFailure):
+    with pytest.raises(ConfigError):
         parse_config(b"{nope")
 
 
@@ -259,3 +262,96 @@ def test_float_formatting_17_digits(tmp_path):
     assert "0.10000000000000001" in text
     with pytest.raises(ValueError):
         format_float(float("inf"))
+
+
+ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 0.0, 0.0]]}
+HALF = {"rows": 1, "cols": 1, "entries": [[0.5, 0.0, 0.0, 0.0]]}
+RATIONAL = {"kind": "rational", "num": {"shape": [1, 1], "coeffs": [HALF]},
+            "den": {"shape": [1, 1], "coeffs": [ONE]}}
+
+
+@pytest.mark.parametrize("payload, pointer", [
+    ({"command": "negsq",
+      "schur": {"kind": "quotient", "b0": BALL_ZEROS,
+                "s0": {"kind": "constant", "value": [0.5, 0, 0, 0],
+                       "domain": "halfspace"}}},
+     "/schur"),
+    ({"command": "negsq", "schur": dict(RATIONAL, num={"shape": 5, "coeffs": [HALF]})},
+     "/schur"),
+    ({"command": "negsq", "schur": dict(RATIONAL, num={"shape": [1, 1], "coeffs": 5})},
+     "/schur"),
+    ({"command": "stein", "A": {"rows": 1, "cols": 1, "entries": 5}, "C": ONE},
+     "/A"),
+])
+def test_hostile_config_exit_3_with_pointer(tmp_path, capsys, payload, pointer):
+    cfg = write_config(tmp_path, "hostile.json", payload)
+    assert main([payload["command"], "--config", cfg]) == EXIT_USAGE
+    assert "qschur: config %s: " % pointer in capsys.readouterr().err
+
+
+CHEAP_CONFIGS = (
+    {"command": "blaschke-build", "zeros": BALL_ZEROS},
+    {"command": "negsq", "trials": 2, "batch": 6, "rho": 0.9,
+     "schur": {"kind": "quotient", "b0": BALL_ZEROS,
+               "s0": {"kind": "constant", "value": [0.5, 0, 0, 0], "domain": "ball"}}},
+    {"command": "negsq", "trials": 2, "batch": 6, "schur": RATIONAL},
+    {"command": "dim-hb", "zeros": BALL_ZEROS, "points": 6, "cutoff": 1e-8, "radius": 0.75},
+    {"command": "realize", "blaschke_a": [0.0, 0.5, 0.0, 0.0], "points": [[0.2, 0.1, 0, 0]]},
+    {"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+     "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "J1": ONE, "J2": ONE,
+                     "domain": "ball"}},
+    {"command": "stein", "A": HALF, "C": ONE},
+    {"command": "transport", "x0": 1.0, "direction": "halfspace_to_ball",
+     "points": [[1.0, 0.0, 0.0, 0.0]], "negsq": False,
+     "schur": {"kind": "blaschke",
+               "zeros": {"domain": "halfspace",
+                         "points": [{"a": [0.8, 0.4, 0.0, 0.0], "n": 1}]}}},
+    {"command": "kl-check", "b0": BALL_ZEROS, "trials": 2, "batch": 6,
+     "identity_trunc": 4, "expected_kappa": 1},
+)
+
+
+def json_paths(node, path=()):
+    """Pointer paths, as key tuples, of every value below node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def lookup(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+FIELDS = [(idx, path) for idx, cfg in enumerate(CHEAP_CONFIGS) for path in json_paths(cfg)]
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(),
+                    st.text(max_size=4))
+VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(field=st.sampled_from(FIELDS), value=VALUES)
+def test_fuzz_wrong_type_fields_never_raise(fuzz_dir, field, value):
+    idx, path = field
+    payload = copy.deepcopy(CHEAP_CONFIGS[idx])
+    assume(type(value) is not type(lookup(payload, path)))
+    lookup(payload, path[:-1])[path[-1]] = value
+    payload["out"] = str(fuzz_dir / "report.json")
+    cfg = fuzz_dir / "config.json"
+    cfg.write_text(json.dumps(payload))
+    assert main([CHEAP_CONFIGS[idx]["command"], "--config", str(cfg)]) in range(5)
+

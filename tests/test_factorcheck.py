@@ -1,7 +1,9 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
+from qschur import _accel
 from qschur.blaschke import ZeroSet, blaschke_factor
 from qschur.errors import DomainError
 from qschur.factorcheck import (
@@ -25,7 +27,6 @@ A_J = Quaternion(0.3, 0, 0.5, 0)
 def test_synthesize_simple_quotient():
     case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]))
     assert case.expected_kappa == 1
-    assert case.spot_check()
     # S = B^{-*}: its value times B's value is 1
     b = case.b0.rational
     for x in (0.2, -0.3, 0.6):
@@ -34,6 +35,60 @@ def test_synthesize_simple_quotient():
             Quaternion.from_real(1.0), 1e-10
         )
 
+
+
+def pointwise_quotient(f, s0, pts):
+    """The pointwise law (f * S0)(p) = f(p) S0(f(p)^{-1} p f(p)) for a
+    scalar f, with value 0 where f(p) = 0: the reference for the
+    multiplied rational."""
+    fv = f.eval_many(pts)[:, 0, 0, :]
+    zero = np.sqrt(np.sum(fv * fv, axis=-1)) <= 1e-14
+    finv = np.where(zero[:, None], np.array([1.0, 0, 0, 0]), _accel.qinv(fv))
+    moved = _accel.qmul(_accel.qmul(finv, pts), fv)
+    out = _accel.qmul(fv[:, None, None, :], s0.eval_many(moved))
+    out[zero] = 0.0
+    return out
+
+
+def convolved_taylor(f, s0, n):
+    """Taylor coefficients of f * S0 as the convolution of both expansions."""
+    fc = f.taylor(n).coeffs
+    sc = s0.taylor(n)
+    out = np.zeros((n + 1,) + sc.shape[1:])
+    for a in range(n + 1):
+        for b in range(n + 1 - a):
+            out[a + b] += _accel.qmul(fc[a, 0, 0], sc[b])
+    return out
+
+
+QUOTIENT_CASES = {
+    "kappa2": lambda: synthesize_generalized_schur(
+        ZeroSet("ball", points=[(A_I, 1), (A_J, 1)]),
+        ZeroSet("ball", points=[(Quaternion(0, 0, 0.3, 0), 1)]),
+    ),
+    "kappa3": lambda: synthesize_generalized_schur(
+        ZeroSet("ball", points=[(Quaternion(0.2, 0.5, 0, 0), 2),
+                                (Quaternion(-0.3, 0, 0.4, 0), 1)]),
+        0.8,
+    ),
+    "halfspace": lambda: transport_case_to_ball(synthesize_generalized_schur(
+        ZeroSet("halfspace", points=[(Quaternion(0.6, 0.5, 0, 0), 1)]),
+        ZeroSet("halfspace", points=[(Quaternion(1.2, 0, 0.4, 0), 1)]),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENT_CASES))
+def test_quotient_matches_pointwise_law(name, rng):
+    case = QUOTIENT_CASES[name]()
+    f = case.b0.inverse().rational
+    pts = np.array([sample_ball_point(rng, 0.8).as_array() for _ in range(20)])
+    lazy = pointwise_quotient(f, case.s0, pts)
+    assert np.max(np.abs(case.s.eval_many(pts) - lazy)) <= 1e-12 * np.max(np.abs(lazy))
+    n = 32
+    conv = convolved_taylor(f, case.s0, n)
+    scale = np.max(np.abs(conv), axis=(1, 2, 3))
+    assert np.all(np.max(np.abs(case.s.taylor(n) - conv), axis=(1, 2, 3)) <= 1e-12 * scale)
 
 def test_synthesize_empty_product_is_schur():
     case = synthesize_generalized_schur(None, 0.7)

@@ -368,16 +368,3 @@ def test_moebius_index_invariance():
     k1 = estimate_neg_squares(s, trials=25, batch=25, seed=6).kappa_hat
     k2 = estimate_neg_squares(composed, trials=25, batch=25, seed=6).kappa_hat
     assert k1 == k2 == 1
-
-
-def test_source_agreement_detects_mismatch(rng):
-    rat = blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0))
-    good = SchurFunction.from_rational(rat)
-    pts = np.array([sample_ball_point(rng, 0.6).as_array() for _ in range(5)])
-    assert good.source_agreement(pts) == 0.0
-    other = blaschke_factor("ball", "point", Quaternion(0, 0.4, 0, 0))
-    tampered = SchurFunction(
-        "ball", 1, 1, eval_many_fn=rat.eval_many,
-        extra_eval_fns=(other.eval_many,),
-    )
-    assert tampered.source_agreement(pts) > 1e-3

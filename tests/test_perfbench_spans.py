@@ -1,9 +1,13 @@
-"""The benchmark's tracer must find every function it names in qschur."""
+"""The benchmark's tracer must find every function it names in qschur, and
+its self-test must pass against the library as it stands."""
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -25,3 +29,9 @@ def test_tracer_installs_on_every_target():
     finally:
         tracer.uninstall()
     assert kernels.gram is original
+
+
+def test_benchmark_selftest_passes():
+    done = subprocess.run([sys.executable, str(ROOT / "perfbench" / "selftest.py")],
+                          cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -236,16 +236,3 @@ def test_colligation_json_roundtrip(rng):
     ball = colligation_from_blaschke_factor(Quaternion(0, 0.5, 0, 0))
     back = Colligation.from_json(ball.to_json())
     assert (back.D - ball.D).norm() == 0.0
-
-
-def test_from_colligation_schur_source(rng):
-    a = Quaternion(0.2, 0.4, 0, 0)
-    col = colligation_from_blaschke_factor(a)
-    s = SchurFunction.from_colligation(col)
-    fac = blaschke_factor("ball", "point", a)
-    for _ in range(5):
-        p = sample_ball_point(rng, 0.8)
-        assert s.evaluate(p).as_quaternion().isclose(fac.eval_scalar(p), 1e-10)
-    tay = s.taylor(6)
-    direct = fac.taylor(6)
-    assert np.max(np.abs(tay - direct.coeffs)) < 1e-12

@@ -233,6 +233,20 @@ def test_rational_pole_error():
     assert abs(info.value.x) < 1e-12 and abs(info.value.y - 1.0) < 1e-12
 
 
+def test_batch_pole_guard_matches_pointwise_scale(rng):
+    den = StarPoly.scalar([0.34, -0.6, 1.0, 0.25, -0.5])
+    pts = rng.normal(size=(30, 4)) * rng.uniform(0.1, 3.0, size=(30, 1))
+    pointwise = [den.eval_scale(Quaternion.from_array(x)) for x in pts]
+    assert np.allclose(den.eval_scales(pts), pointwise, rtol=1e-14, atol=0.0)
+    # a point on the pole sphere p^2 + 1 = 0 among regular ones
+    r = SliceRational(StarPoly.one(), StarPoly.scalar([1.0, 0.0, 1.0]))
+    ok = np.array([[0.3, 0.1, 0, 0], [0.0, 0.2, 0.5, 0]])
+    assert r.eval_many(ok).shape == (2, 1, 1, 4)
+    with pytest.raises(PoleError) as info:
+        r.eval_many(np.vstack([ok, [[0.0, 0.6, 0.0, 0.8]]]))
+    assert abs(info.value.x) < 1e-12 and abs(info.value.y - 1.0) < 1e-12
+
+
 def test_extension_examples():
     ax = ImaginaryUnit(I)
     assert extend_from_slice(lambda z: z * z, ax, J).isclose(Quaternion.from_real(-1.0))
