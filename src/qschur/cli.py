@@ -313,6 +313,8 @@ def parse_config(text):
         s0 = None
         if raw.get("s0") is not None:
             s0 = _parse_schur_spec(raw["s0"], "/s0", v)
+        if zs is not None and s0 is not None and s0.domain != zs.domain:
+            v.fail("/s0", "S0 lives on the %s but B0 on the %s" % (s0.domain, zs.domain))
         if zs is not None:
             objects["b0"] = zs
             objects["s0"] = s0

@@ -90,11 +90,12 @@ def _schur_from_spec(spec, domain):
 
 
 def synthesize_generalized_schur(b0_spec, s0_spec=None):
-    """Build a FactorizationCase with expected index deg B0.
+    """Build a FactorizationCase with expected index r deg B0, r the rows of S0.
 
     b0_spec is a ZeroSet or a ready FactoredProduct; s0_spec is Blaschke
-    data (ZeroSet / FactoredProduct), a constant of norm <= 1, or None
-    for the constant 1.
+    data (ZeroSet / FactoredProduct), a constant of norm <= 1, a ready
+    SchurFunction, or None for the constant 1.  A scalar B0 multiplies an
+    r x s S0 as B0 I_r.
     """
     if isinstance(b0_spec, ZeroSet):
         b0 = build_product(b0_spec)
@@ -116,8 +117,9 @@ def synthesize_generalized_schur(b0_spec, s0_spec=None):
     else:
         s = SchurFunction.star_quotient(b0.inverse().rational, s0,
                                         label="B0^{-*} * S0")
+    # B0^{-*} acts on S0 as B0^{-*} I_r, a product of degree r deg B0
     return FactorizationCase(
-        b0=b0, s0=s0, s=s, expected_kappa=b0.degree(), domain=domain
+        b0=b0, s0=s0, s=s, expected_kappa=s0.rows * b0.degree(), domain=domain
     )
 
 
@@ -146,6 +148,8 @@ class VerdictReport:
         }
         if self.reason:
             out["reason"] = self.reason
+        if self.identity is not None and self.identity.vacuous:
+            out["identity_vacuous"] = True
         return out
 
 

@@ -103,7 +103,8 @@ class SchurFunction:
         """
         if not left_scalar_rational.is_scalar():
             raise ShapeError("the left quotient factor must be scalar")
-        return cls(left_scalar_rational.star(s0.rational), s0.domain, s0.J1, s0.J2, label)
+        left = left_scalar_rational.lift(s0.rows)
+        return cls(left.star(s0.rational), s0.domain, s0.J1, s0.J2, label)
 
     @classmethod
     def compose_real_mobius(cls, s, alpha, beta, gamma, delta, domain=None, label=""):
@@ -511,6 +512,7 @@ class KernelIdentityReport:
     hermitian_residual: float
     trunc: int
     tail_bound: float
+    vacuous: bool = False       # K_S - K_B is zero at this truncation
 
     def to_json(self):
         return {
@@ -520,6 +522,7 @@ class KernelIdentityReport:
             "hermitian_residual": self.hermitian_residual,
             "trunc": self.trunc,
             "tail_bound": self.tail_bound,
+            "vacuous": self.vacuous,
         }
 
 
@@ -550,7 +553,9 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     the content of the factorization step).  If the truncation cannot
     bound the tail below tail_tol the status is 'inconclusive', never a
     silent pass; with the tail bounded, a deviation above dev_tol is a
-    'fail'.
+    'fail'.  When every weighted coefficient of K_S - K_B is within
+    dev_tol of zero (S = B, for instance) the identity holds trivially and
+    the report says so with vacuous=True; the status is unaffected.
     """
     if not isinstance(b0, FactoredProduct):
         raise ShapeError("b0 must be a FactoredProduct")
@@ -560,12 +565,7 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
        (s.J2.matrix - eye_r.matrix).norm() > 1e-12:
         raise PrecondError("the factorization identity applies to identity signatures")
 
-    binv = b0.inverse().rational
-    if binv.shape == (1, 1) and s.rows > 1:
-        from .starpoly import scalar_poly_times_matrix
-        binv = SliceRational(
-            scalar_poly_times_matrix(binv.num, QMatrix.eye(s.rows)), binv.den
-        )
+    binv = b0.inverse().rational.lift(s.rows)
     if gram_radius is None:
         pole = _min_pole_radius(binv)
         gram_radius = 0.6 if not np.isfinite(pole) else min(0.6, 0.45 * pole)
@@ -582,6 +582,8 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
 
     diff = DoubleSeriesKernel(lhs.coeffs - rhs.coeffs)
     dev = float(np.max(diff.weighted_norms(gram_radius)))
+    lhs_norms = lhs.weighted_norms(gram_radius)
+    vacuous = float(np.max(lhs_norms)) <= dev_tol
     t1 = trunc + 1
     w = gram_radius ** (np.arange(t1)[:, None, None, None, None]
                         + np.arange(t1)[None, :, None, None, None])
@@ -597,7 +599,7 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     min_eig = float(np.min(eigs))
 
     band = max(lhs.boundary_band_norm(gram_radius), rhs.boundary_band_norm(gram_radius))
-    inner = max(lhs.weighted_norms(gram_radius)[: trunc, : trunc].max(),
+    inner = max(lhs_norms[: trunc, : trunc].max(),
                 rhs.weighted_norms(gram_radius)[: trunc, : trunc].max(), 1e-300)
     ratio = min(band / inner, 0.97) if inner > 0 else 0.0
     tail_bound = band / max(1.0 - ratio, 0.03) ** 2
@@ -612,6 +614,7 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
         hermitian_residual=herm,
         trunc=trunc,
         tail_bound=float(tail_bound),
+        vacuous=vacuous,
     )
 
 

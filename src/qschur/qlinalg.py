@@ -2,14 +2,17 @@
 
 A QMatrix keeps its entries as a float64 array of shape (rows, cols, 4).
 Writing an entry as p = A + B j with complex A = x0 + i x1, B = x2 + i x3
-gives the complex adjoint
+(the same memory read as complex pairs, _accel.as_pairs) gives the
+complex adjoint
 
     chi(M) = [[A, B], [-conj(B), conj(A)]]
 
 of doubled size, a *-algebra homomorphism: chi(MN) = chi(M) chi(N) and
-chi(M^*) = chi(M)^*.  Hermitian eigenvalues, inversion, and condition
-estimates all route through chi; eigenvalues of chi(H) come in exact
-pairs and one representative per pair is reported.
+chi(M^*) = chi(M)^*.  Its top block row gives products as four complex
+matmuls, (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j.  Hermitian
+eigenvalues, inversion, and condition estimates all route through chi;
+eigenvalues of chi(H) come in exact pairs and one representative per
+pair is reported.
 """
 
 import numpy as np
@@ -24,17 +27,13 @@ COND_LIMIT = 1e12
 
 def qmatmul_arr(a, b):
     """Quaternion matrix product on component arrays (..., r, t, 4) x (..., t, c, 4)."""
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
-            a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
-            a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
-            a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-        ],
-        axis=-1,
-    )
+    a, b = _accel.as_pairs(a), _accel.as_pairs(b)
+    a0, a1, b0, b1 = a[..., 0], a[..., 1], b[..., 0], b[..., 1]
+    lead = np.broadcast_shapes(a0.shape[:-2], b0.shape[:-2])
+    out = np.empty(lead + (a0.shape[-2], b0.shape[-1], 2), dtype=np.complex128)
+    np.subtract(a0 @ b0, a1 @ b1.conj(), out=out[..., 0])
+    np.add(a0 @ b1, a1 @ b0.conj(), out=out[..., 1])
+    return out.view(np.float64)
 
 
 def qadjoint_arr(a):
@@ -226,12 +225,15 @@ def block_diag(mats):
 
 def complex_adjoint(m):
     """chi(M): complex matrix of doubled size with chi(MN) = chi(M) chi(N)."""
-    d = m.data if isinstance(m, QMatrix) else np.asarray(m)
-    a = d[..., 0] + 1j * d[..., 1]
-    b = d[..., 2] + 1j * d[..., 3]
-    top = np.concatenate([a, b], axis=1)
-    bot = np.concatenate([-np.conj(b), np.conj(a)], axis=1)
-    return np.concatenate([top, bot], axis=0)
+    d = _accel.as_pairs(m.data if isinstance(m, QMatrix) else m)
+    a, b = d[..., 0], d[..., 1]
+    r, c = a.shape
+    # filled block by block: no temporaries beside the result
+    z = np.empty((2 * r, 2 * c), dtype=np.complex128)
+    z[:r, :c], z[:r, c:] = a, b
+    np.negative(np.conjugate(b, out=z[r:, :c]), out=z[r:, :c])
+    np.conjugate(a, out=z[r:, c:])
+    return z
 
 
 def from_complex_adjoint(z):
@@ -240,10 +242,10 @@ def from_complex_adjoint(z):
     if z.ndim != 2 or z.shape[0] % 2 or z.shape[1] % 2:
         raise ShapeError("complex adjoint must be 2r x 2c")
     r, c = z.shape[0] // 2, z.shape[1] // 2
-    a = 0.5 * (z[:r, :c] + np.conj(z[r:, c:]))
-    b = 0.5 * (z[:r, c:] - np.conj(z[r:, :c]))
-    d = np.stack([a.real, a.imag, b.real, b.imag], axis=-1)
-    return QMatrix(d)
+    d = np.empty((r, c, 2), dtype=np.complex128)
+    d[..., 0] = 0.5 * (z[:r, :c] + np.conj(z[r:, c:]))
+    d[..., 1] = 0.5 * (z[:r, c:] - np.conj(z[r:, :c]))
+    return QMatrix(d.view(np.float64))
 
 
 class SignatureMatrix:
@@ -306,11 +308,14 @@ def herm_eigen_neg(h, cutoff=1e-8, pairing_rtol=1e-9):
     """
     if h.rows != h.cols:
         raise ShapeError("Hermitian eigenvalues need a square matrix")
-    scale = max(1.0, h.norm())
-    if h.herm_residual() > 1e-10 * scale:
-        raise PrecondError("matrix is not Hermitian within 1e-10 relative")
     z = complex_adjoint(h)
-    z = 0.5 * (z + z.conj().T)
+    zh = z.conj().T
+    # chi doubles the squared norm of every entry: ||chi(M)||_F^2 = 2 ||M||_F^2
+    scale = max(1.0, np.linalg.norm(z) / np.sqrt(2.0))
+    if np.linalg.norm(z - zh) / np.sqrt(2.0) > 1e-10 * scale:
+        raise PrecondError("matrix is not Hermitian within 1e-10 relative")
+    z += zh
+    z *= 0.5
     try:
         lam = np.linalg.eigvalsh(z)
     except np.linalg.LinAlgError as exc:

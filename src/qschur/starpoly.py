@@ -558,6 +558,13 @@ class SliceRational:
         dinv = _accel.qinv(dv)
         return _accel.qmul(dinv[:, None, None, :], nv)
 
+    def lift(self, rows):
+        """f I_rows for a scalar f, the form in which it star-multiplies a
+        function with that many rows; any other f is returned as is."""
+        if rows == 1 or not self.is_scalar():
+            return self
+        return SliceRational(scalar_poly_times_matrix(self._num, QMatrix.eye(rows)), self._den)
+
     # -- algebra -----------------------------------------------------------------
 
     def star(self, other):

@@ -74,8 +74,27 @@ def test_kl_check_pass_and_reports_are_byte_identical(tmp_path):
     doc = json.loads(b1)
     assert doc["verdict"] == "PASS"
     assert doc["kappa_hat"] == 1 and doc["deg_B0"] == 1
+    assert doc["identity_vacuous"] is True      # S0 = 1, so S = B
     assert doc["seed"] == 9
     assert doc["config"]["command"] == "kl-check"
+
+
+def test_kl_check_scalar_b0_matrix_s0(tmp_path):
+    # B0 multiplies S0 = 0.5 I_2 as B0 I_2, a product of degree 2 deg B0
+    half_eye = {"rows": 2, "cols": 2, "entries": [[0.5, 0, 0, 0], [0, 0, 0, 0],
+                                                  [0, 0, 0, 0], [0.5, 0, 0, 0]]}
+    s0 = {"kind": "rational", "num": {"shape": [2, 2], "coeffs": [half_eye]},
+          "den": {"shape": [1, 1], "coeffs": [ONE]}}
+    cfg = write_config(
+        tmp_path, "klmat.json",
+        {"command": "kl-check", "b0": BALL_ZEROS, "s0": s0, "trials": 10, "batch": 20,
+         "identity_trunc": 32},
+    )
+    out = str(tmp_path / "klmat-out.json")
+    assert main(["kl-check", "--config", cfg, "--out", out]) == EXIT_OK
+    doc = json.loads(open(out, "rb").read())
+    assert doc["verdict"] == "PASS" and doc["kappa_hat"] == 2 and doc["deg_B0"] == 1
+    assert "identity_vacuous" not in doc
 
 
 def test_kl_check_negative_control_exit_1(tmp_path):
@@ -282,6 +301,9 @@ RATIONAL = {"kind": "rational", "num": {"shape": [1, 1], "coeffs": [HALF]},
      "/schur"),
     ({"command": "stein", "A": {"rows": 1, "cols": 1, "entries": 5}, "C": ONE},
      "/A"),
+    ({"command": "kl-check", "b0": BALL_ZEROS,
+      "s0": {"kind": "constant", "value": [0.5, 0, 0, 0], "domain": "halfspace"}},
+     "/s0"),
 ])
 def test_hostile_config_exit_3_with_pointer(tmp_path, capsys, payload, pointer):
     cfg = write_config(tmp_path, "hostile.json", payload)

@@ -130,6 +130,22 @@ def test_krein_langer_identity_negative_control():
     assert "deviation" in rep.reason and "tail" in rep.reason
 
 
+def test_vacuous_identity_leg_is_flagged():
+    # S0 = 1 gives S = B, so K_S - K_B = 0 and the identity holds trivially;
+    # the flag is reported and the verdict stays PASS
+    case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]))
+    rep = krein_langer_check(case, Budget(trials=5, batch=15))
+    assert rep.verdict == "PASS" and rep.identity.vacuous
+    assert rep.identity.to_json()["vacuous"] is True
+    assert rep.to_json()["identity_vacuous"] is True
+
+    case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]), 0.7)
+    rep = krein_langer_check(case, Budget(trials=5, batch=15))
+    assert rep.verdict == "PASS" and not rep.identity.vacuous
+    assert rep.identity.to_json()["vacuous"] is False
+    assert "identity_vacuous" not in rep.to_json()
+
+
 def test_krein_langer_inconclusive_truncation():
     case = synthesize_generalized_schur(
         ZeroSet("ball", points=[(A_I, 1)]),
