@@ -79,6 +79,7 @@ from .quat import (
     qproduct,
     same_sphere,
     sample_ball_point,
+    sample_ball_points,
     sample_halfspace_point,
     sample_imaginary_unit,
 )

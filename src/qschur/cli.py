@@ -1,13 +1,14 @@
 """Command-line front end.
 
-One subcommand per pipeline; configs are strict JSON (unknown fields are
-rejected with JSON-pointer paths) and every report embeds the effective
-configuration so runs are auditable and byte-identical under a fixed
-seed.  Exit codes: 0 PASS/success, 1 FAIL, 2 INCONCLUSIVE, 3 usage or
-config error, 4 I/O error.
+One command per pipeline, named by the first argument; configs are
+strict JSON (unknown fields are rejected with JSON-pointer paths) and
+every report embeds the effective configuration so runs are auditable
+and byte-identical under a fixed seed.  Exit codes: 0 PASS/success,
+1 FAIL, 2 INCONCLUSIVE, 3 usage or config error, 4 I/O error.
 """
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -29,7 +30,7 @@ from .factorcheck import (
 )
 from .kernels import SchurFunction, estimate_dim_HB, estimate_neg_squares
 from .qlinalg import QMatrix
-from .quat import Quaternion
+from .quat import Quaternion, sample_ball_points
 from .realization import Colligation, colligation_from_blaschke_factor, realize_eval, solve_stein, stein_is_negative
 from .starpoly import SliceRational, StarPoly
 
@@ -412,11 +413,7 @@ def _run_dim_hb(cfg):
     kwargs = {"cutoff": eff["cutoff"], "seed": eff["seed"], "radius": eff["radius"]}
     if eff["points"]:
         rng = np.random.default_rng(eff["seed"])
-        from .quat import sample_ball_point
-
-        kwargs["points"] = np.array(
-            [sample_ball_point(rng, eff["radius"]).as_array() for _ in range(eff["points"])]
-        )
+        kwargs["points"] = sample_ball_points(rng, eff["points"], eff["radius"])
     rep = estimate_dim_HB(product, **kwargs)
     body = {"dim": rep.dim, "degree": product.degree(), "eigenvalues": rep.eigenvalues}
     if rep.warning:
@@ -535,28 +532,28 @@ def dispatch(cfg, out_override=None):
     return code, text
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use; parse_args keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="qschur",
         description="Quaternionic Schur analysis pipelines (slice-regular "
                     "Blaschke products, negative squares, Krein-Langer checks).",
     )
-    sub = parser.add_subparsers(dest="command")
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--out", default=None, help="report output path")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--batch", type=int, default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument("--out", default=None, help="report output path")
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--batch", type=int, default=None)
+    return parser
 
+
+def main(argv=None):
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if not args.command:
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
 
     try:
         with open(args.config, "rb") as handle:

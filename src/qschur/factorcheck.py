@@ -13,10 +13,11 @@ have real denominators, so the star product is one rational whose
 values and Taylor coefficients every check reads.
 """
 
+import math
 from dataclasses import dataclass
 
 from .blaschke import BALL, HALFSPACE, FactoredProduct, ZeroSet, build_product
-from .errors import DomainError, ExpansionError
+from .errors import DomainError, ExpansionError, NumericError, PoleError
 from .kernels import (
     SchurFunction,
     estimate_neg_squares,
@@ -123,12 +124,17 @@ def synthesize_generalized_schur(b0_spec, s0_spec=None):
     )
 
 
+def _finite_or_none(x):
+    """x, or None (JSON null) when it is not a finite number."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass
 class VerdictReport:
     """Outcome of one Krein-Langer verification run."""
 
     verdict: str                  # PASS | FAIL | INCONCLUSIVE
-    kappa_hat: int
+    kappa_hat: int                # None when the sampling leg failed
     deg_b0: int
     identity_residual: float
     min_gram_eig: float
@@ -142,8 +148,8 @@ class VerdictReport:
             "verdict": self.verdict,
             "kappa_hat": self.kappa_hat,
             "deg_B0": self.deg_b0,
-            "identity_residual": self.identity_residual,
-            "min_gram_eig": self.min_gram_eig,
+            "identity_residual": _finite_or_none(self.identity_residual),
+            "min_gram_eig": _finite_or_none(self.min_gram_eig),
             "budget": self.budget.to_json(),
         }
         if self.reason:
@@ -158,21 +164,28 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
 
     expected_kappa overrides the case target (negative controls inject a
     wrong value and must flip the verdict to FAIL).  An insufficient
-    identity truncation yields INCONCLUSIVE, never a silent pass; a
-    kernel identity that deviates beyond a certified tail is a FAIL.
+    identity truncation or a non-finite identity tail yields INCONCLUSIVE,
+    never a silent pass; a kernel identity that deviates beyond a
+    certified tail is a FAIL.  A sampling leg stopped by a pole sphere or
+    a numeric failure leaves kappa_hat None and, unless the identity leg
+    fails, the verdict INCONCLUSIVE.
     """
     if case.domain == HALFSPACE:
         case = transport_case_to_ball(case)
     target = case.expected_kappa if expected_kappa is None else int(expected_kappa)
 
-    negsq = estimate_neg_squares(
-        case.s,
-        trials=budget.trials,
-        batch=budget.batch,
-        seed=budget.seed,
-        rho=budget.rho,
-        cutoff=budget.cutoff,
-    )
+    try:
+        negsq = estimate_neg_squares(
+            case.s,
+            trials=budget.trials,
+            batch=budget.batch,
+            seed=budget.seed,
+            rho=budget.rho,
+            cutoff=budget.cutoff,
+        )
+    except (PoleError, NumericError) as exc:
+        negsq, sampling_error = None, exc
+    kappa_hat = None if negsq is None else negsq.kappa_hat
 
     try:
         ident = kernel_identity_check(
@@ -184,7 +197,7 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
     except ExpansionError as exc:
         return VerdictReport(
             verdict="INCONCLUSIVE",
-            kappa_hat=negsq.kappa_hat,
+            kappa_hat=kappa_hat,
             deg_b0=case.b0.degree(),
             identity_residual=float("nan"),
             min_gram_eig=float("nan"),
@@ -195,14 +208,22 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
 
     if ident.status == "inconclusive":
         verdict = "INCONCLUSIVE"
-        reason = "identity truncation insufficient (tail %.3e)" % ident.tail_bound
+        if not math.isfinite(ident.tail_bound):
+            reason = "identity tail bound is not finite"
+        elif not math.isfinite(ident.max_coeff_dev):
+            reason = "identity deviation is not finite"
+        else:
+            reason = "identity truncation insufficient (tail %.3e)" % ident.tail_bound
     elif ident.status == "fail":
         verdict = "FAIL"
         reason = "identity deviation %.3e with certified tail %.3e" % (
             ident.max_coeff_dev, ident.tail_bound)
-    elif negsq.kappa_hat != target:
+    elif negsq is None:
+        verdict = "INCONCLUSIVE"
+        reason = "sampling leg failed: %s" % sampling_error
+    elif kappa_hat != target:
         verdict = "FAIL"
-        reason = "kappa-hat %d differs from target %d" % (negsq.kappa_hat, target)
+        reason = "kappa-hat %d differs from target %d" % (kappa_hat, target)
     elif ident.min_gram_eig < -budget.min_eig_tol:
         verdict = "FAIL"
         reason = "difference kernel not positive (min eig %.3e)" % ident.min_gram_eig
@@ -211,7 +232,7 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
         reason = ""
     return VerdictReport(
         verdict=verdict,
-        kappa_hat=negsq.kappa_hat,
+        kappa_hat=kappa_hat,
         deg_b0=case.b0.degree(),
         identity_residual=ident.max_coeff_dev,
         min_gram_eig=ident.min_gram_eig,

@@ -41,7 +41,7 @@ from .errors import (
     ShapeError,
 )
 from .qlinalg import QMatrix, SignatureMatrix, herm_eigen_neg, qadjoint_arr, qmatmul_arr
-from .quat import Quaternion, qdecompose, sample_ball_point
+from .quat import Quaternion, qdecompose, sample_ball_points
 from .starpoly import SliceRational
 
 
@@ -312,7 +312,7 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
     witness = None
     for t in range(trials):
         rng = np.random.default_rng([int(seed), t])
-        pts = np.array([sample_ball_point(rng, rho).as_array() for _ in range(batch)])
+        pts = sample_ball_points(rng, batch, rho)
         vecs = sample_gram_vectors(rng, batch, s.rows)
         g = gram(s, pts, vecs)
         eigs, neg = herm_eigen_neg(g, cutoff)
@@ -371,10 +371,7 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
         s = SchurFunction.compose_real_mobius(s, 1.0, 1.0, 1.0, -1.0, domain=BALL)
     if points is None:
         rng = np.random.default_rng(seed)
-        count = 3 * deg + 3
-        points = np.array(
-            [sample_ball_point(rng, radius).as_array() for _ in range(count)]
-        )
+        points = sample_ball_points(rng, 3 * deg + 3, radius)
     pts = as_points(points)
     warning = None
     if pts.shape[0] * s.rows < 3 * deg:
@@ -551,9 +548,9 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     coefficient deviation, the Hermitian symmetry residual, and the
     minimum Gram eigenvalue of the difference kernel (its positivity is
     the content of the factorization step).  If the truncation cannot
-    bound the tail below tail_tol the status is 'inconclusive', never a
-    silent pass; with the tail bounded, a deviation above dev_tol is a
-    'fail'.  When every weighted coefficient of K_S - K_B is within
+    bound the tail below tail_tol, or the tail or the deviation is not
+    finite, the status is 'inconclusive', never a silent pass; with the
+    tail bounded, a deviation above dev_tol is a 'fail'.  When every weighted coefficient of K_S - K_B is within
     dev_tol of zero (S = B, for instance) the identity holds trivially and
     the report says so with vacuous=True; the status is unaffected.
     """
@@ -591,9 +588,7 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
                DoubleSeriesKernel(rhs.coeffs * w).hermitian_residual())
 
     rng = np.random.default_rng(seed)
-    pts = np.array(
-        [sample_ball_point(rng, gram_radius).as_array() for _ in range(gram_points)]
-    )
+    pts = sample_ball_points(rng, gram_points, gram_radius)
     g = lhs.eval_gram(pts)
     eigs, _ = herm_eigen_neg(g)
     min_eig = float(np.min(eigs))
@@ -603,7 +598,9 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
                 rhs.weighted_norms(gram_radius)[: trunc, : trunc].max(), 1e-300)
     ratio = min(band / inner, 0.97) if inner > 0 else 0.0
     tail_bound = band / max(1.0 - ratio, 0.03) ** 2
-    if tail_bound > tail_tol:
+    # NaN and inf compare False, so a non-finite tail or deviation falls
+    # to "inconclusive" rather than to "ok"
+    if not (tail_bound <= tail_tol and np.isfinite(dev)):
         status = "inconclusive"
     else:
         status = "ok" if dev <= dev_tol else "fail"

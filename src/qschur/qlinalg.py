@@ -188,7 +188,7 @@ class QMatrix:
             rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         except (KeyError, TypeError):
             raise DomainError("QMatrix JSON needs rows, cols, entries")
-        if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+        if any(type(n) is not int or n < 1 for n in (rows, cols)):
             raise DomainError("rows and cols must be positive integers")
         if not isinstance(entries, list):
             raise DomainError("QMatrix JSON entries must be an array")

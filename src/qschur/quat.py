@@ -269,13 +269,23 @@ def sample_imaginary_unit(rng):
 
 def sample_ball_point(rng, radius=0.9):
     """Uniform random quaternion in the closed 4-ball of the given radius."""
-    while True:
-        v = rng.normal(size=4)
-        n = np.sqrt(np.dot(v, v))
-        if n > 1e-8:
-            break
-    r = radius * rng.random() ** 0.25
-    return Quaternion.from_array(v * (r / n))
+    return Quaternion.from_array(sample_ball_points(rng, 1, radius)[0])
+
+
+def sample_ball_points(rng, count, radius=0.9):
+    """count uniform points of the closed 4-ball as a (count, 4) array,
+    drawn from rng exactly as count calls of sample_ball_point draw them."""
+    out = np.empty((count, 4))
+    for i in range(count):
+        while True:
+            v = rng.normal(size=4)
+            n = np.sqrt(np.dot(v, v))
+            if n > 1e-8:
+                break
+        r = radius * rng.random() ** 0.25
+        out[i] = v * (r / n)
+    return out
+
 
 def sample_halfspace_point(rng, re_low=0.1, re_high=2.0, im_radius=2.0):
     """Random point with Re(p) in (re_low, re_high), imaginary part in a 3-ball."""

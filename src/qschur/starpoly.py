@@ -181,11 +181,12 @@ class StarPoly:
                 "star product mismatch %s * %s" % (self.shape, other.shape)
             )
         df, dg = self.degree, other.degree
+        prod = qmatmul_arr(self._c[:, None], other._c[None, :])
         out = np.zeros((df + dg + 1, self.shape[0], other.shape[1], 4))
+        # n ascending adds the terms f_n g_(k-n) of each out[k] in increasing
+        # n, the order of the double-loop reference in the tests
         for n in range(df + 1):
-            fn = self._c[n]
-            for m in range(dg + 1):
-                out[n + m] += qmatmul_arr(fn, other._c[m])
+            out[n : n + dg + 1] += prod[n]
         return StarPoly(out)
 
     def shift(self, k):
@@ -629,16 +630,12 @@ class SliceRational:
             powers_v.append(powers_v[-1].star(v))
 
         def weigh(poly):
-            r, s = poly.shape
-            acc = StarPoly.zero(r, s)
-            for n in range(poly.degree + 1):
-                w = powers_u[n].star(powers_v[d - n]).real_vector()
-                block = poly.coeffs[n]
-                term = np.zeros((len(w), r, s, 4))
-                for k, wk in enumerate(w):
-                    term[k] = wk * block
-                acc = acc + StarPoly(term)
-            return acc
+            # row n holds the d + 1 real coefficients of u^n v^(d - n)
+            w = np.array([powers_u[n].star(powers_v[d - n]).real_vector()
+                          for n in range(poly.degree + 1)])
+            terms = w[:, :, None, None, None] * poly.coeffs[:, None]
+            # summed from 0.0, so that a coefficient whose terms are all -0.0 reads 0.0
+            return StarPoly(terms.sum(axis=0, initial=0.0))
 
         num2 = weigh(self._num)
         den2 = weigh(self._den).realified().trim(1e-14)

@@ -122,6 +122,37 @@ def test_kl_check_inconclusive_exit_2(tmp_path):
     assert json.loads(open(out).read())["verdict"] == "INCONCLUSIVE"
 
 
+def test_kl_check_pole_in_sampling_exit_2(tmp_path):
+    # a valid config whose sampling leg meets a pole sphere of S (seed 0x5C05)
+    cfg = write_config(
+        tmp_path, "klpole.json",
+        {"command": "kl-check",
+         "b0": {"domain": "ball", "points": [{"a": [0.0, 0.5, 0.0, 0.0], "n": 4}]},
+         "s0": {"kind": "constant", "value": [0.7, 0.0, 0.0, 0.0]}},
+    )
+    out = str(tmp_path / "r.json")
+    assert main(["kl-check", "--config", cfg, "--out", out]) == EXIT_INCONCLUSIVE
+    doc = json.loads(open(out).read())
+    assert doc["verdict"] == "INCONCLUSIVE" and doc["kappa_hat"] is None
+    assert "pole sphere" in doc["reason"]
+
+
+def test_kl_check_zero_at_origin_exit_2(tmp_path):
+    # B0^{-*} has its pole at the expansion point 0, so the identity leg
+    # has no residual to report: it is written as null, not NaN
+    cfg = write_config(
+        tmp_path, "klorigin.json",
+        {"command": "kl-check", "trials": 2, "batch": 10,
+         "b0": {"domain": "ball", "points": [{"a": [0.0, 0.0, 0.0, 0.0], "n": 1}]},
+         "s0": {"kind": "constant", "value": [0.7, 0.0, 0.0, 0.0]}},
+    )
+    out = str(tmp_path / "r.json")
+    assert main(["kl-check", "--config", cfg, "--out", out]) == EXIT_INCONCLUSIVE
+    doc = json.loads(open(out).read())
+    assert doc["identity_residual"] is None and doc["min_gram_eig"] is None
+    assert doc["reason"].startswith("identity expansion failed")
+
+
 def test_usage_error_exit_3(tmp_path):
     bad = write_config(tmp_path, "bad.json", {"command": "kl-check"})
     assert main(["kl-check", "--config", bad]) == EXIT_USAGE
@@ -133,6 +164,18 @@ def test_usage_error_exit_3(tmp_path):
                        {"command": "negsq",
                         "schur": {"kind": "blaschke", "zeros": BALL_ZEROS}})
     assert main(["kl-check", "--config", cfg]) == EXIT_USAGE
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    cfg = write_config(tmp_path, "build.json", {"command": "blaschke-build", "zeros": BALL_ZEROS})
+    assert main(["blaschke-build", "--config", cfg]) == EXIT_OK
+    first = capsys.readouterr().out
+    for argv in ([], ["no-such-command", "--config", cfg], ["blaschke-build"],
+                 ["blaschke-build", "--config", cfg, "--trials", "5"]):
+        assert main(argv) == EXIT_USAGE, argv
+    capsys.readouterr()
+    assert main(["blaschke-build", "--config", cfg]) == EXIT_OK
+    assert capsys.readouterr().out == first
 
 
 def test_missing_config_exit_4(tmp_path):

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from qschur import _accel
+from qschur._jsonutil import dump_json
 from qschur.blaschke import ZeroSet, blaschke_factor
 from qschur.errors import DomainError
 from qschur.factorcheck import (
@@ -153,6 +155,38 @@ def test_krein_langer_inconclusive_truncation():
     )
     rep = krein_langer_check(case, Budget(trials=5, batch=15, identity_trunc=4))
     assert rep.verdict == "INCONCLUSIVE"
+
+
+@pytest.mark.parametrize("wrong_s0", [None, 0.5])
+def test_non_finite_identity_tail_is_inconclusive(wrong_s0):
+    # B0^{-*} with its pole at 0.02 i has Taylor coefficients near 50^n, whose
+    # squares overflow at truncation 48: the tail bound is NaN, which certifies
+    # nothing, whether S0 is the true 0.7 or a wrong 0.5
+    case = synthesize_generalized_schur(
+        ZeroSet("ball", points=[(Quaternion(0, 0.02, 0, 0), 1)]), 0.7)
+    if wrong_s0 is not None:
+        case = dataclasses.replace(
+            case, s0=SchurFunction.constant(Quaternion.from_real(wrong_s0)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = krein_langer_check(case, Budget(trials=2, batch=15))
+    assert rep.budget.identity_trunc == 48
+    assert rep.identity.status == "inconclusive"
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.reason == "identity tail bound is not finite"
+    doc = json.loads(dump_json(rep.to_json()))
+    assert doc["verdict"] == "INCONCLUSIVE"
+
+
+def test_pole_in_the_sampling_leg_is_inconclusive():
+    # a zero of multiplicity 4 at 0.5 i: trial 45 of seed 0x5C05 draws a point
+    # 5e-4 from the pole sphere of S, where evaluation raises PoleError
+    case = synthesize_generalized_schur(
+        ZeroSet("ball", points=[(A_I, 4)]), 0.7)
+    rep = krein_langer_check(case, Budget())
+    assert rep.verdict == "INCONCLUSIVE" and rep.negsq is None
+    assert rep.reason.startswith("sampling leg failed: evaluation on pole sphere")
+    doc = json.loads(dump_json(rep.to_json()))
+    assert doc["kappa_hat"] is None and doc["reason"] == rep.reason
 
 
 def test_verdict_json_shape():

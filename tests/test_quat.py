@@ -16,6 +16,7 @@ from qschur.quat import (
     qproduct,
     same_sphere,
     sample_ball_point,
+    sample_ball_points,
     sample_halfspace_point,
     sample_imaginary_unit,
 )
@@ -119,6 +120,17 @@ def test_sampling_regions(rng):
     for _ in range(200):
         p = sample_halfspace_point(rng, 0.1, 2.0)
         assert 0.1 <= p.re <= 2.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 0x5C05])
+@pytest.mark.parametrize("radius", [0.02, 0.6, 0.9, 1.0])
+def test_sample_ball_points_repeat_the_per_point_draws(seed, radius):
+    loop_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    loop = np.array([sample_ball_point(loop_rng, radius).as_array() for _ in range(25)])
+    batch = sample_ball_points(batch_rng, 25, radius)
+    assert batch.shape == (25, 4) and batch.tobytes() == loop.tobytes()
+    # both leave the generator at the same state
+    assert batch_rng.random() == loop_rng.random()
 
 
 def test_json_roundtrip():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qschur.errors import DomainError, ExpansionError, NotARootError, PoleError, ShapeError
+from qschur.qlinalg import qmatmul_arr
 from qschur.quat import I, J, K, ONE, ImaginaryUnit, Quaternion, sample_ball_point
 from qschur.starpoly import (
     SliceRational,
@@ -21,6 +22,98 @@ from qschur.starpoly import (
 comp = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, comp, comp, comp, comp)
 scalar_polys = st.lists(quats, min_size=1, max_size=5).map(StarPoly.scalar)
+
+
+def star_double_loop(f, g):
+    """Reference star product: one quaternion matrix product per coefficient pair."""
+    out = np.zeros((f.degree + g.degree + 1, f.shape[0], g.shape[1], 4))
+    for n in range(f.degree + 1):
+        for m in range(g.degree + 1):
+            out[n + m] += qmatmul_arr(f.coeffs[n], g.coeffs[m])
+    return out
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def matrix_polys(rows, cols):
+    entries = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
+    return st.integers(0, 6).flatmap(
+        lambda deg: st.lists(entries, min_size=(deg + 1) * rows * cols * 4,
+                             max_size=(deg + 1) * rows * cols * 4)
+        .map(lambda xs: StarPoly(np.array(xs).reshape(deg + 1, rows, cols, 4))))
+
+
+inner_dims = st.integers(1, 3)
+# 1x1 * 1x1, 2x3 * 3x2 and r x s * s x t
+PAIR_SHAPES = st.one_of(st.just((1, 1, 1)), st.just((2, 3, 2)),
+                        st.tuples(inner_dims, inner_dims, inner_dims))
+
+
+@st.composite
+def star_operands(draw):
+    r, s, t = draw(PAIR_SHAPES)
+    return draw(matrix_polys(r, s)), draw(matrix_polys(s, t))
+
+
+@given(star_operands())
+@settings(max_examples=80, deadline=None)
+def test_star_matches_the_double_loop_bit_for_bit(fg):
+    f, g = fg
+    assert_same_bits(f.star(g).coeffs, star_double_loop(f, g))
+
+
+@given(star_operands(), st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4),
+       st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_rational_star_matches_the_double_loop_bit_for_bit(fg, d1, d2):
+    f, g = fg
+    d1, d2 = [1.0] + d1, [1.0] + d2           # nonzero real denominators
+    a = SliceRational(f, StarPoly.scalar(d1))
+    b = SliceRational(g, StarPoly.scalar(d2))
+    prod = a.star(b)
+    assert_same_bits(prod.num.coeffs, star_double_loop(f, g))
+    den = StarPoly(star_double_loop(a.den, b.den)).realified().trim(1e-15)
+    assert_same_bits(prod.den.coeffs, den.coeffs)
+
+
+def compose_real_mobius_loop(rat, alpha, beta, gamma, delta):
+    """Reference substitution: one scaled block per power coefficient."""
+    u = StarPoly.scalar([float(alpha), float(beta)])
+    v = StarPoly.scalar([float(gamma), float(delta)])
+    d = max(rat.num.degree, rat.den.degree)
+    powers_u, powers_v = [StarPoly.one()], [StarPoly.one()]
+    for _ in range(d):
+        powers_u.append(powers_u[-1].star(u))
+        powers_v.append(powers_v[-1].star(v))
+
+    def weigh(poly):
+        r, s = poly.shape
+        acc = StarPoly.zero(r, s)
+        for n in range(poly.degree + 1):
+            w = powers_u[n].star(powers_v[d - n]).real_vector()
+            term = np.zeros((len(w), r, s, 4))
+            for k, wk in enumerate(w):
+                term[k] = wk * poly.coeffs[n]
+            acc = acc + StarPoly(term)
+        return acc
+
+    return weigh(rat.num), weigh(rat.den).realified().trim(1e-14)
+
+
+@given(PAIR_SHAPES.flatmap(lambda rst: matrix_polys(rst[0], rst[1])),
+       st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=3),
+       st.sampled_from([(0.5, 1.0, 1.0, 0.5), (1.0, 1.0, 1.0, -1.0), (-1.0, 1.0, 1.0, 1.0)]))
+@example(StarPoly.scalar([0.5]), [0.5], (1.0, 1.0, 1.0, -1.0))   # the sum keeps 0.0, not -0.0
+@settings(max_examples=60, deadline=None)
+def test_compose_real_mobius_matches_the_loop_bit_for_bit(f, den, mobius):
+    rat = SliceRational(f, StarPoly.scalar([1.0] + den))
+    num, den2 = compose_real_mobius_loop(rat, *mobius)
+    assume(not den2.is_zero())
+    got = rat.compose_real_mobius(*mobius)
+    assert_same_bits(got.num.coeffs, num.coeffs)
+    assert_same_bits(got.den.coeffs, den2.coeffs)
 
 
 def pmi():
