@@ -45,17 +45,6 @@ def qconj(a):
     return out
 
 
-def qnormsq(a):
-    a = np.asarray(a, dtype=np.float64)
-    return np.sum(a * a, axis=-1)
-
-
-def qinv(a):
-    """Componentwise quaternion inverse conj(a)/|a|^2; caller guards zeros."""
-    a = np.asarray(a, dtype=np.float64)
-    return qconj(a) / qnormsq(a)[..., None]
-
-
 def qpow_table(points, nmax):
     """Powers p_l^n for n = 0..nmax, shape (B, nmax + 1, 4)."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -89,13 +78,3 @@ def double_series(pw, coeffs, qwc):
     for m in range(t1):
         out += qmul(tmp[:, None, m], qwc[None, :, m, None, None, :])
     return out
-
-
-def polyval_batch(coeffs, points):
-    """Left evaluation sum_n p^n C_n by Horner from the top degree down."""
-    d1 = coeffs.shape[0]
-    b = points.shape[0]
-    val = np.broadcast_to(coeffs[d1 - 1], (b,) + coeffs.shape[1:]).copy()
-    for n in range(d1 - 2, -1, -1):
-        val = qmul(points[:, None, None, :], val) + coeffs[n]
-    return val

@@ -166,13 +166,34 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
     wrong value and must flip the verdict to FAIL).  An insufficient
     identity truncation or a non-finite identity tail yields INCONCLUSIVE,
     never a silent pass; a kernel identity that deviates beyond a
-    certified tail is a FAIL.  A sampling leg stopped by a pole sphere or
-    a numeric failure leaves kappa_hat None and, unless the identity leg
-    fails, the verdict INCONCLUSIVE.
+    certified tail is a FAIL.  The identity leg runs first, and an
+    identity expansion that fails (B0 vanishing at the origin) ends the
+    check INCONCLUSIVE with kappa_hat None, without sampling.  A sampling
+    leg stopped by a pole sphere or a numeric failure leaves kappa_hat
+    None and, unless the identity leg fails, the verdict INCONCLUSIVE.
     """
     if case.domain == HALFSPACE:
         case = transport_case_to_ball(case)
     target = case.expected_kappa if expected_kappa is None else int(expected_kappa)
+
+    # each leg seeds its own generator, so the identity leg may run first
+    try:
+        ident = kernel_identity_check(
+            case.s, case.b0, case.s0,
+            trunc=budget.identity_trunc,
+            gram_points=budget.identity_points,
+            seed=budget.seed + 1,
+        )
+    except ExpansionError as exc:
+        return VerdictReport(
+            verdict="INCONCLUSIVE",
+            kappa_hat=None,
+            deg_b0=case.b0.degree(),
+            identity_residual=float("nan"),
+            min_gram_eig=float("nan"),
+            budget=budget,
+            reason="identity expansion failed: %s" % exc,
+        )
 
     try:
         negsq = estimate_neg_squares(
@@ -186,25 +207,6 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
     except (PoleError, NumericError) as exc:
         negsq, sampling_error = None, exc
     kappa_hat = None if negsq is None else negsq.kappa_hat
-
-    try:
-        ident = kernel_identity_check(
-            case.s, case.b0, case.s0,
-            trunc=budget.identity_trunc,
-            gram_points=budget.identity_points,
-            seed=budget.seed + 1,
-        )
-    except ExpansionError as exc:
-        return VerdictReport(
-            verdict="INCONCLUSIVE",
-            kappa_hat=kappa_hat,
-            deg_b0=case.b0.degree(),
-            identity_residual=float("nan"),
-            min_gram_eig=float("nan"),
-            budget=budget,
-            reason="identity expansion failed: %s" % exc,
-            negsq=negsq,
-        )
 
     if ident.status == "inconclusive":
         verdict = "INCONCLUSIVE"

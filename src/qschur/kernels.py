@@ -4,11 +4,21 @@ The generalized Schur kernel on the unit ball is the power series
 
     K_S(p, q) = sum_n p^n (J2 - S(p) J1 S(q)^*) conj(q)^n,
 
-which kernel_sum evaluates in closed form, without truncation:
-X = sum_n p^n M conj(q)^n is the solution of X - p X conj(q) = M, and
-since conj(q) satisfies its real quadratic,
+which kernel_sum and gram evaluate in closed form, without truncation,
+on the complex slices of p and q.  Write p = x + I y and q = u + J v
+with imaginary units I, J and y, v >= 0, and z = x + i y, w = u + i v.
+By the splitting formula p^n = Re z^n + I Im z^n and
+conj(q)^n = Re w^n - J Im w^n, so with the Szego sums
+E = (1 - z w)^{-1} and F = (1 - z conj(w))^{-1}, for any matrix M,
 
-    X = (1 - 2 Re(q) p + |q|^2 p^2)^{-1} (M - p M q).
+    sum_n p^n M conj(q)^n
+        = 1/2 [Re(E+F) M + Im(E+F) I M - Im(E-F) M J + Re(E-F) I M J].
+
+The Gram entries c_l^* K_S(p_l, p_j) c_j are therefore four real
+weight matrices applied entrywise to the blocks of one quaternion
+product Z^* diag(J2, -J1) Z, whose columns are [c; S^* c] and
+[I c; S^* I c] for every point, since J2 - S_l J1 S_j^* has rank at
+most r + s in (l, j).
 
 Gram matrices built from kernel sections drive two estimators:
 
@@ -40,9 +50,10 @@ from .errors import (
     PrecondError,
     ShapeError,
 )
-from .qlinalg import QMatrix, SignatureMatrix, herm_eigen_neg, qadjoint_arr, qmatmul_arr
+from .qlinalg import (QMatrix, SignatureMatrix, complex_adjoint, herm_eigen_neg,
+                      qadjoint_arr, qmatmul_arr)
 from .quat import Quaternion, qdecompose, sample_ball_points
-from .starpoly import SliceRational
+from .starpoly import SliceRational, slice_split
 
 
 def as_points(points):
@@ -188,23 +199,32 @@ def series_sum_pair(p, mid, q, tol=1e-12):
     return QMatrix(out[0, 0])
 
 
+def _szego_halves(z, w):
+    """(E + F)/2 and (E - F)/2 with E = (1 - z w)^{-1}, F = (1 - z conj(w))^{-1}
+    for every pair of complex slice points, as (B1, B2) arrays."""
+    rho = float(np.max(np.abs(z)) * np.max(np.abs(w)))
+    if rho >= 1.0:
+        raise DivergenceError("kernel series diverges: |p||q| = %.4f >= 1" % rho)
+    e = 1.0 / (1.0 - np.multiply.outer(z, w))
+    f = 1.0 / (1.0 - np.multiply.outer(z, w.conj()))
+    return 0.5 * (e + f), 0.5 * (e - f)
+
+
 def kernel_sum(left, mid, right):
     """sum_n p_l^n M[l, j] conj(q_j)^n for every pair, in closed form.
 
-    left is (B1, 4), right is (B2, 4) and mid is (B1, B2, r, c, 4); each
-    block is (1 - 2 Re(q) p + |q|^2 p^2)^{-1} (M - p M q).
+    left is (B1, 4), right is (B2, 4) and mid is (B1, B2, r, c, 4); with
+    a, b the halves of the Szego sums and I, J the units of p, q, each
+    block is Re(a) M + Im(a) I M + (Re(b) I M - Im(b) M) J.
     """
-    rho = float(np.sqrt(np.max(_accel.qnormsq(left)) * np.max(_accel.qnormsq(right))))
-    if rho >= 1.0:
-        raise DivergenceError("kernel series diverges: |p||q| = %.4f >= 1" % rho)
-    p = left[:, None, :]
-    q = right[None, :, :]
-    den = _accel.qnormsq(q)[..., None] * _accel.qmul(p, p) - 2.0 * q[..., :1] * p
-    den[..., 0] += 1.0
-    p = p[:, :, None, None, :]
-    q = q[:, :, None, None, :]
-    num = mid - _accel.qmul(_accel.qmul(p, mid), q)
-    return _accel.qmul(_accel.qinv(den)[:, :, None, None, :], num)
+    unit_l, z = slice_split(left)
+    unit_r, w = slice_split(right)
+    half_sum, half_diff = _szego_halves(z, w)
+    im = _accel.qmul(unit_l[:, None, None, None, :], mid)
+    wsum = half_sum[:, :, None, None, None]
+    wdiff = half_diff[:, :, None, None, None]
+    tail = wdiff.real * im - wdiff.imag * mid
+    return wsum.real * mid + wsum.imag * im + _accel.qmul(tail, unit_r[None, :, None, None, :])
 
 
 def _kernel_pair(p, mid, q):
@@ -225,14 +245,6 @@ def schur_kernel_eval(s, p, q):
     return _kernel_pair(p, mid, q)
 
 
-def _mid_matrices(svals, j1, j2):
-    """M[l, j] = J2 - S_l J1 S_j^* from batched values svals (B, r, s, 4)."""
-    t = qmatmul_arr(svals, np.broadcast_to(j1.data, svals.shape[:1] + j1.data.shape))
-    sadj = qadjoint_arr(svals)
-    mid = qmatmul_arr(t[:, None], sadj[None, :])
-    return j2.data[None, None] - mid
-
-
 def gram(s, points, vectors, hermitize=True):
     """Hermitian Gram matrix with entries c_l^* K_S(w_l, w_j) c_j.
 
@@ -248,13 +260,25 @@ def gram(s, points, vectors, hermitize=True):
     if vecs.shape[1] != s.rows:
         raise ShapeError("vectors must have length %d" % s.rows)
 
-    mid = _mid_matrices(s.eval_many(pts), s.J1.matrix, s.J2.matrix)
-    kmat = kernel_sum(pts, mid, pts)
-
-    cadj = qadjoint_arr(vecs[:, :, None, :])      # (B, 1, r, 4)
-    cvec = vecs[:, :, None, :]                    # (B, r, 1, 4)
-    gdata = qmatmul_arr(cadj[:, None], qmatmul_arr(kmat, cvec[None, :]))[..., 0, 0, :]
-    g = QMatrix(gdata)
+    b_count, r, k = pts.shape[0], s.rows, s.rows + s.cols
+    unit, z = slice_split(pts)
+    half_sum, half_diff = _szego_halves(z, z)
+    # per point the columns c, I c and below them S^* c, S^* I c; Z is the
+    # (r + s) x 2B matrix of all of them, the I columns last
+    x = np.stack([vecs, _accel.qmul(unit[:, None, :], vecs)], axis=2)
+    y = qmatmul_arr(qadjoint_arr(s.eval_many(pts)), x)
+    zmat = np.concatenate([x, y], axis=1).transpose(1, 2, 0, 3).reshape(k, 2 * b_count, 4)
+    sig = np.zeros((k, k, 4))
+    sig[:r, :r], sig[r:, r:] = s.J2.matrix.data, -s.J1.matrix.data
+    # chi(Z) with the two complex columns of each quaternion column side by
+    # side: the top rows of chi(Z)^* chi(sig) chi(Z) then hold the pairs of
+    # P = Z^* sig Z, entry by entry
+    chi = complex_adjoint(zmat).reshape(2 * k, 2, -1).swapaxes(1, 2)
+    prod = chi[:, :, 0].conj().T @ (complex_adjoint(sig) @ chi.reshape(2 * k, -1))
+    prod = prod.view(np.float64).reshape(2, b_count, 2, b_count, 4)
+    # c^* I = -(I c)^*, so the weights of the I rows change sign
+    weights = np.array([[half_sum.real, -half_diff.imag], [-half_sum.imag, -half_diff.real]])
+    g = QMatrix(np.einsum("hklj,hlkjc->ljc", weights, prod))
     if hermitize:
         g = QMatrix(0.5 * (g.data + g.adjoint().data))
     return g
@@ -314,7 +338,8 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
         rng = np.random.default_rng([int(seed), t])
         pts = sample_ball_points(rng, batch, rho)
         vecs = sample_gram_vectors(rng, batch, s.rows)
-        g = gram(s, pts, vecs)
+        # herm_eigen_neg symmetrizes, so the raw Gram gives the same bits
+        g = gram(s, pts, vecs, hermitize=False)
         eigs, neg = herm_eigen_neg(g, cutoff)
         if neg > best:
             best = neg
@@ -376,11 +401,11 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
     warning = None
     if pts.shape[0] * s.rows < 3 * deg:
         warning = "fewer than 3 deg(B) kernel sections; rank may be unstable"
-    mid = _mid_matrices(s.eval_many(pts), s.J1.matrix, s.J2.matrix)
-    kmat = kernel_sum(pts, mid, pts)
+    # one section per point and identity column, point-major
     b_count, r = pts.shape[0], s.rows
-    gdata = np.transpose(kmat, (0, 2, 1, 3, 4)).reshape(b_count * r, b_count * r, 4)
-    eigs, _ = herm_eigen_neg(QMatrix(0.5 * (gdata + qadjoint_arr(gdata))), cutoff)
+    cols = np.tile(QMatrix.eye(r).data, (b_count, 1, 1))
+    g = gram(s, np.repeat(pts, r, axis=0), cols, hermitize=False)
+    eigs, _ = herm_eigen_neg(g, cutoff)
     lam_max = float(np.max(eigs)) if eigs.size else 0.0
     dim = int(np.sum(eigs > cutoff * max(lam_max, 1e-300)))
     return DimHBReport(dim, [float(x) for x in eigs], warning)

@@ -10,6 +10,8 @@ pair (x, y) alone.  All randomness flows through explicitly passed
 ``numpy.random.Generator`` handles; there is no module-level RNG state.
 """
 
+import math
+
 import numpy as np
 
 from . import _accel
@@ -275,16 +277,17 @@ def sample_ball_point(rng, radius=0.9):
 def sample_ball_points(rng, count, radius=0.9):
     """count uniform points of the closed 4-ball as a (count, 4) array,
     drawn from rng exactly as count calls of sample_ball_point draw them."""
-    out = np.empty((count, 4))
+    rows = np.empty((count, 4))
+    scales = np.empty(count)
     for i in range(count):
         while True:
             v = rng.normal(size=4)
-            n = np.sqrt(np.dot(v, v))
+            n = math.sqrt(np.dot(v, v))
             if n > 1e-8:
                 break
-        r = radius * rng.random() ** 0.25
-        out[i] = v * (r / n)
-    return out
+        rows[i] = v
+        scales[i] = radius * rng.random() ** 0.25 / n
+    return rows * scales[:, None]
 
 
 def sample_halfspace_point(rng, re_low=0.1, re_high=2.0, im_radius=2.0):

@@ -5,8 +5,11 @@ A StarPoly stores coefficients on the right of the powers,
     f(p) = sum_n p^n f_n,      f_n in H^{r x s},
 
 so the star product is plain coefficient convolution,
-(f * g)_k = sum_{n+m=k} f_n g_m.  Left evaluation at a real point equals
-ordinary matrix polynomial evaluation, and for scalar f, g the pointwise
+(f * g)_k = sum_{n+m=k} f_n g_m.  Left evaluation uses the splitting
+formula: for p = x + I y (y >= 0, I an imaginary unit) and z = x + i y,
+p^n = Re z^n + I Im z^n, so f(p) = Re F(z) + I Im F(z) with the
+complex-slice function F(z) = sum_n z^n f_n, whose real and imaginary
+parts are quaternion matrices.  For scalar f, g the pointwise
 law  (f * g)(p) = f(p) g(f(p)^{-1} p f(p))  (with value 0 when f(p) = 0)
 ties the star product back to ordinary products.
 
@@ -207,14 +210,21 @@ class StarPoly:
 
     def eval_left(self, p):
         """Left evaluation sum_n p^n f_n as a QMatrix."""
-        p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
-        pts = p.as_array().reshape(1, 4)
-        return QMatrix(_accel.polyval_batch(self._c, pts)[0])
+        return QMatrix(self.eval_many(_one_point(p))[0])
 
     def eval_many(self, points):
         """Batch left evaluation; points is an (B, 4) array."""
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        return _accel.polyval_batch(self._c, pts)
+        unit, z = slice_split(points)
+        return slice_join(unit, self.eval_slice(_powers(z, self.degree)))
+
+    def eval_slice(self, powers):
+        """F(z) = sum_n z^n f_n from the powers z^n, an (B, d + 1) complex
+        array with d >= deg f, as a complex (B, r, s, 4) array."""
+        c = self._c
+        # einsum, unlike matmul, calls no BLAS: the first level-3 call of a
+        # process adds about 0.2 MB of resident memory
+        vals = np.einsum("bn,nk->bk", powers[:, : c.shape[0]], c.reshape(c.shape[0], -1))
+        return vals.reshape((-1,) + c.shape[1:])
 
     def eval_scalar(self, p):
         if not self.is_scalar():
@@ -260,6 +270,44 @@ class StarPoly:
 
     def __repr__(self):
         return "StarPoly(shape=%dx%d, degree=%d)" % (self.shape + (self.degree,))
+
+
+# -------------------------------------------------------------------------------
+# the complex slice
+# -------------------------------------------------------------------------------
+
+def slice_split(points):
+    """Points p = x + I y of an (B, 4) array as (units I, complex z = x + i y).
+
+    y >= 0, and the units form an (B, 4) array of imaginary quaternions;
+    a real point gets the unit i.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    im = pts[:, 1:]
+    y = np.sqrt(np.einsum("ij,ij->i", im, im))
+    unit = np.zeros_like(pts)
+    np.divide(im, y[:, None], out=unit[:, 1:], where=y[:, None] > 0.0)
+    if not y.all():
+        unit[y == 0.0, 1] = 1.0
+    return unit, pts[:, 0] + 1j * y
+
+
+def slice_join(unit, values):
+    """Re F + I Im F for complex-slice matrix values F of shape (B, r, s, 4)."""
+    return _accel.qmul(unit[:, None, None, :], values.imag) + values.real
+
+
+def _powers(z, d):
+    """z^n for n = 0..d as an (B, d + 1) complex array."""
+    out = np.empty((z.shape[0], d + 1), dtype=np.complex128)
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
+def _one_point(p):
+    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+    return p.as_array().reshape(1, 4)
 
 
 # -------------------------------------------------------------------------------
@@ -537,27 +585,24 @@ class SliceRational:
 
     def eval_left(self, p, pole_rtol=1e-12):
         """Value den(p)^{-1} num(p); raises PoleError on the denominator's zero spheres."""
-        p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
-        d = self._den.eval_scalar(p)
-        if d.norm() <= pole_rtol * self._den.eval_scale(p):
-            rep = qdecompose(p)
-            raise PoleError(rep.x, rep.y)
-        return self._num.eval_left(p).scale_left(d.inverse())
+        return QMatrix(self.eval_many(_one_point(p), pole_rtol)[0])
 
     def eval_scalar(self, p):
         return self.eval_left(p).as_quaternion()
 
     def eval_many(self, points, pole_rtol=1e-12):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        dv = self._den.eval_many(pts)[:, 0, 0, :]
-        dmag = np.sqrt(np.sum(dv * dv, axis=-1))
-        bad = np.nonzero(dmag <= pole_rtol * self._den.eval_scales(pts))[0]
+        """Batch values on an (B, 4) array: on the complex slice the real
+        denominator is a complex number den(z) and S = Re F + I Im F with
+        F(z) = num(z) / den(z)."""
+        pts = np.asarray(points, dtype=np.float64)
+        unit, z = slice_split(pts)
+        powers = _powers(z, max(self._num.degree, self._den.degree))
+        den = powers[:, : self._den.degree + 1] @ self._den.coeffs[:, 0, 0, 0]
+        bad = np.nonzero(np.abs(den) <= pole_rtol * self._den.eval_scales(pts))[0]
         if bad.size:
             rep = qdecompose(Quaternion.from_array(pts[bad[0]]))
             raise PoleError(rep.x, rep.y)
-        nv = self._num.eval_many(pts)
-        dinv = _accel.qinv(dv)
-        return _accel.qmul(dinv[:, None, None, :], nv)
+        return slice_join(unit, self._num.eval_slice(powers) / den[:, None, None, None])
 
     def lift(self, rows):
         """f I_rows for a scalar f, the form in which it star-multiplies a

@@ -20,6 +20,8 @@ from qschur.kernels import SchurFunction, estimate_neg_squares
 from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
 from qschur.starpoly import star_mul
 
+from oracles import qinv
+
 SMALL = Budget(trials=30, batch=30)
 
 A_I = Quaternion(0, 0.5, 0, 0)
@@ -45,7 +47,7 @@ def pointwise_quotient(f, s0, pts):
     multiplied rational."""
     fv = f.eval_many(pts)[:, 0, 0, :]
     zero = np.sqrt(np.sum(fv * fv, axis=-1)) <= 1e-14
-    finv = np.where(zero[:, None], np.array([1.0, 0, 0, 0]), _accel.qinv(fv))
+    finv = np.where(zero[:, None], np.array([1.0, 0, 0, 0]), qinv(fv))
     moved = _accel.qmul(_accel.qmul(finv, pts), fv)
     out = _accel.qmul(fv[:, None, None, :], s0.eval_many(moved))
     out[zero] = 0.0
@@ -187,6 +189,23 @@ def test_pole_in_the_sampling_leg_is_inconclusive():
     assert rep.reason.startswith("sampling leg failed: evaluation on pole sphere")
     doc = json.loads(dump_json(rep.to_json()))
     assert doc["kappa_hat"] is None and doc["reason"] == rep.reason
+
+
+def test_zero_at_origin_stops_before_sampling(monkeypatch):
+    # B0 vanishes at 0, so the identity expansion fails; the sampling leg
+    # must not run at all
+    from qschur import factorcheck
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the sampling leg ran")
+
+    monkeypatch.setattr(factorcheck, "estimate_neg_squares", no_sampling)
+    case = synthesize_generalized_schur(ZeroSet("ball", points=[(Quaternion(), 1)]), 0.7)
+    rep = krein_langer_check(case, Budget())
+    assert rep.verdict == "INCONCLUSIVE" and rep.kappa_hat is None and rep.negsq is None
+    assert rep.reason == "identity expansion failed: denominator vanishes at the expansion point 0"
+    doc = json.loads(dump_json(rep.to_json()))
+    assert doc["kappa_hat"] is None and doc["identity_residual"] is None
 
 
 def test_verdict_json_shape():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qschur import _accel
 from qschur.blaschke import ZeroSet, blaschke_factor, build_product, product_inverse
@@ -26,6 +28,10 @@ from qschur.qlinalg import (
     qmatmul_arr,
 )
 from qschur.quat import I, ONE, Quaternion, sample_ball_point
+from qschur.starpoly import SliceRational, StarPoly
+
+from oracles import estimate_neg_squares as dense_estimate
+from oracles import gram as dense_gram
 
 def brute_series(p, q, terms=400):
     acc = Quaternion()
@@ -368,3 +374,81 @@ def test_moebius_index_invariance():
     k1 = estimate_neg_squares(s, trials=25, batch=25, seed=6).kappa_hat
     k2 = estimate_neg_squares(composed, trials=25, batch=25, seed=6).kappa_hat
     assert k1 == k2 == 1
+
+
+# -- the split Gram against the dense quaternion kernel ------------------------
+
+gram_comp = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def matrix_schur_functions(draw):
+    """An r x 2 slice-rational S with J1 = diag(1, -1) and a pole-free
+    denominator on the ball; J2 is the identity or diag(1, -1, ...)."""
+    rows, deg = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    size = (deg + 1) * rows * 2 * 4
+    num = np.array(draw(st.lists(gram_comp, min_size=size, max_size=size)))
+    tail = draw(st.lists(gram_comp, min_size=0, max_size=2))
+    den = [1.0 + sum(abs(d) for d in tail)] + tail
+    rat = SliceRational(StarPoly(num.reshape(deg + 1, rows, 2, 4)), StarPoly.scalar(den))
+    j2 = SignatureMatrix.from_signs([1.0] + [-1.0] * (rows - 1)) \
+        if draw(st.booleans()) else SignatureMatrix.identity(rows)
+    return SchurFunction(rat, J1=SignatureMatrix.from_signs([1.0, -1.0]), J2=j2)
+
+
+@st.composite
+def ball_sections(draw, rows):
+    """1-8 points with |p| < 0.95, some real, and one vector per point."""
+    count = draw(st.integers(1, 8))
+    raw = np.array(draw(st.lists(gram_comp, min_size=4 * count, max_size=4 * count)))
+    pts = raw.reshape(count, 4)
+    pts[::3, 1:] = 0.0
+    norms = np.linalg.norm(pts, axis=1)
+    pts = np.where((norms > 0.95)[:, None], pts * (0.95 / np.maximum(norms, 1e-300))[:, None], pts)
+    size = count * rows * 4
+    vecs = np.array(draw(st.lists(gram_comp, min_size=size, max_size=size)))
+    return pts, vecs.reshape(count, rows, 4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_split_gram_matches_dense_kernel_gram(data):
+    s = data.draw(matrix_schur_functions())
+    pts, vecs = data.draw(ball_sections(s.rows))
+    fast = gram(s, pts, vecs, hermitize=False).data
+    slow = dense_gram(s, pts, vecs)
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * max(np.max(np.abs(slow)), 1e-300)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(gram_comp, min_size=4, max_size=4), st.floats(1.0 + 1e-9, 2.0), st.integers(0, 3))
+def test_gram_diverges_off_the_open_ball(direction, radius, others):
+    # |p| = 1 itself is checked on the axes, where the norm has no rounding
+    v = np.array(direction)
+    assume(np.linalg.norm(v) > 1e-3)
+    rng = np.random.default_rng(others)
+    pts = np.vstack([rng.uniform(-0.4, 0.4, size=(others, 4)), v / np.linalg.norm(v) * radius])
+    s = SchurFunction.constant(Quaternion.from_real(0.5))
+    with pytest.raises(DivergenceError):
+        gram(s, pts, sample_gram_vectors(rng, others + 1, 1))
+    for axis in np.vstack([np.eye(4), -np.eye(4)]):
+        with pytest.raises(DivergenceError):
+            gram(s, np.vstack([pts[:others], axis]), sample_gram_vectors(rng, others + 1, 1))
+
+
+def test_estimator_matches_the_dense_reference_on_the_benchmark_cases(monkeypatch):
+    # the six kl-sample cases of the benchmark at 20 trials: the estimator
+    # built on the split Gram and on the dense one reach the same kappa-hat
+    # at the same witness points
+    import pathlib
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import kl
+
+    for op in kl.build("kl-sample", 0x5C05, None):
+        rep = estimate_neg_squares(op.ball.s, trials=20, batch=40, seed=0x5C05)
+        kappa, pts, eigs = dense_estimate(op.ball.s, trials=20, batch=40, seed=0x5C05)
+        assert rep.kappa_hat == kappa, op.label
+        assert np.array_equal(np.array(rep.witness_points), pts), op.label
+        scale = np.max(np.abs(eigs))
+        assert np.max(np.abs(np.array(rep.witness_eigenvalues) - eigs)) <= 1e-12 * scale

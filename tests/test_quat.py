@@ -21,6 +21,8 @@ from qschur.quat import (
     sample_imaginary_unit,
 )
 
+from oracles import sample_ball_points_loop
+
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
 
@@ -130,6 +132,16 @@ def test_sample_ball_points_repeat_the_per_point_draws(seed, radius):
     batch = sample_ball_points(batch_rng, 25, radius)
     assert batch.shape == (25, 4) and batch.tobytes() == loop.tobytes()
     # both leave the generator at the same state
+    assert batch_rng.random() == loop_rng.random()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 50), st.sampled_from([0.02, 0.6, 0.9, 1.0, 2.5]))
+def test_sample_ball_points_repeat_the_frozen_loop(seed, count, radius):
+    loop_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    loop = sample_ball_points_loop(loop_rng, count, radius)
+    batch = sample_ball_points(batch_rng, count, radius)
+    assert batch.shape == (count, 4) and batch.tobytes() == loop.tobytes()
     assert batch_rng.random() == loop_rng.random()
 
 

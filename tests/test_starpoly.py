@@ -12,12 +12,15 @@ from qschur.starpoly import (
     divmod_real,
     extend_from_slice,
     left_root_extract,
+    slice_split,
     sphere_poly,
     star_conj_sym,
     star_inv_scalar,
     star_mul,
     zero_multiplicity,
 )
+
+from oracles import polyval_batch, rational_values
 
 comp = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, comp, comp, comp, comp)
@@ -395,3 +398,102 @@ def test_json_roundtrip():
     back = SliceRational.from_json(r.to_json())
     assert np.max(np.abs(back.num.coeffs - r.num.coeffs)) == 0.0
     assert np.max(np.abs(back.den.coeffs - r.den.coeffs)) == 0.0
+
+
+# -- split evaluation against quaternion Horner --------------------------------
+
+EVAL_SHAPES = st.sampled_from(((1, 1), (2, 3), (3, 2)))
+unit_comp = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def eval_points(draw):
+    """1-6 points with |p| <= 2: general ones, real ones (y = 0) and the origin."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("general", "real", "origin")))
+        p = np.array(draw(st.lists(unit_comp, min_size=4, max_size=4)))
+        rows.append(p if kind == "general" else
+                    np.array([p[0], 0.0, 0.0, 0.0]) * 2.0 if kind == "real" else np.zeros(4))
+    return np.array(rows)
+
+
+@given(eval_points())
+def test_slice_split_gives_unit_and_slice_point(pts):
+    unit, z = slice_split(pts)
+    assert np.all(unit[:, 0] == 0.0) and np.allclose(np.linalg.norm(unit, axis=1), 1.0)
+    assert np.all(z.imag >= 0.0)
+    rebuilt = unit * z.imag[:, None]
+    rebuilt[:, 0] = z.real
+    assert np.allclose(rebuilt, pts, rtol=0.0, atol=1e-15)
+
+
+@st.composite
+def eval_polys(draw, max_degree=8):
+    deg = draw(st.integers(0, max_degree))
+    r, c = draw(EVAL_SHAPES)
+    xs = draw(st.lists(comp, min_size=(deg + 1) * r * c * 4, max_size=(deg + 1) * r * c * 4))
+    return StarPoly(np.array(xs).reshape(deg + 1, r, c, 4))
+
+
+def assert_within_scale(fast, slow, scales, rtol):
+    err = np.max(np.abs(fast - slow).reshape(fast.shape[0], -1), axis=1)
+    assert np.all(err <= rtol * scales), (err, scales)
+
+
+@settings(max_examples=150, deadline=None)
+@given(eval_polys(), eval_points())
+def test_split_eval_matches_horner(f, pts):
+    scales = f.eval_scales(pts)
+    assert_within_scale(f.eval_many(pts), polyval_batch(f.coeffs, pts), scales, 1e-13)
+    one = f.eval_left(Quaternion.from_array(pts[0])).data
+    assert_within_scale(one[None], polyval_batch(f.coeffs, pts[:1]), scales[:1], 1e-13)
+
+
+@st.composite
+def pole_free_rationals(draw):
+    """A rational whose real denominator stays >= 1 in modulus on |p| <= 2:
+    den_0 = 1 + sum_n |den_n| 2^n."""
+    num = draw(eval_polys(max_degree=6))
+    tail = draw(st.lists(unit_comp, min_size=0, max_size=4))
+    den = [1.0 + sum(abs(d) * 2.0 ** (n + 1) for n, d in enumerate(tail))] + tail
+    return SliceRational(num, StarPoly.scalar(den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pole_free_rationals(), eval_points())
+def test_split_rational_eval_matches_horner(f, pts):
+    slow = rational_values(f, pts)
+    scales = f.num.eval_scales(pts) * f.den.eval_scales(pts)
+    assert_within_scale(f.eval_many(pts), slow, scales, 1e-13)
+    one = f.eval_left(Quaternion.from_array(pts[0])).data
+    assert_within_scale(one[None], slow[:1], scales[:1], 1e-13)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-0.9, 0.9), st.floats(0.05, 0.9), st.lists(unit_comp, min_size=3, max_size=3),
+       st.lists(unit_comp, min_size=2, max_size=2), eval_points(), st.booleans())
+def test_split_pole_error_at_the_same_points(x, y, axis, extra, pts, on_sphere):
+    # den vanishes on the sphere (x, y); with on_sphere one point is put there
+    v = np.array(axis)
+    assume(np.linalg.norm(v) > 1e-3)
+    den = sphere_poly(Quaternion(x, y, 0.0, 0.0)).star(StarPoly.scalar([1.0, 0.25 * extra[0]]))
+    f = SliceRational(StarPoly.scalar([1.0, extra[1]]), den)
+    if on_sphere:
+        pts = pts.copy()
+        pts[-1] = np.concatenate([[x], y * v / np.linalg.norm(v)])
+    for p in pts:
+        try:
+            rational_values(f, p[None])
+            slow = None
+        except PoleError as exc:
+            slow = (exc.x, exc.y)
+        try:
+            f.eval_many(p[None])
+            fast = None
+        except PoleError as exc:
+            fast = (exc.x, exc.y)
+        assert fast == slow
+    if on_sphere:
+        with pytest.raises(PoleError):
+            f.eval_many(pts)
