@@ -10,6 +10,7 @@ in place of sixteen real ones.
 series_sandwich and double_series sum power series term by term; the
 kernels compute the same sums in closed form or as block-Toeplitz
 products, and the tests keep these two as their slow reference.
+qpow_table takes its powers from the complex slice of each point.
 """
 
 import numpy as np
@@ -46,12 +47,21 @@ def qconj(a):
 
 
 def qpow_table(points, nmax):
-    """Powers p_l^n for n = 0..nmax, shape (B, nmax + 1, 4)."""
-    pts = np.ascontiguousarray(points, dtype=np.float64)
-    out = np.zeros((pts.shape[0], nmax + 1, 4))
-    out[:, 0, 0] = 1.0
-    for n in range(1, nmax + 1):
-        out[:, n] = qmul(out[:, n - 1], pts)
+    """Powers p_l^n for n = 0..nmax, shape (B, nmax + 1, 4), by the
+    splitting formula: for p = x + v with imaginary part v of norm y and
+    z = x + i y, p^n = Re z^n + v Im z^n / y, one complex cumprod."""
+    pts = np.asarray(points, dtype=np.float64)
+    im = pts[:, 1:]
+    y = np.sqrt(np.einsum("ij,ij->i", im, im))
+    zpow = np.empty((pts.shape[0], nmax + 1), dtype=np.complex128)
+    zpow[:, 0] = 1.0
+    zpow[:, 1:] = (pts[:, 0] + 1j * y)[:, None]
+    np.cumprod(zpow, axis=1, out=zpow)
+    # a real point has Im z^n = 0, and so no imaginary part
+    ratio = np.divide(zpow.imag, y[:, None], out=np.zeros(zpow.shape), where=y[:, None] > 0.0)
+    out = np.empty(zpow.shape + (4,))
+    out[..., 0] = zpow.real
+    out[..., 1:] = ratio[:, :, None] * im[:, None, :]
     return out
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionError, DomainError, ShapeError
+from .errors import ConstructionError, DomainError
 from .qlinalg import QMatrix, herm_eigen_neg, complex_adjoint
 from .quat import Quaternion, qdecompose, same_sphere
 from .starpoly import (
@@ -325,9 +325,6 @@ class ZeroSet:
                     )
         return self
 
-    def total_degree(self):
-        return sum(n for _, n in self.points) + sum(2 * m for _, m in self.spheres)
-
     def to_json(self):
         return {
             "domain": self.domain,
@@ -388,26 +385,6 @@ class FactoredProduct:
 
     def eval_many(self, points):
         return self.rational.eval_many(points)
-
-    def eval_pointwise_chain(self, p):
-        """Independent evaluation through the pointwise-product law.
-
-        Only defined for products of scalar factors: accumulates
-        f(p) g(f(p)^{-1} p f(p)) ... factor by factor.
-        """
-        if self.size != 1:
-            raise ShapeError("pointwise chain evaluation needs scalar factors")
-        p = _as_quat(p)
-        acc = Quaternion.from_real(1.0)
-        q = p
-        for f in self.factors:
-            val = f.rational(self.domain).eval_scalar(q)
-            acc_new = acc * val
-            if acc_new.norm() == 0.0:
-                return Quaternion()
-            q = acc_new.inverse() * p * acc_new
-            acc = acc_new
-        return acc
 
     def inverse(self):
         inv = [f.inverse(self.domain) for f in reversed(self.factors)]

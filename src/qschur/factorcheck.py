@@ -149,6 +149,8 @@ class VerdictReport:
             "kappa_hat": self.kappa_hat,
             "deg_B0": self.deg_b0,
             "identity_residual": _finite_or_none(self.identity_residual),
+            "identity_tail_bound": (None if self.identity is None
+                                    else _finite_or_none(self.identity.tail_bound)),
             "min_gram_eig": _finite_or_none(self.min_gram_eig),
             "budget": self.budget.to_json(),
         }
@@ -311,9 +313,7 @@ class TransportedProduct(FactoredProduct):
         return self._degree
 
     def inverse(self):
-        return FactoredProduct(
-            BALL, [], size=1, rational=_invert_scalar_rational(self.rational)
-        )
+        return FactoredProduct(BALL, [], size=1, rational=self.rational.star_inverse())
 
 
 def transport_case_to_ball(case, x0=1.0):
@@ -331,12 +331,3 @@ def transport_case_to_ball(case, x0=1.0):
         expected_kappa=case.expected_kappa, domain=BALL,
     )
 
-
-def _invert_scalar_rational(rat):
-    """(D^{-1} N)^{-*} = (N^s)^{-1} N^c D for a scalar rational."""
-    from .starpoly import mul_real_poly, star_inv_scalar
-
-    if not rat.is_scalar():
-        raise DomainError("transport handles scalar products only")
-    inv_num = star_inv_scalar(rat.num)
-    return type(rat)(mul_real_poly(inv_num.num, rat.den), inv_num.den)

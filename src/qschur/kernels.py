@@ -34,7 +34,12 @@ identity convolves Taylor coefficients on the p-index and the adjoint
 coefficients on the conj(q)-index, which is the operational meaning
 given to the left and right star products appearing in that identity;
 each convolution is a product with a lower-triangular block Toeplitz
-matrix of Taylor coefficients.
+matrix of Taylor coefficients.  The identity leg takes those
+coefficients from two closed forms of starpoly: the Taylor series of
+den^{-1} num is the convolution of num with the real series of 1/den,
+and a scalar B0 = D^{-1} N has the star inverse
+B0^{-*} = (N^s)^{-1} N^c D, with N^c the conjugate polynomial and
+N^s = N * N^c its real symmetrization.
 """
 
 from dataclasses import dataclass
@@ -167,36 +172,6 @@ def base_kernel(domain, p, q):
             raise PoleError(rep.x, rep.y, "half-space kernel denominator vanished")
         return (p.conj() + qc) * den.inverse()
     raise DomainError("domain must be 'ball' or 'halfspace'")
-
-
-# Term-by-term series: the slow reference for kernel_sum.
-MAX_SERIES_TERMS = 4000
-
-
-def tail_terms(rho, mnorm, tol):
-    """Smallest N with mnorm * rho^(N+1) / (1 - rho) < tol (rho = |p||q|)."""
-    if rho >= 1.0:
-        raise DivergenceError("kernel series diverges: |p||q| = %.4f >= 1" % rho)
-    if rho == 0.0 or mnorm == 0.0:
-        return 0
-    n = int(np.ceil(np.log(tol * (1.0 - rho) / mnorm) / np.log(rho))) - 1
-    return min(max(n, 0), MAX_SERIES_TERMS)
-
-
-def series_sum_pair(p, mid, q, tol=1e-12):
-    """Truncated sum_n p^n M conj(q)^n for one pair of points.
-
-    The reference for kernel_sum: the series is cut once its geometric
-    tail is below tol.
-    """
-    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
-    q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
-    rho = p.norm() * q.norm()
-    n = tail_terms(rho, max(mid.norm(), 1e-300), tol)
-    pw = _accel.qpow_table(p.as_array().reshape(1, 4), n)
-    qw = _accel.qpow_table(q.as_array().reshape(1, 4), n)
-    out = _accel.series_sandwich(pw, mid.data[None, None], _accel.qconj(qw))
-    return QMatrix(out[0, 0])
 
 
 def _szego_halves(z, w):
@@ -472,12 +447,6 @@ class DoubleSeriesKernel:
         w = radius ** (np.arange(t)[:, None] + np.arange(t)[None, :])
         return mags * w
 
-    def boundary_band_norm(self, radius):
-        """Summed weighted norms along the truncation boundary band."""
-        wn = self.weighted_norms(radius)
-        t = self.trunc
-        return float(np.sum(wn[t, :]) + np.sum(wn[:, t]) - wn[t, t])
-
     def eval_gram(self, points):
         """Hermitianized Gram P C P^* of the truncated kernel at the given
         points, with P[(l, u), (n, v)] = p_l^n delta_{uv}."""
@@ -517,11 +486,16 @@ def _roll(matrix, t, r, c):
 def _toeplitz(coeffs, t):
     """Unrolled lower-triangular block Toeplitz matrix with block (N, k) =
     coeffs[N - k], from the first t coefficients (missing ones are 0)."""
-    head = np.zeros((t,) + coeffs.shape[1:])
-    head[: min(t, coeffs.shape[0])] = coeffs[:t]
+    # t - 1 zero blocks ahead of the coefficients serve every negative lag
+    padded = np.zeros((2 * t - 1,) + coeffs.shape[1:])
+    padded[t - 1 : t - 1 + min(t, coeffs.shape[0])] = coeffs[:t]
     lag = np.arange(t)[:, None] - np.arange(t)[None, :]
-    blocks = np.where((lag >= 0)[:, :, None, None, None], head[np.maximum(lag, 0)], 0.0)
-    return _unroll(blocks)
+    return _unroll(padded[t - 1 + lag])
+
+
+def _boundary_band(norms):
+    """Sum of the weighted norms along the truncation boundary band."""
+    return float(np.sum(norms[-1, :]) + np.sum(norms[:, -1]) - norms[-1, -1])
 
 
 @dataclass
@@ -564,47 +538,54 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
                           seed=11, tail_tol=1e-9, dev_tol=1e-9):
     """Check K_S - K_B = B(p) * (K_{S0}) *_r B(q)^* with B = B0^{-*}.
 
-    Both sides are built as double power series at the given truncation.
+    S, B0 and S0 must live on the ball (transport half-space data first),
+    and S must carry identity signatures.  For a scalar B0 = D^{-1} N the
+    inverse B0^{-*} = (N^s)^{-1} N^c D is read off B0's own rational;
+    a matrix (Potapov) B0 is inverted factor by factor.  Both sides are
+    built as double power series at the given truncation.
+
     B0^{-*} has poles exactly at the zeros of B0, inside the ball, so its
-    Taylor coefficients grow like (pole radius)^(-n); the comparison and
+    Taylor coefficients grow like (pole radius)^(-n).  The comparison and
     the tail bound are therefore taken in the radius-weighted norm
     ||C_{NM}|| rho^(N+M), with the Gram sample radius pulled strictly
-    inside the smallest pole sphere.  The report carries the weighted
-    coefficient deviation, the Hermitian symmetry residual, and the
-    minimum Gram eigenvalue of the difference kernel (its positivity is
-    the content of the factorization step).  If the truncation cannot
-    bound the tail below tail_tol, or the tail or the deviation is not
-    finite, the status is 'inconclusive', never a silent pass; with the
-    tail bounded, a deviation above dev_tol is a 'fail'.  When every weighted coefficient of K_S - K_B is within
-    dev_tol of zero (S = B, for instance) the identity holds trivially and
-    the report says so with vacuous=True; the status is unaffected.
+    inside the smallest pole sphere.
+
+    The report carries the weighted coefficient deviation, the Hermitian
+    symmetry residual, and the minimum Gram eigenvalue of the difference
+    kernel (its positivity is the content of the factorization step).
+    If the truncation cannot bound the tail below tail_tol, or the tail
+    or the deviation is not finite, the status is 'inconclusive', never a
+    silent pass; with the tail bounded, a deviation above dev_tol is a
+    'fail'.  When every weighted coefficient of K_S - K_B is within
+    dev_tol of zero (S = B, for instance), the identity holds trivially
+    and the report says so with vacuous=True; the status is unaffected.
     """
     if not isinstance(b0, FactoredProduct):
         raise ShapeError("b0 must be a FactoredProduct")
-    eye_r = SignatureMatrix.identity(s.rows)
-    eye_s = SignatureMatrix.identity(s.cols)
-    if (s.J1.matrix - eye_s.matrix).norm() > 1e-12 or \
-       (s.J2.matrix - eye_r.matrix).norm() > 1e-12:
+    if any(f.domain != BALL for f in (s, b0, s0)):
+        raise DomainError("the identity expansion runs on the ball; transport first")
+    eye_r, eye_s = QMatrix.eye(s.rows), QMatrix.eye(s.cols)
+    if (s.J1.matrix - eye_s).norm() > 1e-12 or (s.J2.matrix - eye_r).norm() > 1e-12:
         raise PrecondError("the factorization identity applies to identity signatures")
 
-    binv = b0.inverse().rational.lift(s.rows)
+    b0_rat = b0.rational
+    binv = b0_rat.star_inverse() if b0_rat.is_scalar() else b0.inverse().rational
+    binv = binv.lift(s.rows)
     if gram_radius is None:
         pole = _min_pole_radius(binv)
         gram_radius = 0.6 if not np.isfinite(pole) else min(0.6, 0.45 * pole)
     btay = binv.taylor(trunc).coeffs
 
-    k_s = DoubleSeriesKernel.from_schur_taylor(s.taylor(trunc), eye_s.matrix,
-                                               eye_r.matrix, trunc)
-    k_b = DoubleSeriesKernel.from_schur_taylor(btay, eye_r.matrix, eye_r.matrix, trunc)
+    k_s = DoubleSeriesKernel.from_schur_taylor(s.taylor(trunc), eye_s, eye_r, trunc)
+    k_b = DoubleSeriesKernel.from_schur_taylor(btay, eye_r, eye_r, trunc)
     lhs = k_s - k_b
 
-    k_s0 = DoubleSeriesKernel.from_schur_taylor(s0.taylor(trunc), s0.J1.matrix,
-                                                eye_r.matrix, trunc)
+    k_s0 = DoubleSeriesKernel.from_schur_taylor(s0.taylor(trunc), s0.J1.matrix, eye_r, trunc)
     rhs = k_s0.sandwich(btay)
 
-    diff = DoubleSeriesKernel(lhs.coeffs - rhs.coeffs)
-    dev = float(np.max(diff.weighted_norms(gram_radius)))
     lhs_norms = lhs.weighted_norms(gram_radius)
+    rhs_norms = rhs.weighted_norms(gram_radius)
+    dev = float(np.max((lhs - rhs).weighted_norms(gram_radius)))
     vacuous = float(np.max(lhs_norms)) <= dev_tol
     t1 = trunc + 1
     w = gram_radius ** (np.arange(t1)[:, None, None, None, None]
@@ -618,9 +599,8 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     eigs, _ = herm_eigen_neg(g)
     min_eig = float(np.min(eigs))
 
-    band = max(lhs.boundary_band_norm(gram_radius), rhs.boundary_band_norm(gram_radius))
-    inner = max(lhs_norms[: trunc, : trunc].max(),
-                rhs.weighted_norms(gram_radius)[: trunc, : trunc].max(), 1e-300)
+    band = max(_boundary_band(lhs_norms), _boundary_band(rhs_norms))
+    inner = max(lhs_norms[: trunc, : trunc].max(), rhs_norms[: trunc, : trunc].max(), 1e-300)
     ratio = min(band / inner, 0.97) if inner > 0 else 0.0
     tail_bound = band / max(1.0 - ratio, 0.03) ** 2
     # NaN and inf compare False, so a non-finite tail or deviation falls

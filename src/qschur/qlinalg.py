@@ -77,11 +77,6 @@ class QMatrix:
         return cls(d)
 
     @classmethod
-    def from_entries(cls, rows_of_quats):
-        rows = [[q.as_array() for q in row] for row in rows_of_quats]
-        return cls(np.array(rows, dtype=np.float64))
-
-    @classmethod
     def scalar(cls, q):
         q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
         return cls(q.as_array().reshape(1, 1, 4))

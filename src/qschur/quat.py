@@ -217,11 +217,6 @@ class SphereRep:
         self.y = float(y)
         self.axis = axis
 
-    def reconstruct(self):
-        if self.axis is None:
-            return Quaternion.from_real(self.x)
-        return Quaternion.from_real(self.x) + self.axis.q * self.y
-
     def same_sphere(self, other, tol=1e-12):
         scale = max(1.0, abs(self.x), abs(self.y), abs(other.x), abs(other.y))
         return abs(self.x - other.x) <= tol * scale and abs(self.y - other.y) <= tol * scale

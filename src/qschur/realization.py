@@ -285,16 +285,3 @@ def stein_is_negative(p, cutoff=1e-8):
     lam_max = float(np.max(np.abs(eigs))) if eigs.size else 0.0
     return bool(np.all(eigs <= cutoff * max(1.0, lam_max)))
 
-
-def random_halfspace_colligation(rng, n, r, s, x0):
-    """Coisometric half-space colligation from a random unitary operator
-    matrix; A is recovered from the B-block relation B = -(I + x0 A)."""
-    from .qlinalg import orthonormalize_columns, random_qmatrix
-
-    m = orthonormalize_columns(random_qmatrix(rng, n + r, n + s))
-    bblk = QMatrix(m.data[:n, :n])
-    f = QMatrix(m.data[:n, n:])
-    g = QMatrix(m.data[n:, :n])
-    h = QMatrix(m.data[n:, n:])
-    amat = (-(bblk + QMatrix.eye(n))).scale_left(1.0 / x0)
-    return Colligation(A=amat, B=f, C=g, D=h, domain=HALFSPACE, x0=x0)

@@ -18,7 +18,13 @@ denominator with *real* coefficients.  Real-coefficient scalars are
 central for the star product and commute with p, so the value is simply
 den(p)^{-1} num(p); this representation is closed under star products
 and covers every factor used downstream (denominators always arise from
-symmetrizations, which are real).
+symmetrizations, which are real).  Two closed forms follow:
+
+* Taylor coefficients at 0: with g the real series of 1/den, the
+  coefficients of den^{-1} num are the convolution g * num, and g comes
+  from a scalar recurrence on the real denominator coefficients;
+* star inverse of a scalar rational: (D^{-1} N)^{-*} = (N^s)^{-1} N^c D,
+  where N^c is the conjugate polynomial and N^s = N * N^c is real.
 """
 
 import numpy as np
@@ -643,20 +649,35 @@ class SliceRational:
     # -- expansions ----------------------------------------------------------------
 
     def taylor(self, n):
-        """Taylor truncation at 0 by recursive division of real coefficients."""
-        dv = self._den.real_vector()
+        """Taylor truncation at 0: the real series g of 1/den from its scalar
+        recurrence g_k = -(den_1 g_{k-1} + ... + den_k g_0) / den_0, then one
+        convolution of g with the numerator coefficients."""
+        # the constructor made the denominator real
+        dv = self._den.coeffs[:, 0, 0, 0]
         d0 = dv[0]
         if abs(d0) <= 1e-14 * max(1.0, float(np.max(np.abs(dv)))):
             raise ExpansionError("denominator vanishes at the expansion point 0")
-        r, s = self.shape
-        out = np.zeros((n + 1, r, s, 4))
-        nc = self._num._padded(max(n, self._num.degree))
-        for k in range(n + 1):
-            acc = nc[k].copy() if k < nc.shape[0] else np.zeros((r, s, 4))
-            for i in range(1, min(k, len(dv) - 1) + 1):
-                acc -= dv[i] * out[k - i]
-            out[k] = acc / d0
-        return StarPoly(out)
+        tail = (-dv[1 : n + 1] / d0).tolist()
+        g = [1.0 / d0]
+        for k in range(1, n + 1):
+            acc = 0.0
+            for i in range(min(k, len(tail))):
+                acc += tail[i] * g[k - 1 - i]
+            g.append(acc)
+        nc = self._num.coeffs[: n + 1]
+        lag = np.arange(n + 1)[:, None] - np.arange(nc.shape[0])[None, :]
+        toeplitz = np.where(lag >= 0, np.array(g)[np.maximum(lag, 0)], 0.0)
+        # einsum, unlike matmul, calls no BLAS (see StarPoly.eval_slice)
+        out = np.einsum("kj,jx->kx", toeplitz, nc.reshape(nc.shape[0], -1))
+        return StarPoly(out.reshape((n + 1,) + nc.shape[1:]))
+
+    def star_inverse(self):
+        """(D^{-1} N)^{-*} = (N^s)^{-1} N^c D for a scalar rational, with the
+        conjugate N^c and the real symmetrization N^s = N * N^c."""
+        if not self.is_scalar():
+            raise DomainError("the closed-form star inverse needs a scalar rational")
+        inv_num = star_inv_scalar(self._num)
+        return SliceRational(mul_real_poly(inv_num.num, self._den), inv_num.den)
 
     def compose_real_mobius(self, alpha, beta, gamma, delta):
         """Composition with the real Mobius map m(p) = (alpha + beta p)(gamma + delta p)^{-1}.
@@ -687,39 +708,6 @@ class SliceRational:
         if den2.is_zero():
             raise DomainError("composition produced a zero denominator")
         return SliceRational(num2, den2)
-
-    def normalize(self, tol=1e-9):
-        """Divide out common real-polynomial factors found by root matching.
-
-        Factors the denominator into real linear/quadratic pieces via its
-        complex roots and removes any piece that also divides every entry of
-        the numerator.  Optional; star arithmetic never calls it implicitly.
-        """
-        num, den = self._num, self._den
-        changed = True
-        while changed and den.degree > 0:
-            changed = False
-            dv = den.real_vector()
-            roots = np.roots(dv[::-1]) if den.degree >= 1 else []
-            seen = []
-            for z in roots:
-                if any(abs(z - w) <= tol * max(1.0, abs(w)) for w in seen):
-                    continue
-                seen.append(z)
-                if abs(z.imag) <= tol * max(1.0, abs(z)):
-                    piece = StarPoly.scalar([-z.real, 1.0])
-                else:
-                    piece = StarPoly.scalar([abs(z) ** 2, -2.0 * z.real, 1.0])
-                qd, rd = divmod_real(den, piece)
-                if rd.coeff_scale() > tol * den.coeff_scale():
-                    continue
-                qn, rn = divmod_real(num, piece)
-                if rn.coeff_scale() > tol * max(1.0, num.coeff_scale()):
-                    continue
-                num, den = qn, qd.realified().trim(1e-14)
-                changed = True
-                break
-        return SliceRational(num, den)
 
     # -- JSON --------------------------------------------------------------------------
 

@@ -13,16 +13,33 @@ Each one is a frozen copy of an earlier, more direct implementation:
 * gram and estimate_neg_squares: the Gram and the estimator built from
   those pieces;
 * sample_ball_points_loop: the per-point sampling loop that
-  quat.sample_ball_points must repeat bit for bit.
+  quat.sample_ball_points must repeat bit for bit;
+* taylor_recursive: Taylor coefficients of a SliceRational by recursive
+  division, coefficient by coefficient, the reference for its one
+  convolution;
+* qpow_table_loop: quaternion powers by repeated products, the reference
+  for the complex-slice power table;
+* series_sum_pair (with tail_terms): the kernel series cut once its
+  geometric tail is below a tolerance, the reference for kernel_sum.
+
+The test-only helpers below them build inputs for the tests and give
+independent evaluations: the pointwise-product law of a Blaschke chain,
+the degree of a zero set, a random half-space colligation, a QMatrix
+from Quaternion entries, the point of a sphere representation, and the
+cancellation of common real factors of a rational.
 """
 
 import numpy as np
 
 from qschur import _accel
-from qschur.errors import DivergenceError, PoleError
+from qschur.blaschke import HALFSPACE
+from qschur.errors import DivergenceError, ExpansionError, PoleError, ShapeError
 from qschur.kernels import sample_gram_vectors
-from qschur.qlinalg import QMatrix, herm_eigen_neg, qadjoint_arr, qmatmul_arr
+from qschur.qlinalg import (QMatrix, herm_eigen_neg, orthonormalize_columns, qadjoint_arr,
+                            qmatmul_arr, random_qmatrix)
 from qschur.quat import Quaternion, qdecompose
+from qschur.realization import Colligation
+from qschur.starpoly import SliceRational, StarPoly, divmod_real
 
 
 def qnormsq(a):
@@ -119,3 +136,138 @@ def estimate_neg_squares(s, trials, batch, seed, rho=0.9, cutoff=1e-8):
         if neg > best:
             best, witness = neg, (pts, eigs)
     return best, witness[0], witness[1]
+
+
+def taylor_recursive(rational, n):
+    """Taylor truncation at 0 by recursive division of real coefficients."""
+    dv = rational.den.real_vector()
+    d0 = dv[0]
+    if abs(d0) <= 1e-14 * max(1.0, float(np.max(np.abs(dv)))):
+        raise ExpansionError("denominator vanishes at the expansion point 0")
+    r, s = rational.shape
+    num = rational.num.coeffs
+    out = np.zeros((n + 1, r, s, 4))
+    for k in range(n + 1):
+        acc = num[k].copy() if k < num.shape[0] else np.zeros((r, s, 4))
+        for i in range(1, min(k, len(dv) - 1) + 1):
+            acc -= dv[i] * out[k - i]
+        out[k] = acc / d0
+    return out
+
+
+def qpow_table_loop(points, nmax):
+    """Powers p_l^n for n = 0..nmax, shape (B, nmax + 1, 4), one product a step."""
+    pts = np.ascontiguousarray(points, dtype=np.float64)
+    out = np.zeros((pts.shape[0], nmax + 1, 4))
+    out[:, 0, 0] = 1.0
+    for n in range(1, nmax + 1):
+        out[:, n] = _accel.qmul(out[:, n - 1], pts)
+    return out
+
+
+MAX_SERIES_TERMS = 4000
+
+
+def tail_terms(rho, mnorm, tol):
+    """Smallest N with mnorm * rho^(N+1) / (1 - rho) < tol (rho = |p||q|)."""
+    if rho >= 1.0:
+        raise DivergenceError("kernel series diverges: |p||q| = %.4f >= 1" % rho)
+    if rho == 0.0 or mnorm == 0.0:
+        return 0
+    n = int(np.ceil(np.log(tol * (1.0 - rho) / mnorm) / np.log(rho))) - 1
+    return min(max(n, 0), MAX_SERIES_TERMS)
+
+
+def series_sum_pair(p, mid, q, tol=1e-12):
+    """Truncated sum_n p^n M conj(q)^n for one pair of points, cut once
+    its geometric tail is below tol."""
+    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+    q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+    rho = p.norm() * q.norm()
+    n = tail_terms(rho, max(mid.norm(), 1e-300), tol)
+    pw = qpow_table_loop(p.as_array().reshape(1, 4), n)
+    qw = qpow_table_loop(q.as_array().reshape(1, 4), n)
+    out = _accel.series_sandwich(pw, mid.data[None, None], _accel.qconj(qw))
+    return QMatrix(out[0, 0])
+
+
+# ---------------------------------------------------------------------------
+# test-only helpers
+# ---------------------------------------------------------------------------
+
+def eval_pointwise_chain(product, p):
+    """A scalar Blaschke product at p through the pointwise-product law:
+    f(p) g(f(p)^{-1} p f(p)) ... factor by factor."""
+    if product.size != 1:
+        raise ShapeError("pointwise chain evaluation needs scalar factors")
+    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+    acc = Quaternion.from_real(1.0)
+    q = p
+    for f in product.factors:
+        acc = acc * f.rational(product.domain).eval_scalar(q)
+        if acc.norm() == 0.0:
+            return Quaternion()
+        q = acc.inverse() * p * acc
+    return acc
+
+
+def total_degree(zeros):
+    """sum n over the points plus sum 2 m over the spheres of a ZeroSet."""
+    return sum(n for _, n in zeros.points) + sum(2 * m for _, m in zeros.spheres)
+
+
+def random_halfspace_colligation(rng, n, r, s, x0):
+    """Coisometric half-space colligation from a random unitary operator
+    matrix; A is recovered from the B-block relation B = -(I + x0 A)."""
+    m = orthonormalize_columns(random_qmatrix(rng, n + r, n + s))
+    bblk = QMatrix(m.data[:n, :n])
+    f = QMatrix(m.data[:n, n:])
+    g = QMatrix(m.data[n:, :n])
+    h = QMatrix(m.data[n:, n:])
+    amat = (-(bblk + QMatrix.eye(n))).scale_left(1.0 / x0)
+    return Colligation(A=amat, B=f, C=g, D=h, domain=HALFSPACE, x0=x0)
+
+
+def qmatrix_from_entries(rows_of_quats):
+    """QMatrix from nested lists of Quaternion entries."""
+    return QMatrix(np.array([[q.as_array() for q in row] for row in rows_of_quats]))
+
+
+def reconstruct(rep):
+    """The point x + axis y of a SphereRep (x itself when axis is None)."""
+    if rep.axis is None:
+        return Quaternion.from_real(rep.x)
+    return Quaternion.from_real(rep.x) + rep.axis.q * rep.y
+
+
+def normalize(rational, tol=1e-9):
+    """Divide out common real-polynomial factors found by root matching.
+
+    Factors the denominator into real linear/quadratic pieces via its
+    complex roots and removes any piece that also divides every entry of
+    the numerator.
+    """
+    num, den = rational.num, rational.den
+    changed = True
+    while changed and den.degree > 0:
+        changed = False
+        roots = np.roots(den.real_vector()[::-1])
+        seen = []
+        for z in roots:
+            if any(abs(z - w) <= tol * max(1.0, abs(w)) for w in seen):
+                continue
+            seen.append(z)
+            if abs(z.imag) <= tol * max(1.0, abs(z)):
+                piece = StarPoly.scalar([-z.real, 1.0])
+            else:
+                piece = StarPoly.scalar([abs(z) ** 2, -2.0 * z.real, 1.0])
+            qd, rd = divmod_real(den, piece)
+            if rd.coeff_scale() > tol * den.coeff_scale():
+                continue
+            qn, rn = divmod_real(num, piece)
+            if rn.coeff_scale() > tol * max(1.0, num.coeff_scale()):
+                continue
+            num, den = qn, qd.realified().trim(1e-14)
+            changed = True
+            break
+    return SliceRational(num, den)

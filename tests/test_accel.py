@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import mutually_broadcastable_shapes
 
-from qschur._accel import as_pairs, qmul
+from qschur._accel import as_pairs, qmul, qpow_table
 from qschur.errors import ShapeError
 from qschur.qlinalg import QMatrix, complex_adjoint, from_complex_adjoint, qmatmul_arr
+
+from oracles import qpow_table_loop
 
 
 def qmul16(a, b):
@@ -153,3 +155,23 @@ def test_complex_adjoint_is_a_star_homomorphism(dims, kind, seed):
 def test_last_axis_other_than_4_raises(call):
     with pytest.raises(ShapeError):
         call()
+
+
+def test_qpow_table_matches_repeated_products():
+    # the complex-slice table against one quaternion product a power, on
+    # random points with |p| <= 1.5, real points and the origin
+    rng = np.random.default_rng(0x90)
+    pts = rng.normal(size=(60, 4))
+    pts *= (1.5 * rng.random(60) ** 0.25 / np.linalg.norm(pts, axis=1))[:, None]
+    pts[:4, 1:] = 0.0
+    pts[4] = 0.0
+    pts[5] = [0.0, 1e-9, -2e-9, 0.0]
+    for nmax in (0, 1, 2, 7, 20, 48):
+        fast = qpow_table(pts, nmax)
+        ref = qpow_table_loop(pts, nmax)
+        scale = np.linalg.norm(pts, axis=1)[:, None] ** np.arange(nmax + 1)
+        err = np.linalg.norm(fast - ref, axis=-1)
+        assert fast.shape == (60, nmax + 1, 4)
+        assert np.all(err <= 1e-14 * scale), nmax
+        # real points have real powers
+        assert np.all(fast[:5, :, 1:] == 0.0)

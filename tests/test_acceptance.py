@@ -26,7 +26,6 @@ from qschur.kernels import (
     estimate_neg_squares,
     gram,
     sample_gram_vectors,
-    series_sum_pair,
 )
 from qschur.qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, random_qmatrix
 from qschur.quat import (
@@ -54,6 +53,8 @@ from qschur.starpoly import (
     star_mul,
     zero_multiplicity,
 )
+
+from oracles import series_sum_pair
 
 STANDARD = Budget()  # trials=200, batch=40, rho=0.9, seed=0x5C05
 
@@ -254,6 +255,8 @@ def test_criterion_7_krein_langer_desk_scale():
         rep = krein_langer_check(case, STANDARD)
         assert rep.verdict == "PASS", (kappa, rep.reason)
         assert rep.kappa_hat == kappa == rep.deg_b0
+        tail = rep.to_json()["identity_tail_bound"]
+        assert tail == rep.identity.tail_bound and 0.0 <= tail <= 1e-9
         if kappa > 0:
             assert rep.min_gram_eig >= -1e-8
     # negative controls: inflating the expected index flips the verdict

@@ -6,7 +6,7 @@ import pytest
 
 from qschur import _accel
 from qschur._jsonutil import dump_json
-from qschur.blaschke import ZeroSet, blaschke_factor
+from qschur.blaschke import FactoredProduct, ZeroSet, blaschke_factor, build_product
 from qschur.errors import DomainError
 from qschur.factorcheck import (
     Budget,
@@ -177,6 +177,36 @@ def test_non_finite_identity_tail_is_inconclusive(wrong_s0):
     assert rep.reason == "identity tail bound is not finite"
     doc = json.loads(dump_json(rep.to_json()))
     assert doc["verdict"] == "INCONCLUSIVE"
+    assert doc["identity_tail_bound"] is None
+
+
+# B0 zero data of the benchmark's six Krein-Langer cases: (domain, points, spheres)
+BENCH_B0 = (
+    ("ball", (), ()),
+    ("ball", (((0, .5, 0, 0), 1),), ()),
+    ("ball", (((0, .5, 0, 0), 1), ((.3, 0, .5, 0), 1)), ()),
+    ("ball", (((.2, .5, 0, 0), 2), ((-.3, 0, .4, 0), 1)), ()),
+    ("ball", (((0, .5, 0, 0), 1),), (((.2, 0, .5, 0), 1),)),
+    ("halfspace", (((.6, .5, 0, 0), 1), ((1.0, 0, .6, 0), 1)), ()),
+)
+
+
+@pytest.mark.parametrize("domain,points,spheres", BENCH_B0)
+def test_closed_form_inverse_matches_the_factor_chain(domain, points, spheres):
+    # B0^{-*} = (N^s)^{-1} N^c D from B0's own rational against the reversed
+    # chain of factor inverses, carried to the ball for the half-space case
+    zeros = ZeroSet(domain, [(Quaternion(*a), n) for a, n in points],
+                    [(Quaternion(*c), m) for c, m in spheres])
+    b0 = build_product(zeros) if points or spheres else FactoredProduct.identity(domain)
+    closed, chain = b0.rational.star_inverse(), b0.inverse().rational
+    if domain == "halfspace":
+        ball_b0 = transport_case_to_ball(synthesize_generalized_schur(b0, 0.7)).b0
+        closed = ball_b0.rational.star_inverse()
+        chain = chain.compose_real_mobius(1.0, 1.0, 1.0, -1.0)
+    for n in (20, 48):
+        fast, ref = closed.taylor(n).coeffs, chain.taylor(n).coeffs
+        err = np.sqrt(np.sum((fast - ref) ** 2, axis=(1, 2, 3)))
+        assert np.all(err <= 1e-12 * np.sqrt(np.sum(ref * ref, axis=(1, 2, 3))))
 
 
 def test_pole_in_the_sampling_leg_is_inconclusive():

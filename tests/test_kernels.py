@@ -18,7 +18,6 @@ from qschur.kernels import (
     moebius_identity_check,
     sample_gram_vectors,
     schur_kernel_eval,
-    series_sum_pair,
 )
 from qschur.qlinalg import (
     QMatrix,
@@ -32,6 +31,7 @@ from qschur.starpoly import SliceRational, StarPoly
 
 from oracles import estimate_neg_squares as dense_estimate
 from oracles import gram as dense_gram
+from oracles import series_sum_pair
 
 def brute_series(p, q, terms=400):
     acc = Quaternion()
@@ -254,6 +254,41 @@ def test_kernel_identity_nontrivial_case():
     assert rep.min_gram_eig >= -1e-8
     small = kernel_identity_check(s, b, s0, trunc=6)
     assert small.status == "inconclusive"
+
+
+def test_kernel_identity_needs_ball_input():
+    # half-space data expanded at 0 with the ball kernel says nothing about
+    # the half-space kernel, whatever the status would read
+    from qschur.factorcheck import synthesize_generalized_schur, transport_case_to_ball
+
+    case = synthesize_generalized_schur(
+        ZeroSet("halfspace", points=[(Quaternion(0.6, 0.5, 0, 0), 1)]), 0.7)
+    wrong = SchurFunction.constant(Quaternion.from_real(0.5), domain="halfspace")
+    for s0 in (case.s0, wrong):
+        with pytest.raises(DomainError):
+            kernel_identity_check(case.s, case.b0, s0, trunc=20)
+    ball = transport_case_to_ball(case)
+    with pytest.raises(DomainError):
+        kernel_identity_check(ball.s, case.b0, ball.s0, trunc=20)
+    with pytest.raises(DomainError):
+        kernel_identity_check(case.s, ball.b0, ball.s0, trunc=20)
+    assert kernel_identity_check(ball.s, ball.b0, ball.s0, trunc=20,
+                                 gram_radius=0.09).status == "ok"
+
+
+def test_kernel_identity_matrix_potapov_b0():
+    # a 2 x 2 first-kind Potapov B0 has no scalar rational: its inverse
+    # comes from the factor chain
+    from qschur.blaschke import potapov_factor
+
+    proj = QMatrix.from_real(np.diag([1.0, 0.0]))
+    b = potapov_factor("ball", 1, a=Quaternion(0, 0.5, 0, 0), P=proj, J=QMatrix.eye(2))
+    s0 = SchurFunction.constant(QMatrix.eye(2).scale_left(Quaternion.from_real(0.6)))
+    s = SchurFunction.from_rational(product_inverse(b).rational.star(s0.rational))
+    rep = kernel_identity_check(s, b, s0, trunc=40)
+    assert rep.status == "ok" and rep.max_coeff_dev < 1e-9
+    wrong = SchurFunction.constant(QMatrix.eye(2).scale_left(Quaternion.from_real(0.5)))
+    assert kernel_identity_check(s, b, wrong, trunc=40).status == "fail"
 
 
 def loop_from_schur_taylor(s, j1, j2, trunc):

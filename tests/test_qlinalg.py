@@ -15,6 +15,8 @@ from qschur.qlinalg import (
 )
 from qschur.quat import I, J, Quaternion
 
+from oracles import qmatrix_from_entries
+
 
 def test_complex_adjoint_examples():
     assert np.allclose(complex_adjoint(QMatrix.scalar(J)), [[0, 1], [-1, 0]])
@@ -43,7 +45,7 @@ def test_herm_eigen_examples():
     eigs, neg = herm_eigen_neg(QMatrix.diag([1.0, -1.0]))
     assert np.allclose(eigs, [-1.0, 1.0]) and neg == 1
 
-    h = QMatrix.from_entries([[Quaternion(), J], [-J, Quaternion()]])
+    h = qmatrix_from_entries([[Quaternion(), J], [-J, Quaternion()]])
     # independent route: eigenvalues of the explicit 4x4 complex adjoint
     brute = np.linalg.eigvalsh(complex_adjoint(h))
     eigs, neg = herm_eigen_neg(h)

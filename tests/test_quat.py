@@ -21,7 +21,7 @@ from qschur.quat import (
     sample_imaginary_unit,
 )
 
-from oracles import sample_ball_points_loop
+from oracles import reconstruct, sample_ball_points_loop
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -89,7 +89,7 @@ def test_decompose_examples():
 @settings(max_examples=200, deadline=None)
 def test_decompose_roundtrip(p):
     rep = qdecompose(p)
-    assert rep.reconstruct().isclose(p, 1e-13)
+    assert reconstruct(rep).isclose(p, 1e-13)
 
 
 def test_same_sphere_relation(rng):

@@ -10,12 +10,13 @@ from qschur.realization import (
     Colligation,
     backward_shift_colligation,
     colligation_from_blaschke_factor,
-    random_halfspace_colligation,
     realize_eval,
     solve_stein,
     stein_is_negative,
 )
 from qschur.starpoly import SliceRational, StarPoly, extend_from_slice
+
+from oracles import random_halfspace_colligation
 
 
 def test_realize_degenerate_state():

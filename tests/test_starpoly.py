@@ -20,7 +20,7 @@ from qschur.starpoly import (
     zero_multiplicity,
 )
 
-from oracles import polyval_batch, rational_values
+from oracles import normalize, polyval_batch, rational_values, taylor_recursive
 
 comp = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, comp, comp, comp, comp)
@@ -322,6 +322,60 @@ def test_taylor_expansion_point_error():
         r.taylor(3)
 
 
+def real_denominator(rng, deg):
+    """Real coefficients of a degree-deg polynomial from real roots and
+    conjugate pairs; the first root lies inside the unit ball, so the
+    Taylor coefficients of 1/den grow."""
+    den = np.array([rng.uniform(0.5, 2.0)])
+    while den.size <= deg:
+        rad = rng.uniform(0.3, 0.9) if den.size == 1 else rng.uniform(0.3, 3.0)
+        if deg - den.size >= 1 and rng.random() < 0.6:
+            theta = rng.uniform(0.0, np.pi)
+            den = np.convolve(den, [rad * rad, -2.0 * rad * np.cos(theta), 1.0])
+        else:
+            den = np.convolve(den, [rng.choice([-1.0, 1.0]) * rad, -1.0])
+    return den
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+def test_taylor_matches_the_recursive_reference(shape):
+    # the one convolution against the coefficient-by-coefficient recursion,
+    # numerator and denominator degrees 0-8 and truncations 0-48; the scale
+    # of coefficient k is sum_j G_(k-j) |num_j| with G the series of
+    # 1/(|d_0| - |d_1| p - ... ), the magnitude that either recursion carries
+    rng = np.random.default_rng(0x7A7 + shape[1])
+    for den_deg in range(9):
+        for num_deg in range(9):
+            den = real_denominator(rng, den_deg)
+            num = rng.normal(size=(num_deg + 1,) + shape + (4,))
+            rat = SliceRational(StarPoly(num), StarPoly.scalar(list(den)))
+            majorant = np.abs(den)
+            majorant[1:] = -majorant[1:]
+            for n in ((9 * den_deg + num_deg) % 49, 48):
+                fast = rat.taylor(n).coeffs
+                ref = taylor_recursive(rat, n)
+                assert fast.shape == ref.shape == (n + 1,) + shape + (4,)
+                big = taylor_recursive(SliceRational(StarPoly.one(), StarPoly.scalar(list(majorant))), n)
+                sizes = np.sqrt(np.sum(num * num, axis=(1, 2, 3)))
+                scale = np.convolve(big[:, 0, 0, 0], sizes)[: n + 1]
+                err = np.sqrt(np.sum((fast - ref) ** 2, axis=(1, 2, 3)))
+                assert np.all(err <= 1e-12 * scale), (den_deg, num_deg, n)
+
+
+def test_star_inverse_closed_form(rng):
+    # (D^{-1} N)^{-*} star-multiplies back to 1 at random points
+    den = StarPoly.scalar([1.0, -0.4, 0.2])
+    num = StarPoly.scalar([Quaternion.from_array(rng.uniform(-1, 1, 4)) for _ in range(3)])
+    rat = SliceRational(num, den)
+    inv = rat.star_inverse()
+    prod = rat.star(inv)
+    for _ in range(10):
+        p = sample_ball_point(rng, 0.9)
+        assert prod.eval_scalar(p).isclose(ONE, 1e-10)
+    with pytest.raises(DomainError):
+        SliceRational(StarPoly.one(2), StarPoly.one()).star_inverse()
+
+
 def test_rational_pole_error():
     r = SliceRational(StarPoly.one(), StarPoly.scalar([1.0, 0.0, 1.0]))
     with pytest.raises(PoleError) as info:
@@ -385,7 +439,7 @@ def test_normalize_reduces_common_factor():
     common = StarPoly.scalar([1.0, 2.0, 1.5])
     num = StarPoly.scalar([0.5, 1.0]).star(common)
     den = StarPoly.scalar([1.0, -0.5]).star(common).realified()
-    reduced = SliceRational(num, den).normalize()
+    reduced = normalize(SliceRational(num, den))
     assert reduced.den.degree == 1
     assert reduced.num.degree == 1
 
