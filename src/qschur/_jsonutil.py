@@ -70,14 +70,7 @@ class Validator:
                 self.fail("%s/%s" % (path, key), "unknown field")
         return True
 
-    def get(self, obj, path, key, required=True, default=None):
-        if key not in obj:
-            if required:
-                self.fail("%s/%s" % (path, key), "missing required field")
-            return default
-        return obj[key]
-
-    def number(self, value, path, allow_int=True):
+    def number(self, value, path):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             self.fail(path, "expected a number")
             return None
@@ -93,6 +86,12 @@ class Validator:
             return None
         if minimum is not None and value < minimum:
             self.fail(path, "must be >= %d" % minimum)
+            return None
+        return value
+
+    def boolean(self, value, path):
+        if not isinstance(value, bool):
+            self.fail(path, "expected a boolean")
             return None
         return value
 

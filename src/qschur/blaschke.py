@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConstructionError, DomainError
 from .qlinalg import QMatrix, herm_eigen_neg, complex_adjoint
-from .quat import Quaternion, qdecompose, same_sphere
+from .quat import Quaternion, as_quaternion, qdecompose, same_sphere
 from .starpoly import (
     SliceRational,
     StarPoly,
@@ -43,10 +43,6 @@ from .starpoly import (
 BALL = "ball"
 HALFSPACE = "halfspace"
 _DOMAINS = (BALL, HALFSPACE)
-
-
-def _as_quat(a):
-    return a if isinstance(a, Quaternion) else Quaternion.from_real(a)
 
 
 def _check_domain(domain):
@@ -89,7 +85,7 @@ def blaschke_factor(domain, kind, a):
     Sphere factors require a nonreal representative.
     """
     _check_domain(domain)
-    a = _as_quat(a)
+    a = as_quaternion(a)
     if kind == "point":
         if domain == BALL:
             if not a.norm() < 1.0:
@@ -117,7 +113,7 @@ class PointFactor:
     a: Quaternion
     inverted: bool = False  # only for the a = 0 convention B_0(p) = p
 
-    def rational(self, domain, r=1):
+    def rational(self, domain):
         if self.inverted:
             # star inverse of B_0(p) = p, i.e. p^{-*} = (p^2)^{-1} p
             return SliceRational(
@@ -145,7 +141,7 @@ class PointFactor:
 class SphereFactor:
     c: Quaternion
 
-    def rational(self, domain, r=1):
+    def rational(self, domain):
         return _sphere_rational(domain, self.c)
 
     def inverse(self, domain):
@@ -184,7 +180,7 @@ class PotapovFactor:
     def size(self):
         return self.J.rows
 
-    def rational(self, domain, r=None):
+    def rational(self, domain):
         n = self.size
         eye = QMatrix.eye(n)
         if self.kind in (1, 2):
@@ -245,7 +241,7 @@ def potapov_factor(domain, kind, *, a=None, P=None, J=None, u=None, k=None, w0=N
     if J.herm_residual() > 1e-12 * scale or (J @ J - QMatrix.eye(n)).norm() > 1e-12 * scale:
         raise DomainError("J must be a signature matrix")
     if kind in (1, 2):
-        a = _as_quat(a)
+        a = as_quaternion(a)
         if P is None or P.shape != (n, n):
             raise DomainError("kinds 1 and 2 need a projection P of matching size")
         if (P @ P - P).norm() > 1e-10 * max(1.0, P.norm()):
@@ -262,7 +258,7 @@ def potapov_factor(domain, kind, *, a=None, P=None, J=None, u=None, k=None, w0=N
             raise DomainError("second kind needs |a| > 1")
         factor = PotapovFactor(kind=kind, J=J, a=a, P=P)
     elif kind == 3:
-        w0 = _as_quat(w0)
+        w0 = as_quaternion(w0)
         if u is None or u.shape != (n, 1):
             raise DomainError("third kind needs a column vector u of length r")
         neutral = (u.adjoint() @ J @ u).as_quaternion()
@@ -296,7 +292,7 @@ class ZeroSet:
         _check_domain(self.domain)
         reps = []
         for a, n in self.points:
-            a = _as_quat(a)
+            a = as_quaternion(a)
             if n < 1 or int(n) != n:
                 raise DomainError("point multiplicities are positive integers")
             if self.domain == BALL and not a.norm() < 1.0:
@@ -306,7 +302,7 @@ class ZeroSet:
             reps.append(qdecompose(a))
         sreps = []
         for c, m in self.spheres:
-            c = _as_quat(c)
+            c = as_quaternion(c)
             if m < 1 or int(m) != m:
                 raise DomainError("sphere multiplicities are positive integers")
             if qdecompose(c).axis is None:
@@ -328,24 +324,26 @@ class ZeroSet:
     def to_json(self):
         return {
             "domain": self.domain,
-            "points": [{"a": _as_quat(a).to_json(), "n": int(n)} for a, n in self.points],
-            "spheres": [{"c": _as_quat(c).to_json(), "m": int(m)} for c, m in self.spheres],
+            "points": [{"a": as_quaternion(a).to_json(), "n": int(n)} for a, n in self.points],
+            "spheres": [{"c": as_quaternion(c).to_json(), "m": int(m)} for c, m in self.spheres],
         }
 
     @classmethod
     def from_json(cls, obj):
         if not isinstance(obj, dict):
             raise DomainError("ZeroSet JSON must be an object")
-        domain = obj.get("domain")
-        pts = [
-            (Quaternion.from_json(e["a"]), int(e["n"]))
-            for e in obj.get("points", [])
-        ]
-        sph = [
-            (Quaternion.from_json(e["c"]), int(e["m"]))
-            for e in obj.get("spheres", [])
-        ]
-        return cls(domain, pts, sph).validate()
+        parts = {}
+        for key, at, mult in (("points", "a", "n"), ("spheres", "c", "m")):
+            entries = obj.get(key, [])
+            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+                raise DomainError("ZeroSet %s must be an array of objects" % key)
+            parts[key] = []
+            for e in entries:
+                count = e.get(mult)
+                if isinstance(count, bool) or not isinstance(count, int):
+                    raise DomainError("ZeroSet %s need an integer %r" % (key, mult))
+                parts[key].append((Quaternion.from_json(e.get(at)), count))
+        return cls(obj.get("domain"), parts["points"], parts["spheres"]).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -426,13 +424,13 @@ def build_product(zeros, zero_tol=1e-10):
     acc = SliceRational.one(1)
 
     for c, m in zeros.spheres:
-        c = _as_quat(c)
+        c = as_quaternion(c)
         for _ in range(int(m)):
             factors.append(SphereFactor(c))
             acc = acc.star(blaschke_factor(domain, "sphere", c))
 
     for a, n in zeros.points:
-        a = _as_quat(a)
+        a = as_quaternion(a)
         h = acc
         for jdx in range(int(n)):
             hv = h.eval_scalar(a)
@@ -453,7 +451,7 @@ def build_product(zeros, zero_tol=1e-10):
 
     prod = FactoredProduct(domain, factors, size=1, rational=acc)
     for a, n in zeros.points:
-        val = prod.eval(_as_quat(a)).as_quaternion()
-        if val.norm() > zero_tol * max(1.0, prod.rational.num.eval_scale(_as_quat(a))):
+        val = prod.eval(as_quaternion(a)).as_quaternion()
+        if val.norm() > zero_tol * max(1.0, prod.rational.num.eval_scale(as_quaternion(a))):
             raise ConstructionError("built product misses prescribed zero %r" % (a,))
     return prod

@@ -21,7 +21,6 @@ from ._jsonutil import Validator, dump_json, format_float
 from .blaschke import BALL, HALFSPACE, ZeroSet, build_product
 from .errors import ConfigError, QSchurError
 from .factorcheck import (
-    DEFAULT_SEED,
     Budget,
     cayley_map,
     cayley_transport,
@@ -47,77 +46,47 @@ EXIT_IO = 4
 class RunConfig:
     command: str
     effective: dict     # full config after defaults, echoed into the report
-    objects: dict       # parsed domain objects keyed by field name
+    objects: dict       # parsed field values keyed by field name
 
 
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _parse_zero_set(obj, path, v):
+def _parse_zero_set(v, obj, path):
     if not isinstance(obj, dict):
         v.fail(path, "expected a ZeroSet object")
         return None
-    for key in obj:
-        if key not in ("domain", "points", "spheres"):
-            v.fail("%s/%s" % (path, key), "unknown field")
+    v.check_object(obj, path, ("domain", "points", "spheres"))
     domain = v.string(obj.get("domain"), "%s/domain" % path, choices=(BALL, HALFSPACE))
-    points = []
-    spheres = []
-    raw_points = obj.get("points", [])
-    raw_spheres = obj.get("spheres", [])
-    if not isinstance(raw_points, list):
-        v.fail("%s/points" % path, "expected an array")
-        raw_points = []
-    if not isinstance(raw_spheres, list):
-        v.fail("%s/spheres" % path, "expected an array")
-        raw_spheres = []
-    for idx, entry in enumerate(raw_points):
-        epath = "%s/points/%d" % (path, idx)
-        if not isinstance(entry, dict):
-            v.fail(epath, "expected an object")
-            continue
-        for key in entry:
-            if key not in ("a", "n"):
-                v.fail("%s/%s" % (epath, key), "unknown field")
-        comps = v.quaternion(entry.get("a"), "%s/a" % epath)
-        mult = v.integer(entry.get("n", 1), "%s/n" % epath, minimum=1)
-        if comps is None or mult is None:
-            continue
-        q = Quaternion(*comps)
-        if domain == BALL and not q.norm() < 1.0:
-            v.fail("%s/a" % epath, "ball zeros need |a| < 1")
-            continue
-        if domain == HALFSPACE and not q.re > 0.0:
-            v.fail("%s/a" % epath, "half-space zeros need Re(a) > 0")
-            continue
-        points.append((q, mult))
-    for idx, entry in enumerate(raw_spheres):
-        epath = "%s/spheres/%d" % (path, idx)
-        if not isinstance(entry, dict):
-            v.fail(epath, "expected an object")
-            continue
-        for key in entry:
-            if key not in ("c", "m"):
-                v.fail("%s/%s" % (epath, key), "unknown field")
-        comps = v.quaternion(entry.get("c"), "%s/c" % epath)
-        mult = v.integer(entry.get("m", 1), "%s/m" % epath, minimum=1)
-        if comps is None or mult is None:
-            continue
-        q = Quaternion(*comps)
-        if domain == BALL and not q.norm() < 1.0:
-            v.fail("%s/c" % epath, "ball spheres need |c| < 1")
-            continue
-        if domain == HALFSPACE and not q.re > 0.0:
-            v.fail("%s/c" % epath, "half-space spheres need Re(c) > 0")
-            continue
-        if q.imag_modulus() < 1e-13 * max(1.0, q.norm()):
-            v.fail("%s/c" % epath, "sphere representatives must be nonreal")
-            continue
-        spheres.append((q, mult))
+    entries = {}
+    for key in ("points", "spheres"):
+        entries[key] = obj.get(key, [])
+        if not isinstance(entries[key], list):
+            v.fail("%s/%s" % (path, key), "expected an array")
+            entries[key] = []
+    zeros = {"points": [], "spheres": []}
+    for key, at, mult, noun in (("points", "a", "n", "zeros"), ("spheres", "c", "m", "spheres")):
+        for idx, entry in enumerate(entries[key]):
+            epath = "%s/%s/%d" % (path, key, idx)
+            if not v.check_object(entry, epath, (at, mult)):
+                continue
+            comps = v.quaternion(entry.get(at), "%s/%s" % (epath, at))
+            count = v.integer(entry.get(mult, 1), "%s/%s" % (epath, mult), minimum=1)
+            if comps is None or count is None:
+                continue
+            q = Quaternion(*comps)
+            if domain == BALL and not q.norm() < 1.0:
+                v.fail("%s/%s" % (epath, at), "ball %s need |%s| < 1" % (noun, at))
+            elif domain == HALFSPACE and not q.re > 0.0:
+                v.fail("%s/%s" % (epath, at), "half-space %s need Re(%s) > 0" % (noun, at))
+            elif key == "spheres" and q.imag_modulus() < 1e-13 * max(1.0, q.norm()):
+                v.fail("%s/%s" % (epath, at), "sphere representatives must be nonreal")
+            else:
+                zeros[key].append((q, count))
     if domain is None or not v.ok():
         return None
-    return _build(v, path, lambda: ZeroSet(domain, points, spheres).validate())
+    return _build(v, path, lambda: ZeroSet(domain, zeros["points"], zeros["spheres"]).validate())
 
 
 def _build(v, path, make, *args):
@@ -129,53 +98,42 @@ def _build(v, path, make, *args):
         return None
 
 
-def _field(raw, key, default):
-    """raw[key], reading an explicit null as an absent field."""
-    value = raw.get(key)
-    return default if value is None else value
+_SPEC_FIELDS = {
+    "blaschke": ("zeros",),
+    "quotient": ("b0", "s0"),
+    "constant": ("value", "domain"),
+    "rational": ("num", "den", "domain"),
+}
 
 
-def _parse_schur_spec(obj, path, v):
+def _parse_schur_spec(v, obj, path):
     if not isinstance(obj, dict):
         v.fail(path, "expected a Schur function spec")
         return None
-    kind = v.string(obj.get("kind"), "%s/kind" % path,
-                    choices=("blaschke", "quotient", "constant", "rational"))
+    kind = v.string(obj.get("kind"), "%s/kind" % path, choices=tuple(_SPEC_FIELDS))
     if kind is None:
         return None
+    v.check_object(obj, path, ("kind",) + _SPEC_FIELDS[kind])
     if kind == "blaschke":
-        for key in obj:
-            if key not in ("kind", "zeros"):
-                v.fail("%s/%s" % (path, key), "unknown field")
-        zs = _parse_zero_set(obj.get("zeros"), "%s/zeros" % path, v)
+        zs = _parse_zero_set(v, obj.get("zeros"), "%s/zeros" % path)
         product = None if zs is None else _build(v, "%s/zeros" % path, build_product, zs)
         return None if product is None else SchurFunction.from_product(product)
     if kind == "quotient":
-        for key in obj:
-            if key not in ("kind", "b0", "s0"):
-                v.fail("%s/%s" % (path, key), "unknown field")
-        zs = _parse_zero_set(obj.get("b0"), "%s/b0" % path, v)
+        zs = _parse_zero_set(v, obj.get("b0"), "%s/b0" % path)
         s0 = None
         if obj.get("s0") is not None:
-            s0 = _parse_schur_spec(obj.get("s0"), "%s/s0" % path, v)
+            s0 = _parse_schur_spec(v, obj.get("s0"), "%s/s0" % path)
         if zs is None or not v.ok():
             return None
         case = _build(v, path, synthesize_generalized_schur, zs, s0)
         return None if case is None else case.s
     if kind == "constant":
-        for key in obj:
-            if key not in ("kind", "value", "domain"):
-                v.fail("%s/%s" % (path, key), "unknown field")
         comps = v.quaternion(obj.get("value"), "%s/value" % path)
         domain = v.string(obj.get("domain", BALL), "%s/domain" % path,
                           choices=(BALL, HALFSPACE))
         if comps is None or domain is None:
             return None
         return SchurFunction.constant(Quaternion(*comps), domain=domain)
-    # rational
-    for key in obj:
-        if key not in ("kind", "num", "den", "domain"):
-            v.fail("%s/%s" % (path, key), "unknown field")
     domain = v.string(obj.get("domain", BALL), "%s/domain" % path,
                       choices=(BALL, HALFSPACE))
     rat = _build(v, path, lambda: SliceRational(StarPoly.from_json(obj.get("num")),
@@ -185,20 +143,135 @@ def _parse_schur_spec(obj, path, v):
     return SchurFunction.from_rational(rat, domain=domain)
 
 
-_COMMON_KEYS = ("command", "seed", "out", "csv")
+def _quaternions(message):
+    """Check of an array of quaternions; message is what a non-array gets."""
+    def check(v, value, path):
+        if not isinstance(value, list):
+            v.fail(path, message)
+            return ()
+        comps = [v.quaternion(entry, "%s/%d" % (path, idx)) for idx, entry in enumerate(value)]
+        return tuple(Quaternion(*c) for c in comps if c is not None)
+    return check
 
-_SCHEMAS = {
-    "blaschke-build": _COMMON_KEYS + ("zeros",),
-    "negsq": _COMMON_KEYS + ("schur", "trials", "batch", "rho", "cutoff"),
-    "dim-hb": _COMMON_KEYS + ("zeros", "points", "cutoff", "radius"),
-    "realize": _COMMON_KEYS + ("colligation", "blaschke_a", "points"),
-    "stein": _COMMON_KEYS + ("A", "C"),
-    "kl-check": _COMMON_KEYS + (
-        "b0", "s0", "expected_kappa", "trials", "batch", "rho", "identity_trunc"
-    ),
-    "transport": _COMMON_KEYS + ("schur", "x0", "direction", "points", "negsq",
-                                 "trials", "batch"),
-}
+
+def _positive(v, value, path):
+    x = v.number(value, path)
+    if x is not None and x <= 0:
+        v.fail(path, "must be positive")
+        return None
+    return x
+
+
+def _qmatrix(v, value, path):
+    return _build(v, path, QMatrix.from_json, value)
+
+
+def _int(minimum):
+    return functools.partial(Validator.integer, minimum=minimum)
+
+
+def _out_path(v, value, path):
+    return v.string(value, path) or None     # an empty path writes no file
+
+
+class _Required(str):
+    """Default of a field that must be given; the string is what its absence reports."""
+
+
+_MISSING = _Required("missing required field")
+_BUDGET = Budget()
+
+# Each command's fields in the order they are checked: key -> (check, default).
+# A check is check(validator, value, pointer) -> parsed value.  An absent or
+# null field takes its default unchecked (dim-hb points 0 means 3 deg B + 3);
+# a check of None leaves the field to a step in _CROSS_CHECKS.
+_COMMON = {"seed": (_int(0), _BUDGET.seed), "out": (_out_path, None), "csv": (_out_path, None)}
+_FIELDS = {command: {**_COMMON, **fields} for command, fields in {
+    "blaschke-build": {
+        "zeros": (_parse_zero_set, _Required("expected a ZeroSet object")),
+    },
+    "negsq": {
+        "schur": (_parse_schur_spec, _MISSING),
+        "trials": (_int(1), _BUDGET.trials),
+        "batch": (_int(1), _BUDGET.batch),
+        "rho": (Validator.number, _BUDGET.rho),
+        "cutoff": (Validator.number, _BUDGET.cutoff),
+    },
+    "dim-hb": {
+        "zeros": (_parse_zero_set, _Required("expected a ZeroSet object")),
+        "points": (_int(1), 0),
+        "cutoff": (Validator.number, 1e-8),
+        "radius": (Validator.number, 0.75),
+    },
+    "realize": {
+        "points": (_quaternions("expected an array of quaternions"), ()),
+        "colligation": (None, None),
+        "blaschke_a": (None, None),
+    },
+    "stein": {
+        "A": (_qmatrix, _MISSING),
+        "C": (_qmatrix, _MISSING),
+    },
+    "kl-check": {
+        "b0": (_parse_zero_set, _MISSING),
+        "s0": (_parse_schur_spec, None),
+        "expected_kappa": (_int(0), None),
+        "trials": (_int(1), _BUDGET.trials),
+        "batch": (_int(1), _BUDGET.batch),
+        "identity_trunc": (_int(1), _BUDGET.identity_trunc),
+        "rho": (Validator.number, _BUDGET.rho),
+    },
+    "transport": {
+        "schur": (_parse_schur_spec, _MISSING),
+        "x0": (_positive, 1.0),
+        "direction": (functools.partial(Validator.string,
+                                        choices=("halfspace_to_ball", "ball_to_halfspace")),
+                      "halfspace_to_ball"),
+        "points": (_quaternions("expected an array"), ()),
+        "negsq": (Validator.boolean, False),
+        "trials": (_int(1), 60),
+        "batch": (_int(1), _BUDGET.batch),
+    },
+}.items()}
+
+
+def _realize_colligation(v, raw, objects, effective):
+    """The colligation, given as exactly one of colligation or blaschke_a."""
+    if (raw.get("colligation") is None) == (raw.get("blaschke_a") is None):
+        v.fail("/", "provide exactly one of colligation or blaschke_a")
+    elif raw.get("blaschke_a") is not None:
+        comps = v.quaternion(raw["blaschke_a"], "/blaschke_a")
+        if comps is not None:
+            q = Quaternion(*comps)
+            if not 0.0 < q.norm() < 1.0:
+                v.fail("/blaschke_a", "need 0 < |a| < 1")
+            else:
+                objects["colligation"] = _build(v, "/blaschke_a", colligation_from_blaschke_factor, q)
+    else:
+        try:
+            objects["colligation"] = Colligation.from_json(raw["colligation"])
+        except (QSchurError, KeyError, TypeError) as exc:
+            v.fail("/colligation", "invalid colligation: %s" % exc)
+
+
+def _kl_domains(v, raw, objects, effective):
+    b0, s0 = objects["b0"], objects["s0"]
+    if b0 is not None and s0 is not None and s0.domain != b0.domain:
+        v.fail("/s0", "S0 lives on the %s but B0 on the %s" % (s0.domain, b0.domain))
+    effective.setdefault("s0", None)     # S0 = 1 is echoed as null
+
+
+# checks that read several fields, run after the field that keys them
+_CROSS_CHECKS = {("realize", "blaschke_a"): _realize_colligation, ("kl-check", "s0"): _kl_domains}
+
+
+def _echo(parsed, value):
+    """A field's copy in the report: zero sets and point lists in normal form."""
+    if isinstance(parsed, ZeroSet):
+        return parsed.to_json()
+    if isinstance(parsed, tuple):
+        return [p.to_json() for p in parsed]
+    return value
 
 
 def parse_config(text):
@@ -215,159 +288,24 @@ def parse_config(text):
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError([("/command", "must be one of %s" % ", ".join(COMMANDS))])
-    v.check_object(raw, "", _SCHEMAS[command])
+    fields = _FIELDS[command]
+    v.check_object(raw, "", ("command",) + tuple(fields))
 
-    seed = _field(raw, "seed", DEFAULT_SEED)
-    if v.integer(seed, "/seed") is None:
-        raise ConfigError(v.violations)
-    out = raw.get("out")
-    if out is not None and v.string(out, "/out") is None:
-        raise ConfigError(v.violations)
-    csv = raw.get("csv")
-    if csv is not None and v.string(csv, "/csv") is None:
-        raise ConfigError(v.violations)
-
-    objects = {}
-    effective = {"command": command, "seed": seed}
-    if out:
-        effective["out"] = out
-    if csv:
-        effective["csv"] = csv
-
-    if command == "blaschke-build" or command == "dim-hb":
-        zs = _parse_zero_set(raw.get("zeros"), "/zeros", v)
-        if zs is not None:
-            objects["zeros"] = zs
-            effective["zeros"] = zs.to_json()
-        if command == "dim-hb":
-            effective["points"] = _field(raw, "points", 0)
-            effective["cutoff"] = _field(raw, "cutoff", 1e-8)
-            effective["radius"] = _field(raw, "radius", 0.75)
-            if raw.get("points") is not None:
-                v.integer(raw["points"], "/points", minimum=1)
-            if raw.get("cutoff") is not None:
-                v.number(raw["cutoff"], "/cutoff")
-            if raw.get("radius") is not None:
-                v.number(raw["radius"], "/radius")
-    elif command == "negsq":
-        spec = raw.get("schur")
-        s = _parse_schur_spec(spec, "/schur", v) if spec is not None else None
-        if spec is None:
-            v.fail("/schur", "missing required field")
-        if s is not None:
-            objects["schur"] = s
-            effective["schur"] = spec
-        effective["trials"] = _field(raw, "trials", 200)
-        effective["batch"] = _field(raw, "batch", 40)
-        effective["rho"] = _field(raw, "rho", 0.9)
-        effective["cutoff"] = _field(raw, "cutoff", 1e-8)
-        for key in ("trials", "batch"):
-            if raw.get(key) is not None:
-                v.integer(raw[key], "/%s" % key, minimum=1)
-        for key in ("rho", "cutoff"):
-            if raw.get(key) is not None:
-                v.number(raw[key], "/%s" % key)
-    elif command == "realize":
-        pts = _field(raw, "points", [])
-        if not isinstance(pts, list):
-            v.fail("/points", "expected an array of quaternions")
-            pts = []
-        parsed_pts = []
-        for idx, entry in enumerate(pts):
-            comps = v.quaternion(entry, "/points/%d" % idx)
-            if comps is not None:
-                parsed_pts.append(Quaternion(*comps))
-        objects["points"] = parsed_pts
-        effective["points"] = [p.to_json() for p in parsed_pts]
-        if (raw.get("colligation") is None) == (raw.get("blaschke_a") is None):
-            v.fail("/", "provide exactly one of colligation or blaschke_a")
-        elif raw.get("blaschke_a") is not None:
-            comps = v.quaternion(raw["blaschke_a"], "/blaschke_a")
-            if comps is not None:
-                q = Quaternion(*comps)
-                if not 0.0 < q.norm() < 1.0:
-                    v.fail("/blaschke_a", "need 0 < |a| < 1")
-                else:
-                    col = _build(v, "/blaschke_a", colligation_from_blaschke_factor, q)
-                    if col is not None:
-                        objects["colligation"] = col
-                        effective["blaschke_a"] = raw["blaschke_a"]
-        else:
-            try:
-                objects["colligation"] = Colligation.from_json(raw["colligation"])
-                effective["colligation"] = raw["colligation"]
-            except (QSchurError, KeyError, TypeError) as exc:
-                v.fail("/colligation", "invalid colligation: %s" % exc)
-    elif command == "stein":
-        for key in ("A", "C"):
-            if raw.get(key) is None:
-                v.fail("/%s" % key, "missing required field")
-                continue
-            mat = _build(v, "/%s" % key, QMatrix.from_json, raw[key])
-            if mat is not None:
-                objects[key] = mat
-                effective[key] = raw[key]
-    elif command == "kl-check":
-        zs = _parse_zero_set(raw.get("b0"), "/b0", v) if raw.get("b0") is not None else None
-        if raw.get("b0") is None:
-            v.fail("/b0", "missing required field")
-        s0 = None
-        if raw.get("s0") is not None:
-            s0 = _parse_schur_spec(raw["s0"], "/s0", v)
-        if zs is not None and s0 is not None and s0.domain != zs.domain:
-            v.fail("/s0", "S0 lives on the %s but B0 on the %s" % (s0.domain, zs.domain))
-        if zs is not None:
-            objects["b0"] = zs
-            objects["s0"] = s0
-            effective["b0"] = zs.to_json()
-            effective["s0"] = raw.get("s0")
-        effective["trials"] = _field(raw, "trials", 200)
-        effective["batch"] = _field(raw, "batch", 40)
-        effective["rho"] = _field(raw, "rho", 0.9)
-        effective["identity_trunc"] = _field(raw, "identity_trunc", 48)
-        if raw.get("expected_kappa") is not None:
-            v.integer(raw["expected_kappa"], "/expected_kappa", minimum=0)
-            effective["expected_kappa"] = raw["expected_kappa"]
-        for key in ("trials", "batch", "identity_trunc"):
-            if raw.get(key) is not None:
-                v.integer(raw[key], "/%s" % key, minimum=1)
-        if raw.get("rho") is not None:
-            v.number(raw["rho"], "/rho")
-    elif command == "transport":
-        spec = raw.get("schur")
-        if spec is None:
-            v.fail("/schur", "missing required field")
-        else:
-            s = _parse_schur_spec(spec, "/schur", v)
-            if s is not None:
-                objects["schur"] = s
-                effective["schur"] = spec
-        x0 = v.number(_field(raw, "x0", 1.0), "/x0")
-        if x0 is not None and x0 <= 0:
-            v.fail("/x0", "must be positive")
-        effective["x0"] = _field(raw, "x0", 1.0)
-        direction = v.string(_field(raw, "direction", "halfspace_to_ball"), "/direction",
-                             choices=("halfspace_to_ball", "ball_to_halfspace"))
-        effective["direction"] = _field(raw, "direction", "halfspace_to_ball")
-        pts = _field(raw, "points", [])
-        parsed_pts = []
-        if not isinstance(pts, list):
-            v.fail("/points", "expected an array")
-        else:
-            for idx, entry in enumerate(pts):
-                comps = v.quaternion(entry, "/points/%d" % idx)
-                if comps is not None:
-                    parsed_pts.append(Quaternion(*comps))
-        objects["points"] = parsed_pts
-        effective["points"] = [p.to_json() for p in parsed_pts]
-        effective["negsq"] = _field(raw, "negsq", False)
-        if not isinstance(effective["negsq"], bool):
-            v.fail("/negsq", "expected a boolean")
-        effective["trials"] = _field(raw, "trials", 60)
-        effective["batch"] = _field(raw, "batch", 40)
-        for key in ("trials", "batch"):
-            if raw.get(key) is not None:
-                v.integer(raw[key], "/%s" % key, minimum=1)
+    objects, effective = {}, {"command": command}
+    for key, (check, default) in fields.items():
+        value = parsed = raw.get(key)
+        if value is None:
+            if isinstance(default, _Required):
+                v.fail("/" + key, default)
+            else:
+                value = parsed = default
+        elif check is not None:
+            parsed = check(v, value, "/" + key)
+        objects[key] = parsed
+        if parsed is not None:
+            effective[key] = _echo(parsed, value)
+        if (command, key) in _CROSS_CHECKS:
+            _CROSS_CHECKS[command, key](v, raw, objects, effective)
 
     if not v.ok():
         raise ConfigError(v.violations)
@@ -576,17 +514,20 @@ def main(argv=None):
         )
         return EXIT_USAGE
 
-    for key in ("trials", "batch"):
-        val = getattr(args, key)
-        if val is not None:
-            if key in cfg.effective:
-                cfg.effective[key] = val
-            else:
-                print("qschur: --%s does not apply to %s" % (key, cfg.command),
-                      file=sys.stderr)
-                return EXIT_USAGE
-    if args.seed is not None:
-        cfg.effective["seed"] = args.seed
+    fields = _FIELDS[cfg.command]
+    for key in ("trials", "batch", "seed"):
+        value = getattr(args, key)
+        if value is None:
+            continue
+        if key not in fields:
+            print("qschur: --%s does not apply to %s" % (key, cfg.command), file=sys.stderr)
+            return EXIT_USAGE
+        v = Validator()
+        fields[key][0](v, value, "--" + key)
+        if not v.ok():
+            print("qschur: %s: %s" % v.violations[0], file=sys.stderr)
+            return EXIT_USAGE
+        cfg.effective[key] = cfg.objects[key] = value
 
     try:
         code, text = dispatch(cfg, out_override=args.out)

@@ -23,7 +23,7 @@ from .kernels import (
     estimate_neg_squares,
     kernel_identity_check,
 )
-from .quat import Quaternion
+from .quat import Quaternion, as_quaternion
 
 # reproducible default budget for acceptance runs ("SC05" read as hex 5C05)
 DEFAULT_SEED = 0x5C05
@@ -253,7 +253,7 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
 
 def cayley_map(p, x0, direction="halfspace_to_ball"):
     """The real Mobius map between the right half-space and the unit ball."""
-    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+    p = as_quaternion(p)
     if not x0 > 0.0:
         raise DomainError("x0 must be positive")
     if direction == "halfspace_to_ball":

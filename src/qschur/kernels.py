@@ -57,7 +57,7 @@ from .errors import (
 )
 from .qlinalg import (QMatrix, SignatureMatrix, complex_adjoint, herm_eigen_neg,
                       qadjoint_arr, qmatmul_arr)
-from .quat import Quaternion, qdecompose, sample_ball_points
+from .quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from .starpoly import SliceRational, slice_split
 
 
@@ -138,7 +138,7 @@ class SchurFunction:
         return self.rational.eval_many(as_points(points))
 
     def evaluate(self, p):
-        p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+        p = as_quaternion(p)
         return QMatrix(self.eval_many(p.as_array().reshape(1, 4))[0])
 
     def taylor(self, n):
@@ -157,8 +157,8 @@ class SchurFunction:
 def base_kernel(domain, p, q):
     """Positive base kernel: sum p^n conj(q)^n on the ball, its half-space
     counterpart (conj(p)+conj(q)) (|p|^2 + 2 Re(p) conj(q) + conj(q)^2)^{-1}."""
-    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
-    q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+    p = as_quaternion(p)
+    q = as_quaternion(q)
     if domain == BALL:
         if p.norm() * q.norm() >= 1.0:
             raise DivergenceError("ball kernel needs |p||q| < 1")
@@ -204,8 +204,8 @@ def kernel_sum(left, mid, right):
 
 def _kernel_pair(p, mid, q):
     """kernel_sum for one pair of points and one QMatrix M."""
-    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
-    q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+    p = as_quaternion(p)
+    q = as_quaternion(q)
     out = kernel_sum(p.as_array()[None], mid.data[None, None], q.as_array()[None])
     return QMatrix(out[0, 0])
 
@@ -620,19 +620,18 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     )
 
 
-def moebius_identity_check(s, x0, p, q, tol=1e-12):
+def moebius_identity_check(s, x0, p, q):
     """Residual of the index-preserving Mobius identity at one point pair.
 
     With b(p) = (p + x0)(1 + p x0)^{-1} the kernel of S o b factors as
     (1 - x0^2)(1 + p x0)^{-1} K_S(b(p), b(q)) (1 + conj(q) x0)^{-1};
     both sides are summed in closed form and the norm of the difference
-    is returned.  tol is accepted for callers that pass it and changes no
-    result.
+    is returned.
     """
     if not (-1.0 < x0 < 1.0):
         raise DomainError("x0 must lie in (-1, 1)")
-    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
-    q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+    p = as_quaternion(p)
+    q = as_quaternion(q)
 
     def mob(v):
         den = Quaternion.from_real(1.0) + v * x0

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _accel
 from .errors import DomainError, NumericError, PrecondError, ShapeError
-from .quat import Quaternion
+from .quat import Quaternion, as_quaternion
 
 # refuse inversion beyond this 1-norm condition estimate on chi(M)
 COND_LIMIT = 1e12
@@ -78,7 +78,7 @@ class QMatrix:
 
     @classmethod
     def scalar(cls, q):
-        q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+        q = as_quaternion(q)
         return cls(q.as_array().reshape(1, 1, 4))
 
     @classmethod
@@ -86,7 +86,7 @@ class QMatrix:
         n = len(quats)
         d = np.zeros((n, n, 4))
         for i, q in enumerate(quats):
-            q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+            q = as_quaternion(q)
             d[i, i] = q.as_array()
         return cls(d)
 
@@ -144,11 +144,11 @@ class QMatrix:
 
     def scale_left(self, q):
         """q * M with a scalar quaternion (or real) acting entrywise from the left."""
-        q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+        q = as_quaternion(q)
         return QMatrix(_accel.qmul(q.as_array(), self._d))
 
     def scale_right(self, q):
-        q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+        q = as_quaternion(q)
         return QMatrix(_accel.qmul(self._d, q.as_array()))
 
     def norm(self):

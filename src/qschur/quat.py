@@ -166,6 +166,11 @@ def _coerce(v):
     raise TypeError("cannot interpret %r as a quaternion" % (v,))
 
 
+def as_quaternion(x):
+    """x as a Quaternion: a Quaternion passes through, a real number is lifted."""
+    return x if isinstance(x, Quaternion) else Quaternion.from_real(x)
+
+
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)

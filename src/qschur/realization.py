@@ -38,7 +38,7 @@ from .qlinalg import (
     qmatrix_inv,
     vstack,
 )
-from .quat import Quaternion, qdecompose
+from .quat import Quaternion, as_quaternion, qdecompose
 
 
 @dataclass
@@ -166,7 +166,7 @@ def realize_eval(col, p):
     phi = (p - x0)(p + x0)^{-1} and phib its conjugate; the (p - x0)
     prefactor annihilates the second term at p = x0, so S(x0) = H.
     """
-    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+    p = as_quaternion(p)
     if col.domain == BALL:
         rinv = _resolvent_inverse(col.A, p)
         ca = col.C @ col.A
@@ -196,7 +196,7 @@ def colligation_from_blaschke_factor(a, domain=BALL):
     """
     if domain != BALL:
         raise DomainError("factor colligations are built on the ball")
-    a = a if isinstance(a, Quaternion) else Quaternion.from_real(a)
+    a = as_quaternion(a)
     r = a.norm()
     if not 0.0 < r < 1.0:
         raise DomainError("need 0 < |a| < 1")

@@ -38,7 +38,7 @@ from .errors import (
     ShapeError,
 )
 from .qlinalg import QMatrix, qmatmul_arr
-from .quat import Quaternion, qdecompose
+from .quat import Quaternion, as_quaternion, qdecompose
 
 # imaginary residue allowed when a polynomial claims real coefficients
 REAL_COEFF_RTOL = 1e-13
@@ -71,7 +71,7 @@ class StarPoly:
         """1x1 polynomial from a list of Quaternion or real coefficients."""
         rows = []
         for v in values:
-            q = v if isinstance(v, Quaternion) else Quaternion.from_real(v)
+            q = as_quaternion(v)
             rows.append(q.as_array().reshape(1, 1, 4))
         return cls(np.array(rows))
 
@@ -174,11 +174,11 @@ class StarPoly:
         return StarPoly(self._c * float(x))
 
     def scale_left(self, q):
-        q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+        q = as_quaternion(q)
         return StarPoly(_accel.qmul(q.as_array(), self._c))
 
     def scale_right(self, q):
-        q = q if isinstance(q, Quaternion) else Quaternion.from_real(q)
+        q = as_quaternion(q)
         return StarPoly(_accel.qmul(self._c, q.as_array()))
 
     def star(self, other):
@@ -239,7 +239,7 @@ class StarPoly:
 
     def eval_scale(self, p):
         """Magnitude scale sum_n |f_n| max(1,|p|)^n used for zero tests."""
-        p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+        p = as_quaternion(p)
         base = max(1.0, p.norm())
         mags = np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3)))
         return float(sum(m * base**n for n, m in enumerate(mags)) + 1e-300)
@@ -312,7 +312,7 @@ def _powers(z, d):
 
 
 def _one_point(p):
-    p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
+    p = as_quaternion(p)
     return p.as_array().reshape(1, 4)
 
 
@@ -359,7 +359,7 @@ def left_root_extract(f, a, tol=ROOT_RTOL):
     """
     if not f.is_scalar():
         raise ShapeError("root extraction works on scalar polynomials")
-    a = a if isinstance(a, Quaternion) else Quaternion.from_real(a)
+    a = as_quaternion(a)
     val = f.eval_scalar(a)
     if val.norm() > tol * f.eval_scale(a):
         raise NotARootError(
@@ -378,7 +378,7 @@ def left_root_extract(f, a, tol=ROOT_RTOL):
 
 def sphere_poly(a):
     """Real quadratic p^2 - 2 Re(a) p + |a|^2 vanishing on the sphere [a]."""
-    a = a if isinstance(a, Quaternion) else Quaternion.from_real(a)
+    a = as_quaternion(a)
     return StarPoly.scalar([a.normsq(), -2.0 * a.re, 1.0])
 
 
@@ -477,7 +477,7 @@ def zero_multiplicity(f, a, tol=ROOT_RTOL):
     """
     if not f.is_scalar():
         raise ShapeError("zero multiplicity works on scalar polynomials")
-    a = a if isinstance(a, Quaternion) else Quaternion.from_real(a)
+    a = as_quaternion(a)
     f = f.trim(1e-13)
     rep = qdecompose(a)
 

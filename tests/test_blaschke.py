@@ -343,6 +343,20 @@ def test_zeroset_json_roundtrip():
         ZeroSet.from_json({"domain": "ball", "points": [{"a": [1.5, 0, 0, 0], "n": 1}]})
 
 
+@pytest.mark.parametrize("obj", [
+    {"domain": "ball", "points": [{"n": 1}]},
+    {"domain": "ball", "points": [5]},
+    {"domain": "ball", "points": 5},
+    {"domain": "ball", "spheres": "ab"},
+    {"domain": "ball", "points": [{"a": [0, 0.5, 0, 0], "n": "x"}]},
+    {"domain": "ball", "points": [{"a": [0, 0.5, 0, 0], "n": 1.5}]},
+    {"domain": "ball", "spheres": [{"c": [0, 0.5, 0, 0]}]},
+])
+def test_zeroset_from_json_rejects_malformed_entries(obj):
+    with pytest.raises(DomainError):
+        ZeroSet.from_json(obj)
+
+
 def test_cached_rational_matches_factor_chain(rng):
     zs = ZeroSet("ball", points=[(Quaternion(0.1, 0.6, 0, 0), 1),
                                  (Quaternion(-0.2, 0, 0.45, 0), 2)])

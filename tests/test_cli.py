@@ -360,7 +360,8 @@ CHEAP_CONFIGS = (
      "schur": {"kind": "quotient", "b0": BALL_ZEROS,
                "s0": {"kind": "constant", "value": [0.5, 0, 0, 0], "domain": "ball"}}},
     {"command": "negsq", "trials": 2, "batch": 6, "schur": RATIONAL},
-    {"command": "dim-hb", "zeros": BALL_ZEROS, "points": 6, "cutoff": 1e-8, "radius": 0.75},
+    {"command": "dim-hb", "zeros": BALL_ZEROS, "points": 6, "cutoff": 1e-8, "radius": 0.75,
+     "seed": 3},
     {"command": "realize", "blaschke_a": [0.0, 0.5, 0.0, 0.0], "points": [[0.2, 0.1, 0, 0]]},
     {"command": "realize", "points": [[0.2, 0.1, 0, 0]],
      "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "J1": ONE, "J2": ONE,
@@ -372,8 +373,57 @@ CHEAP_CONFIGS = (
                "zeros": {"domain": "halfspace",
                          "points": [{"a": [0.8, 0.4, 0.0, 0.0], "n": 1}]}}},
     {"command": "kl-check", "b0": BALL_ZEROS, "trials": 2, "batch": 6,
-     "identity_trunc": 4, "expected_kappa": 1},
+     "identity_trunc": 4, "expected_kappa": 1, "seed": 5},
 )
+
+
+def cheap_config(command):
+    return copy.deepcopy(next(c for c in CHEAP_CONFIGS if c["command"] == command))
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("blaschke-build", "seed", -1),
+    ("negsq", "seed", -1),
+    ("negsq", "trials", 0),
+    ("negsq", "batch", 0),
+    ("negsq", "rho", "x"),
+    ("negsq", "cutoff", True),
+    ("dim-hb", "seed", -1),
+    ("dim-hb", "points", 0),
+    ("dim-hb", "cutoff", "x"),
+    ("dim-hb", "radius", [0.5]),
+    ("realize", "seed", 1.5),
+    ("stein", "seed", -1),
+    ("kl-check", "seed", -1),
+    ("kl-check", "expected_kappa", -1),
+    ("kl-check", "trials", 0),
+    ("kl-check", "batch", -1),
+    ("kl-check", "identity_trunc", 0),
+    ("kl-check", "rho", "x"),
+    ("transport", "seed", -1),
+    ("transport", "x0", 0),
+    ("transport", "trials", 0),
+    ("transport", "batch", 1.5),
+])
+def test_bad_numeric_field_exit_3_with_pointer(tmp_path, capsys, command, key, value):
+    payload = dict(cheap_config(command), **{key: value})
+    cfg = write_config(tmp_path, "bad.json", payload)
+    assert main([command, "--config", cfg]) == EXIT_USAGE
+    assert "qschur: config /%s: " % key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("negsq", "--batch", "0"),
+    ("negsq", "--batch", "-1"),
+    ("negsq", "--seed", "-1"),
+    ("kl-check", "--batch", "0"),
+    ("kl-check", "--batch", "-1"),
+    ("kl-check", "--trials", "0"),
+])
+def test_bad_override_exit_3_naming_option(tmp_path, capsys, command, option, value):
+    cfg = write_config(tmp_path, "cfg.json", cheap_config(command))
+    assert main([command, "--config", cfg, option, value]) == EXIT_USAGE
+    assert "qschur: %s: " % option in capsys.readouterr().err
 
 
 def json_paths(node, path=()):
