@@ -154,12 +154,15 @@ def _quaternions(message):
     return check
 
 
-def _positive(v, value, path):
+def _positive(v, value, path, below=None):
     x = v.number(value, path)
-    if x is not None and x <= 0:
-        v.fail(path, "must be positive")
+    if x is not None and not (x > 0 and (below is None or x < below)):
+        v.fail(path, "must be positive" if below is None else "must lie in (0, %g)" % below)
         return None
     return x
+
+
+_radius = functools.partial(_positive, below=1.0)
 
 
 def _qmatrix(v, value, path):
@@ -194,14 +197,14 @@ _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
         "schur": (_parse_schur_spec, _MISSING),
         "trials": (_int(1), _BUDGET.trials),
         "batch": (_int(1), _BUDGET.batch),
-        "rho": (Validator.number, _BUDGET.rho),
-        "cutoff": (Validator.number, _BUDGET.cutoff),
+        "rho": (_radius, _BUDGET.rho),
+        "cutoff": (_positive, _BUDGET.cutoff),
     },
     "dim-hb": {
         "zeros": (_parse_zero_set, _Required("expected a ZeroSet object")),
         "points": (_int(1), 0),
-        "cutoff": (Validator.number, 1e-8),
-        "radius": (Validator.number, 0.75),
+        "cutoff": (_positive, 1e-8),
+        "radius": (_radius, 0.75),
     },
     "realize": {
         "points": (_quaternions("expected an array of quaternions"), ()),
@@ -219,7 +222,7 @@ _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
         "trials": (_int(1), _BUDGET.trials),
         "batch": (_int(1), _BUDGET.batch),
         "identity_trunc": (_int(1), _BUDGET.identity_trunc),
-        "rho": (Validator.number, _BUDGET.rho),
+        "rho": (_radius, _BUDGET.rho),
     },
     "transport": {
         "schur": (_parse_schur_spec, _MISSING),

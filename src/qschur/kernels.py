@@ -20,6 +20,12 @@ product Z^* diag(J2, -J1) Z, whose columns are [c; S^* c] and
 [I c; S^* I c] for every point, since J2 - S_l J1 S_j^* has rank at
 most r + s in (l, j).
 
+gram runs in two stages: _gram_columns evaluates S once at all the
+points and builds their columns, and _gram_slice sums the kernel for one
+set of points.  estimate_neg_squares runs the first once per block of
+TRIAL_BLOCK trials and the second once per trial, so its per-point
+arrays are O(TRIAL_BLOCK batch) for any number of trials.
+
 Gram matrices built from kernel sections drive two estimators:
 
 * estimate_neg_squares: kappa-hat as the max count of strictly negative
@@ -234,15 +240,26 @@ def gram(s, points, vectors, hermitize=True):
         raise ShapeError("need one vector per point")
     if vecs.shape[1] != s.rows:
         raise ShapeError("vectors must have length %d" % s.rows)
+    g = _gram_slice(s, *_gram_columns(s, pts, vecs))
+    if hermitize:
+        g = QMatrix(0.5 * (g.data + g.adjoint().data))
+    return g
 
-    b_count, r, k = pts.shape[0], s.rows, s.rows + s.cols
+
+def _gram_columns(s, pts, vecs):
+    """Per-point stage of gram: the complex slice points z and the columns
+    [c; S^* c], [I c; S^* I c] of every point as a (B, r + s, 2, 4) array."""
     unit, z = slice_split(pts)
-    half_sum, half_diff = _szego_halves(z, z)
-    # per point the columns c, I c and below them S^* c, S^* I c; Z is the
-    # (r + s) x 2B matrix of all of them, the I columns last
     x = np.stack([vecs, _accel.qmul(unit[:, None, :], vecs)], axis=2)
-    y = qmatmul_arr(qadjoint_arr(s.eval_many(pts)), x)
-    zmat = np.concatenate([x, y], axis=1).transpose(1, 2, 0, 3).reshape(k, 2 * b_count, 4)
+    return z, np.concatenate([x, qmatmul_arr(qadjoint_arr(s.eval_many(pts)), x)], axis=1)
+
+
+def _gram_slice(s, z, cols):
+    """Per-slice stage of gram: the raw Gram from _gram_columns' output."""
+    b_count, r, k = z.shape[0], s.rows, s.rows + s.cols
+    half_sum, half_diff = _szego_halves(z, z)
+    # Z is the (r + s) x 2B matrix of all the columns, the I columns last
+    zmat = cols.transpose(1, 2, 0, 3).reshape(k, 2 * b_count, 4)
     sig = np.zeros((k, k, 4))
     sig[:r, :r], sig[r:, r:] = s.J2.matrix.data, -s.J1.matrix.data
     # chi(Z) with the two complex columns of each quaternion column side by
@@ -253,10 +270,10 @@ def gram(s, points, vectors, hermitize=True):
     prod = prod.view(np.float64).reshape(2, b_count, 2, b_count, 4)
     # c^* I = -(I c)^*, so the weights of the I rows change sign
     weights = np.array([[half_sum.real, -half_diff.imag], [-half_sum.imag, -half_diff.real]])
-    g = QMatrix(np.einsum("hklj,hlkjc->ljc", weights, prod))
-    if hermitize:
-        g = QMatrix(0.5 * (g.data + g.adjoint().data))
-    return g
+    return QMatrix(np.einsum("hklj,hlkjc->ljc", weights, prod))
+
+
+TRIAL_BLOCK = 16   # trials per evaluation of S in estimate_neg_squares
 
 
 def sample_gram_vectors(rng, batch, r):
@@ -301,24 +318,34 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
     The estimate never decreases as trials grow and is a lower bound of
     the true count by construction.  tol is accepted for callers that
     pass it and changes no result: the kernel is summed in closed form.
+
+    A block of TRIAL_BLOCK trials shares one per-point stage, so a
+    PoleError may come from a later trial of the block than the last
+    Gram solved.
     """
     if s.domain != BALL:
         raise DomainError("negative-squares sampling runs on the ball; "
                           "use cayley_transport for half-space functions")
     if trials < 1:
         raise DomainError("need at least one trial")
-    best = -1
-    witness = None
-    for t in range(trials):
-        rng = np.random.default_rng([int(seed), t])
-        pts = sample_ball_points(rng, batch, rho)
-        vecs = sample_gram_vectors(rng, batch, s.rows)
-        # herm_eigen_neg symmetrizes, so the raw Gram gives the same bits
-        g = gram(s, pts, vecs, hermitize=False)
-        eigs, neg = herm_eigen_neg(g, cutoff)
-        if neg > best:
-            best = neg
-            witness = (pts, vecs, eigs)
+    if not 0.0 < rho < 1.0:
+        raise DomainError("sampling radius rho must lie in (0, 1)")
+    if not 0.0 < cutoff < np.inf:
+        raise DomainError("cutoff must be a finite positive number")
+    best, witness = -1, None
+    for start in range(0, trials, TRIAL_BLOCK):
+        draws = []
+        for t in range(start, min(start + TRIAL_BLOCK, trials)):
+            rng = np.random.default_rng([int(seed), t])
+            draws.append((sample_ball_points(rng, batch, rho),
+                          sample_gram_vectors(rng, batch, s.rows)))
+        z, cols = _gram_columns(s, *map(np.concatenate, zip(*draws)))
+        for i, (pts, vecs) in enumerate(draws):
+            part = slice(i * batch, (i + 1) * batch)
+            # herm_eigen_neg symmetrizes, so the raw Gram gives the same bits
+            eigs, neg = herm_eigen_neg(_gram_slice(s, z[part], cols[part]), cutoff)
+            if neg > best:
+                best, witness = neg, (pts, vecs, eigs)
     pts, vecs, eigs = witness
     return NegSquaresReport(
         kappa_hat=int(best),
@@ -363,6 +390,8 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
             inside = center.norm() < 1.0 if b.domain == BALL else center.re > 0.0
             if not inside:
                 raise DomainError("dim H(B) needs zeros inside the domain")
+    if not 0.0 < cutoff < np.inf:
+        raise DomainError("cutoff must be a finite positive number")
     deg = b.degree()
     if deg == 0:
         return DimHBReport(0, [])

@@ -305,17 +305,18 @@ def herm_eigen_neg(h, cutoff=1e-8, pairing_rtol=1e-9):
         raise ShapeError("Hermitian eigenvalues need a square matrix")
     z = complex_adjoint(h)
     zh = z.conj().T
+    skew = z - zh
     # chi doubles the squared norm of every entry: ||chi(M)||_F^2 = 2 ||M||_F^2
-    scale = max(1.0, np.linalg.norm(z) / np.sqrt(2.0))
-    if np.linalg.norm(z - zh) / np.sqrt(2.0) > 1e-10 * scale:
+    scale = max(1.0, np.sqrt(0.5 * np.vdot(z, z).real))
+    if np.sqrt(0.5 * np.vdot(skew, skew).real) > 1e-10 * scale:
         raise PrecondError("matrix is not Hermitian within 1e-10 relative")
     z += zh
     z *= 0.5
     try:
+        # ascending, so the chi pairs are neighbours
         lam = np.linalg.eigvalsh(z)
     except np.linalg.LinAlgError as exc:
         raise NumericError("eigenvalue solver failed: %s" % exc)
-    lam = np.sort(lam)
     rho = max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
     pairs = lam.reshape(-1, 2)
     gap = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]))) if pairs.size else 0.0
@@ -372,32 +373,6 @@ def check_colligation(m, j1, j2, mode="coisometry"):
             (m.adjoint() @ d2 @ m - d1).norm(),
         )
     raise DomainError("mode must be coisometry, isometry, or unitary")
-
-
-def orthonormalize_columns(m):
-    """Right-quaternionic Gram-Schmidt; returns a matrix with orthonormal columns."""
-    d = np.array(m.data)
-    rows, cols = d.shape[0], d.shape[1]
-    out = np.zeros_like(d)
-    kept = 0
-    for j in range(cols):
-        v = d[:, j].copy()
-        for i in range(kept):
-            u = out[:, i]
-            # s = <u, v> = sum conj(u_k) v_k ; subtract u * s (right scaling)
-            s = np.zeros(4)
-            for k in range(rows):
-                s = s + _accel.qmul(_accel.qconj(u[k]), v[k])
-            for k in range(rows):
-                v[k] = v[k] - _accel.qmul(u[k], s)
-        nrm = np.sqrt(np.sum(v * v))
-        if nrm < 1e-12:
-            continue
-        out[:, kept] = v / nrm
-        kept += 1
-    if kept < cols:
-        raise NumericError("columns were numerically dependent")
-    return QMatrix(out)
 
 
 def random_qmatrix(rng, rows, cols, scale=1.0):

@@ -12,6 +12,9 @@ Each one is a frozen copy of an earlier, more direct implementation:
   M[l, j] = J2 - S_l J1 S_j^*, the reference for the split Gram;
 * gram and estimate_neg_squares: the Gram and the estimator built from
   those pieces;
+* estimate_neg_squares_per_trial: the estimator one trial at a time,
+  each trial's points through the whole of kernels.gram, the reference
+  for its blocks of trials;
 * sample_ball_points_loop: the per-point sampling loop that
   quat.sample_ball_points must repeat bit for bit;
 * taylor_recursive: Taylor coefficients of a SliceRational by recursive
@@ -24,20 +27,20 @@ Each one is a frozen copy of an earlier, more direct implementation:
 
 The test-only helpers below them build inputs for the tests and give
 independent evaluations: the pointwise-product law of a Blaschke chain,
-the degree of a zero set, a random half-space colligation, a QMatrix
-from Quaternion entries, the point of a sphere representation, and the
-cancellation of common real factors of a rational.
+the degree of a zero set, right-quaternionic Gram-Schmidt and the random
+half-space colligation built on it, a QMatrix from Quaternion entries,
+the point of a sphere representation, and the cancellation of common
+real factors of a rational.
 """
 
 import numpy as np
 
-from qschur import _accel
+from qschur import _accel, kernels
 from qschur.blaschke import HALFSPACE
-from qschur.errors import DivergenceError, ExpansionError, PoleError, ShapeError
-from qschur.kernels import sample_gram_vectors
-from qschur.qlinalg import (QMatrix, herm_eigen_neg, orthonormalize_columns, qadjoint_arr,
-                            qmatmul_arr, random_qmatrix)
-from qschur.quat import Quaternion, qdecompose
+from qschur.errors import DivergenceError, ExpansionError, NumericError, PoleError, ShapeError
+from qschur.kernels import NegSquaresReport, sample_gram_vectors
+from qschur.qlinalg import QMatrix, herm_eigen_neg, qadjoint_arr, qmatmul_arr, random_qmatrix
+from qschur.quat import Quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
 from qschur.starpoly import SliceRational, StarPoly, divmod_real
 
@@ -138,6 +141,30 @@ def estimate_neg_squares(s, trials, batch, seed, rho=0.9, cutoff=1e-8):
     return best, witness[0], witness[1]
 
 
+def estimate_neg_squares_per_trial(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
+                                   cutoff=1e-8):
+    """kernels.estimate_neg_squares with S evaluated once per trial."""
+    best, witness = -1, None
+    for t in range(trials):
+        rng = np.random.default_rng([int(seed), t])
+        pts = sample_ball_points(rng, batch, rho)
+        vecs = sample_gram_vectors(rng, batch, s.rows)
+        eigs, neg = herm_eigen_neg(kernels.gram(s, pts, vecs, hermitize=False), cutoff)
+        if neg > best:
+            best, witness = neg, (pts, vecs, eigs)
+    pts, vecs, eigs = witness
+    return NegSquaresReport(
+        kappa_hat=int(best),
+        trials=int(trials),
+        batch=int(batch),
+        cutoff=float(cutoff),
+        seed=int(seed),
+        witness_points=[list(map(float, row)) for row in pts],
+        witness_vectors=[[list(map(float, q)) for q in vec] for vec in vecs],
+        witness_eigenvalues=[float(x) for x in eigs],
+    )
+
+
 def taylor_recursive(rational, n):
     """Taylor truncation at 0 by recursive division of real coefficients."""
     dv = rational.den.real_vector()
@@ -214,6 +241,32 @@ def eval_pointwise_chain(product, p):
 def total_degree(zeros):
     """sum n over the points plus sum 2 m over the spheres of a ZeroSet."""
     return sum(n for _, n in zeros.points) + sum(2 * m for _, m in zeros.spheres)
+
+
+def orthonormalize_columns(m):
+    """Right-quaternionic Gram-Schmidt; returns a matrix with orthonormal columns."""
+    d = np.array(m.data)
+    rows, cols = d.shape[0], d.shape[1]
+    out = np.zeros_like(d)
+    kept = 0
+    for j in range(cols):
+        v = d[:, j].copy()
+        for i in range(kept):
+            u = out[:, i]
+            # s = <u, v> = sum conj(u_k) v_k ; subtract u * s (right scaling)
+            s = np.zeros(4)
+            for k in range(rows):
+                s = s + _accel.qmul(_accel.qconj(u[k]), v[k])
+            for k in range(rows):
+                v[k] = v[k] - _accel.qmul(u[k], s)
+        nrm = np.sqrt(np.sum(v * v))
+        if nrm < 1e-12:
+            continue
+        out[:, kept] = v / nrm
+        kept += 1
+    if kept < cols:
+        raise NumericError("columns were numerically dependent")
+    return QMatrix(out)
 
 
 def random_halfspace_colligation(rng, n, r, s, x0):

@@ -404,6 +404,17 @@ def cheap_config(command):
     ("transport", "x0", 0),
     ("transport", "trials", 0),
     ("transport", "batch", 1.5),
+    # bounds beyond the type: a cutoff > 0, a radius in (0, 1)
+    ("negsq", "rho", 0),
+    ("negsq", "rho", 1.0),
+    ("negsq", "cutoff", -1),
+    ("negsq", "cutoff", 0),
+    ("dim-hb", "cutoff", -1),
+    ("dim-hb", "radius", 0),
+    ("dim-hb", "radius", 1.5),
+    ("kl-check", "rho", 0),
+    ("kl-check", "rho", 1.5),
+    ("kl-check", "rho", -0.9),
 ])
 def test_bad_numeric_field_exit_3_with_pointer(tmp_path, capsys, command, key, value):
     payload = dict(cheap_config(command), **{key: value})

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qschur import _accel
+from qschur import _accel, kernels
 from qschur.blaschke import ZeroSet, blaschke_factor, build_product, product_inverse
-from qschur.errors import DivergenceError, DomainError
+from qschur._jsonutil import dump_json
+from qschur.errors import DivergenceError, DomainError, PoleError
+from qschur.factorcheck import synthesize_generalized_schur, transport_case_to_ball
 from qschur.kernels import (
     DoubleSeriesKernel,
     SchurFunction,
@@ -29,7 +31,9 @@ from qschur.qlinalg import (
 from qschur.quat import I, ONE, Quaternion, sample_ball_point
 from qschur.starpoly import SliceRational, StarPoly
 
+import oracles
 from oracles import estimate_neg_squares as dense_estimate
+from oracles import estimate_neg_squares_per_trial
 from oracles import gram as dense_gram
 from oracles import series_sum_pair
 
@@ -417,10 +421,10 @@ gram_comp = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infi
 
 
 @st.composite
-def matrix_schur_functions(draw):
+def matrix_schur_functions(draw, rows):
     """An r x 2 slice-rational S with J1 = diag(1, -1) and a pole-free
     denominator on the ball; J2 is the identity or diag(1, -1, ...)."""
-    rows, deg = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    deg = draw(st.integers(0, 4))
     size = (deg + 1) * rows * 2 * 4
     num = np.array(draw(st.lists(gram_comp, min_size=size, max_size=size)))
     tail = draw(st.lists(gram_comp, min_size=0, max_size=2))
@@ -445,14 +449,41 @@ def ball_sections(draw, rows):
     return pts, vecs.reshape(count, rows, 4)
 
 
+def norms(a):
+    """Frobenius norm of each a[b], for a stack of quaternion arrays."""
+    return np.sqrt(np.sum(a * a, axis=tuple(range(1, a.ndim))))
+
+
+def gram_cases():
+    return st.integers(1, 3).flatmap(
+        lambda rows: st.tuples(matrix_schur_functions(rows), ball_sections(rows)))
+
+
+# S = [j + k, k] with J1 = diag(1, -1) has S J1 S^* = 1 = J2, so its
+# kernel vanishes: the dense Gram is exactly 0 and the split one is 2e-18
+ISOTROPIC = (
+    SchurFunction(SliceRational(StarPoly(np.array([[[[0.0, 0, 1, 1], [0, 0, 0, 1]]]])),
+                                StarPoly.scalar([1.0])),
+                  J1=SignatureMatrix.from_signs([1.0, -1.0])),
+    (np.zeros((1, 4)), np.array([[[0.0, 0, 0, 0.26027020417757674]]])),
+)
+
+
 @settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_split_gram_matches_dense_kernel_gram(data):
-    s = data.draw(matrix_schur_functions())
-    pts, vecs = data.draw(ball_sections(s.rows))
+@given(gram_cases())
+@example(ISOTROPIC)
+def test_split_gram_matches_dense_kernel_gram(case):
+    s, (pts, vecs) = case
     fast = gram(s, pts, vecs, hermitize=False).data
     slow = dense_gram(s, pts, vecs)
-    assert np.max(np.abs(fast - slow)) <= 1e-12 * max(np.max(np.abs(slow)), 1e-300)
+    # the split Gram cancels terms of the size |c_l||c_j| (||J2|| + ||S_l|| ||S_j||)
+    # / (1 - |p_l||p_j|) in another order than the dense one, so it may miss
+    # an exact 0 by a rounding of that size
+    cnorm, snorm, pnorm = norms(vecs), norms(s.eval_many(pts)), norms(pts)
+    terms = (np.multiply.outer(cnorm, cnorm)
+             * (norms(s.J2.matrix.data[None])[0] + np.multiply.outer(snorm, snorm))
+             / (1.0 - np.multiply.outer(pnorm, pnorm)))
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow)) + 1e-15 * np.max(terms)
 
 
 @settings(max_examples=100, deadline=None)
@@ -487,3 +518,84 @@ def test_estimator_matches_the_dense_reference_on_the_benchmark_cases(monkeypatc
         assert np.array_equal(np.array(rep.witness_points), pts), op.label
         scale = np.max(np.abs(eigs))
         assert np.max(np.abs(np.array(rep.witness_eigenvalues) - eigs)) <= 1e-12 * scale
+
+
+# -- the blocked estimator against the per-trial loop ---------------------------
+
+def ball_form(domain, points, s0):
+    zeros = ZeroSet(domain, points=[(Quaternion(*a), n) for a, n in points])
+    return transport_case_to_ball(synthesize_generalized_schur(zeros, s0)).s
+
+
+def signature_function():
+    """A 1 x 2 S of degree 1 over a real denominator, with J1 = diag(1, -1)."""
+    num = np.zeros((2, 1, 2, 4))
+    num[0, 0, 0], num[0, 0, 1] = (0.6, 0, 0.1, 0), (0, 0.2, 0, 0)
+    num[1, 0, 0], num[1, 0, 1] = (0, 0, 0.3, 0), (0.4, 0, 0, 0.1)
+    rat = SliceRational(StarPoly(num), StarPoly.scalar([1.0, 0.5]))
+    return SchurFunction(rat, J1=SignatureMatrix.from_signs([1.0, -1.0]))
+
+
+ESTIMATOR_CASES = {
+    "kappa3": lambda: ball_form("ball", [((.2, .5, 0, 0), 2), ((-.3, 0, .4, 0), 1)], 0.8),
+    "two-rows": lambda: ball_form("ball", [((0, .5, 0, 0), 1)], SchurFunction.constant(
+        QMatrix(np.array([[[0.6, 0, 0, 0]], [[0, 0.3, 0.2, 0]]])))),
+    "signature": signature_function,
+    "halfspace": lambda: ball_form("halfspace", [((.6, .5, 0, 0), 1), ((1.0, 0, .6, 0), 1)], 0.7),
+}
+
+
+def record_spectra(monkeypatch, module):
+    """The bytes of every spectrum that module's herm_eigen_neg returns."""
+    spectra = []
+
+    def recording(h, cutoff):
+        eigs, neg = herm_eigen_neg(h, cutoff)
+        spectra.append(eigs.tobytes())
+        return eigs, neg
+
+    monkeypatch.setattr(module, "herm_eigen_neg", recording)
+    return spectra
+
+
+@pytest.mark.parametrize("trials", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("label", sorted(ESTIMATOR_CASES))
+def test_blocked_estimator_matches_the_per_trial_reference(monkeypatch, label, trials):
+    # 15, 16 and 17 trials end just short of, on and past a block boundary;
+    # 33 runs two whole blocks and one trial.  kappa-hat is reached at
+    # trial 0 on most cases, so the spectrum of every trial is compared too.
+    s = ESTIMATOR_CASES[label]()
+    fast_spectra = record_spectra(monkeypatch, kernels)
+    slow_spectra = record_spectra(monkeypatch, oracles)
+    fast = estimate_neg_squares(s, trials=trials, batch=40, seed=0x5C05)
+    slow = estimate_neg_squares_per_trial(s, trials=trials, batch=40, seed=0x5C05)
+    assert dump_json(fast.to_json()) == dump_json(slow.to_json())
+    assert len(fast_spectra) == trials and fast_spectra == slow_spectra
+
+
+def test_blocked_estimator_stops_at_the_per_trial_pole():
+    # a point of trial 45, inside the block of trials 32-47, lies 5e-4 from
+    # the pole sphere of the order-4 zero at 0.5 i
+    s = ball_form("ball", [((0, .5, 0, 0), 4)], 0.7)
+    with pytest.raises(PoleError) as fast:
+        estimate_neg_squares(s, seed=0x5C05)
+    with pytest.raises(PoleError) as slow:
+        estimate_neg_squares_per_trial(s, seed=0x5C05)
+    assert (fast.value.x, fast.value.y) == (slow.value.x, slow.value.y)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"rho": 0.0}, {"rho": -0.9}, {"rho": 1.0}, {"rho": 1.5}, {"rho": float("nan")},
+    {"cutoff": 0.0}, {"cutoff": -1.0}, {"cutoff": float("inf")}, {"cutoff": float("nan")},
+])
+def test_neg_squares_rejects_radius_and_cutoff_out_of_range(kwargs):
+    s = SchurFunction.constant(Quaternion.from_real(0.5))
+    with pytest.raises(DomainError):
+        estimate_neg_squares(s, trials=1, batch=2, **kwargs)
+
+
+@pytest.mark.parametrize("cutoff", [0.0, -1.0, float("inf"), float("nan")])
+def test_dim_hb_rejects_cutoff_out_of_range(cutoff):
+    b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
+    with pytest.raises(DomainError):
+        estimate_dim_HB(b, cutoff=cutoff)

@@ -9,13 +9,12 @@ from qschur.qlinalg import (
     complex_adjoint,
     from_complex_adjoint,
     herm_eigen_neg,
-    orthonormalize_columns,
     qmatrix_inv,
     random_qmatrix,
 )
 from qschur.quat import I, J, Quaternion
 
-from oracles import qmatrix_from_entries
+from oracles import orthonormalize_columns, qmatrix_from_entries
 
 
 def test_complex_adjoint_examples():
