@@ -23,8 +23,9 @@ most r + s in (l, j).
 gram runs in two stages: _gram_columns evaluates S once at all the
 points and builds their columns, and _gram_slice sums the kernel for one
 set of points.  estimate_neg_squares runs the first once per block of
-TRIAL_BLOCK trials and the second once per trial, so its per-point
-arrays are O(TRIAL_BLOCK batch) for any number of trials.
+TRIAL_BLOCK trials and the second once per trial, with the complex
+adjoint of diag(J2, -J1) built once per call, so its per-point arrays
+are O(TRIAL_BLOCK batch) for any number of trials.
 
 Gram matrices built from kernel sections drive two estimators:
 
@@ -35,15 +36,14 @@ Gram matrices built from kernel sections drive two estimators:
 * estimate_dim_HB: the numerical rank of the Gram of K_B.
 
 Double power series sum p^N C_{NM} conj(q)^M represent difference
-kernels at a finite truncation.  The left factor of the factorization
-identity convolves Taylor coefficients on the p-index and the adjoint
-coefficients on the conj(q)-index, which is the operational meaning
-given to the left and right star products appearing in that identity;
-each convolution is a product with a lower-triangular block Toeplitz
-matrix of Taylor coefficients.  The identity leg takes those
-coefficients from two closed forms of starpoly: the Taylor series of
-den^{-1} num is the convolution of num with the real series of 1/den,
-and a scalar B0 = D^{-1} N has the star inverse
+kernels at a finite truncation.  A left star product with a Taylor
+series X convolves its coefficients on the p-index, and a right one with
+Y^* convolves the adjoint coefficients on the conj(q)-index: products
+with lower-triangular block Toeplitz matrices T_X and T_Y^*, from which
+kernel_identity_check builds both sides of the identity.  The
+coefficients come from two closed forms of starpoly: the Taylor series
+of den^{-1} num is the convolution of num with the real series of
+1/den, and a scalar B0 = D^{-1} N has the star inverse
 B0^{-*} = (N^s)^{-1} N^c D, with N^c the conjugate polynomial and
 N^s = N * N^c its real symmetrization.
 """
@@ -240,7 +240,7 @@ def gram(s, points, vectors, hermitize=True):
         raise ShapeError("need one vector per point")
     if vecs.shape[1] != s.rows:
         raise ShapeError("vectors must have length %d" % s.rows)
-    g = _gram_slice(s, *_gram_columns(s, pts, vecs))
+    g = _gram_slice(_chi_signature(s), *_gram_columns(s, pts, vecs))
     if hermitize:
         g = QMatrix(0.5 * (g.data + g.adjoint().data))
     return g
@@ -254,19 +254,26 @@ def _gram_columns(s, pts, vecs):
     return z, np.concatenate([x, qmatmul_arr(qadjoint_arr(s.eval_many(pts)), x)], axis=1)
 
 
-def _gram_slice(s, z, cols):
-    """Per-slice stage of gram: the raw Gram from _gram_columns' output."""
-    b_count, r, k = z.shape[0], s.rows, s.rows + s.cols
+def _chi_signature(s):
+    """chi(diag(J2, -J1)), the middle factor of the Gram product Z^* sig Z."""
+    r, k = s.rows, s.rows + s.cols
+    sig = np.zeros((k, k, 4))
+    sig[:r, :r], sig[r:, r:] = s.J2.matrix.data, -s.J1.matrix.data
+    return complex_adjoint(sig)
+
+
+def _gram_slice(chi_sig, z, cols):
+    """Per-slice stage of gram: the raw Gram from _gram_columns' output and
+    _chi_signature of S."""
+    b_count, k = z.shape[0], cols.shape[1]
     half_sum, half_diff = _szego_halves(z, z)
     # Z is the (r + s) x 2B matrix of all the columns, the I columns last
     zmat = cols.transpose(1, 2, 0, 3).reshape(k, 2 * b_count, 4)
-    sig = np.zeros((k, k, 4))
-    sig[:r, :r], sig[r:, r:] = s.J2.matrix.data, -s.J1.matrix.data
     # chi(Z) with the two complex columns of each quaternion column side by
     # side: the top rows of chi(Z)^* chi(sig) chi(Z) then hold the pairs of
     # P = Z^* sig Z, entry by entry
     chi = complex_adjoint(zmat).reshape(2 * k, 2, -1).swapaxes(1, 2)
-    prod = chi[:, :, 0].conj().T @ (complex_adjoint(sig) @ chi.reshape(2 * k, -1))
+    prod = chi[:, :, 0].conj().T @ (chi_sig @ chi.reshape(2 * k, -1))
     prod = prod.view(np.float64).reshape(2, b_count, 2, b_count, 4)
     # c^* I = -(I c)^*, so the weights of the I rows change sign
     weights = np.array([[half_sum.real, -half_diff.imag], [-half_sum.imag, -half_diff.real]])
@@ -332,7 +339,7 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
         raise DomainError("sampling radius rho must lie in (0, 1)")
     if not 0.0 < cutoff < np.inf:
         raise DomainError("cutoff must be a finite positive number")
-    best, witness = -1, None
+    best, witness, chi_sig = -1, None, _chi_signature(s)
     for start in range(0, trials, TRIAL_BLOCK):
         draws = []
         for t in range(start, min(start + TRIAL_BLOCK, trials)):
@@ -343,7 +350,7 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
         for i, (pts, vecs) in enumerate(draws):
             part = slice(i * batch, (i + 1) * batch)
             # herm_eigen_neg symmetrizes, so the raw Gram gives the same bits
-            eigs, neg = herm_eigen_neg(_gram_slice(s, z[part], cols[part]), cutoff)
+            eigs, neg = herm_eigen_neg(_gram_slice(chi_sig, z[part], cols[part]), cutoff)
             if neg > best:
                 best, witness = neg, (pts, vecs, eigs)
     pts, vecs, eigs = witness
@@ -439,7 +446,8 @@ class DoubleSeriesKernel:
     @classmethod
     def from_schur_taylor(cls, taylor, j1, j2, trunc):
         """Kernel coefficients C_{NM} = J2 delta_{NM} - sum_c s_{N-c} J1 s_{M-c}^*,
-        the blocks of J2 (x) I - T_{S J1} T_S^*."""
+        the blocks of J2 (x) I - T_{S J1} T_S^*; with sandwich, the tests'
+        reference composition of the identity leg."""
         s = np.asarray(taylor, dtype=np.float64)
         t, r = trunc + 1, s.shape[1]
         sj = qmatmul_arr(s, np.broadcast_to(j1.data, s.shape[:1] + j1.data.shape))
@@ -452,11 +460,6 @@ class DoubleSeriesKernel:
         swapped = np.transpose(self.coeffs, (1, 0, 3, 2, 4)).copy()
         swapped[..., 1:] = -swapped[..., 1:]
         return float(np.max(np.abs(self.coeffs - swapped)))
-
-    def __sub__(self, other):
-        if self.coeffs.shape != other.coeffs.shape:
-            raise ShapeError("kernel truncations differ")
-        return DoubleSeriesKernel(self.coeffs - other.coeffs)
 
     def sandwich(self, left_taylor):
         """B(p) * K(p,q) *_r B(q)^* = T_B K T_B^*: convolve Taylor
@@ -563,6 +566,23 @@ def _min_pole_radius(rational):
     return float(np.min(mags)) if mags.size else np.inf
 
 
+def _identity_sides(s_taylor, b_taylor, s0_taylor, j1, trunc):
+    """Coefficients of K_S - K_B, of B * K_{S0} *_r B^* and of their
+    difference, each as a (t, t, r, r, 4) block array, t = trunc + 1, from
+    the Taylor data of S, B and S0 and S0's signature J1."""
+    t, r, c0 = trunc + 1, s_taylor.shape[1], s0_taylor.shape[2]
+    t_s, t_b = _toeplitz(s_taylor, t), _toeplitz(b_taylor, t)
+    p_s = _qmatmul_rows(t_s, qadjoint_arr(t_s), r)
+    p_b = _qmatmul_rows(t_b, qadjoint_arr(t_b), r)
+    m = _qmatmul_rows(t_b, _toeplitz(s0_taylor, t), r)
+    m_j = m
+    if not np.array_equal(j1.data, QMatrix.eye(c0).data):
+        # T_{S0 J1} = T_{S0} (I (x) J1): J1 acts on each block column
+        m_j = qmatmul_arr(m.reshape(t * r, t, c0, 4), j1.data).reshape(m.shape)
+    q = _qmatmul_rows(m_j, qadjoint_arr(m), r)
+    return (_roll(p_b - p_s, t, r, r), _roll(p_b - q, t, r, r), _roll(q - p_s, t, r, r))
+
+
 def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
                           seed=11, tail_tol=1e-9, dev_tol=1e-9):
     """Check K_S - K_B = B(p) * (K_{S0}) *_r B(q)^* with B = B0^{-*}.
@@ -570,8 +590,14 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     S, B0 and S0 must live on the ball (transport half-space data first),
     and S must carry identity signatures.  For a scalar B0 = D^{-1} N the
     inverse B0^{-*} = (N^s)^{-1} N^c D is read off B0's own rational;
-    a matrix (Potapov) B0 is inverted factor by factor.  Both sides are
-    built as double power series at the given truncation.
+    a matrix (Potapov) B0 is inverted factor by factor.
+
+    At the given truncation both sides are products of block Toeplitz
+    matrices of Taylor coefficients, in which the J2 terms cancel:
+        K_S - K_B = T_B T_B^* - T_S T_S^*,
+        B * K_{S0} *_r B^* = T_B T_B^* - M_J M^*,
+    with M = T_B T_{S0} and M_J = M (I (x) J1), so the deviation is
+    M_J M^* - T_S T_S^*.
 
     B0^{-*} has poles exactly at the zeros of B0, inside the ball, so its
     Taylor coefficients grow like (pole radius)^(-n).  The comparison and
@@ -603,18 +629,13 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     if gram_radius is None:
         pole = _min_pole_radius(binv)
         gram_radius = 0.6 if not np.isfinite(pole) else min(0.6, 0.45 * pole)
-    btay = binv.taylor(trunc).coeffs
 
-    k_s = DoubleSeriesKernel.from_schur_taylor(s.taylor(trunc), eye_s, eye_r, trunc)
-    k_b = DoubleSeriesKernel.from_schur_taylor(btay, eye_r, eye_r, trunc)
-    lhs = k_s - k_b
-
-    k_s0 = DoubleSeriesKernel.from_schur_taylor(s0.taylor(trunc), s0.J1.matrix, eye_r, trunc)
-    rhs = k_s0.sandwich(btay)
+    lhs, rhs, diff = map(DoubleSeriesKernel, _identity_sides(
+        s.taylor(trunc), binv.taylor(trunc).coeffs, s0.taylor(trunc), s0.J1.matrix, trunc))
 
     lhs_norms = lhs.weighted_norms(gram_radius)
     rhs_norms = rhs.weighted_norms(gram_radius)
-    dev = float(np.max((lhs - rhs).weighted_norms(gram_radius)))
+    dev = float(np.max(diff.weighted_norms(gram_radius)))
     vacuous = float(np.max(lhs_norms)) <= dev_tol
     t1 = trunc + 1
     w = gram_radius ** (np.arange(t1)[:, None, None, None, None]

@@ -36,11 +36,13 @@ def qmatmul_arr(a, b):
     return out.view(np.float64)
 
 
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+
+
 def qadjoint_arr(a):
     """Conjugate transpose on a component array (..., r, c, 4)."""
-    out = np.swapaxes(a, -3, -2).copy()
-    out[..., 1:] = -out[..., 1:]
-    return out
+    # one C-order pass; a product with -1 is an exact negation
+    return np.multiply(np.swapaxes(a, -3, -2), _CONJ_SIGNS, order="C")
 
 
 class QMatrix:
@@ -303,15 +305,18 @@ def herm_eigen_neg(h, cutoff=1e-8, pairing_rtol=1e-9):
     """
     if h.rows != h.cols:
         raise ShapeError("Hermitian eigenvalues need a square matrix")
-    z = complex_adjoint(h)
-    zh = z.conj().T
-    skew = z - zh
-    # chi doubles the squared norm of every entry: ||chi(M)||_F^2 = 2 ||M||_F^2
-    scale = max(1.0, np.sqrt(0.5 * np.vdot(z, z).real))
-    if np.sqrt(0.5 * np.vdot(skew, skew).real) > 1e-10 * scale:
+    d = h.data
+    sym = qadjoint_arr(d)
+    skew = d - sym
+    scale = max(1.0, np.sqrt(np.vdot(d, d)))
+    if np.sqrt(np.vdot(skew, skew)) > 1e-10 * scale:
         raise PrecondError("matrix is not Hermitian within 1e-10 relative")
-    z += zh
-    z *= 0.5
+    # 1/2 (H + H^*) before chi: half the data of chi(H) + chi(H)^*, and
+    # the same bits but for the sign of the zero imaginary parts on the
+    # diagonal, which eigvalsh does not read
+    sym += d
+    sym *= 0.5
+    z = complex_adjoint(sym)
     try:
         # ascending, so the chi pairs are neighbours
         lam = np.linalg.eigvalsh(z)

@@ -280,12 +280,12 @@ def sample_ball_points(rng, count, radius=0.9):
     rows = np.empty((count, 4))
     scales = np.empty(count)
     for i in range(count):
+        v = rows[i]
         while True:
-            v = rng.normal(size=4)
-            n = math.sqrt(np.dot(v, v))
+            rng.standard_normal(out=v)
+            n = math.sqrt(v.dot(v))
             if n > 1e-8:
                 break
-        rows[i] = v
         scales[i] = radius * rng.random() ** 0.25 / n
     return rows * scales[:, None]
 

@@ -17,6 +17,8 @@ Each one is a frozen copy of an earlier, more direct implementation:
   for its blocks of trials;
 * sample_ball_points_loop: the per-point sampling loop that
   quat.sample_ball_points must repeat bit for bit;
+* herm_eigen_neg_chi: the Hermitian test and the symmetrization taken on
+  chi(H), whose spectrum qlinalg.herm_eigen_neg must repeat bit for bit;
 * taylor_recursive: Taylor coefficients of a SliceRational by recursive
   division, coefficient by coefficient, the reference for its one
   convolution;
@@ -37,9 +39,11 @@ import numpy as np
 
 from qschur import _accel, kernels
 from qschur.blaschke import HALFSPACE
-from qschur.errors import DivergenceError, ExpansionError, NumericError, PoleError, ShapeError
+from qschur.errors import (DivergenceError, ExpansionError, NumericError, PoleError,
+                           PrecondError, ShapeError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
-from qschur.qlinalg import QMatrix, herm_eigen_neg, qadjoint_arr, qmatmul_arr, random_qmatrix
+from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr,
+                            random_qmatrix)
 from qschur.quat import Quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
 from qschur.starpoly import SliceRational, StarPoly, divmod_real
@@ -125,6 +129,34 @@ def sample_ball_points_loop(rng, count, radius=0.9):
         r = radius * rng.random() ** 0.25
         out[i] = v * (r / n)
     return out
+
+
+def herm_eigen_neg_chi(h, cutoff=1e-8, pairing_rtol=1e-9):
+    """qlinalg.herm_eigen_neg with the Hermitian test and 1/2 (Z + Z^*)
+    taken on Z = chi(H)."""
+    if h.rows != h.cols:
+        raise ShapeError("Hermitian eigenvalues need a square matrix")
+    z = complex_adjoint(h)
+    zh = z.conj().T
+    skew = z - zh
+    # chi doubles the squared norm of every entry: ||chi(M)||_F^2 = 2 ||M||_F^2
+    scale = max(1.0, np.sqrt(0.5 * np.vdot(z, z).real))
+    if np.sqrt(0.5 * np.vdot(skew, skew).real) > 1e-10 * scale:
+        raise PrecondError("matrix is not Hermitian within 1e-10 relative")
+    z += zh
+    z *= 0.5
+    try:
+        lam = np.linalg.eigvalsh(z)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("eigenvalue solver failed: %s" % exc)
+    rho = max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
+    pairs = lam.reshape(-1, 2)
+    gap = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]))) if pairs.size else 0.0
+    if gap > pairing_rtol * rho:
+        raise NumericError("chi eigenvalue pairing violated (gap %.3e)" % gap)
+    reps = 0.5 * (pairs[:, 0] + pairs[:, 1])
+    negatives = int(np.sum(reps < -cutoff * rho))
+    return reps, negatives
 
 
 def estimate_neg_squares(s, trials, batch, seed, rho=0.9, cutoff=1e-8):

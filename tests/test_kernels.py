@@ -342,6 +342,52 @@ def test_sandwich_matches_loop(rng):
         assert np.max(np.abs(fast - loop_sandwich(coeffs, b))) < 1e-12
 
 
+@pytest.mark.parametrize("r, signs", [(1, (1.0,)), (2, (1.0,)), (1, (1.0, -1.0)),
+                                       (2, (1.0, -1.0))])
+def test_identity_sides_match_the_kernel_composition(rng, r, signs):
+    # K_S - K_B and T_B K_{S0} T_B^* as differences of from_schur_taylor
+    # kernels and a sandwich, against the four products of the identity leg
+    trunc, c = 7, len(signs)
+    decay = 0.6 ** np.arange(trunc + 1)[:, None, None, None]
+    s_tay, s0_tay = (rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4)) * decay for _ in "ab")
+    b_tay = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, r, 4)) * decay
+    j1 = SignatureMatrix.from_signs(signs).matrix
+    eye_r, eye_c = QMatrix.eye(r), QMatrix.eye(c)
+    lhs_ref = (DoubleSeriesKernel.from_schur_taylor(s_tay, eye_c, eye_r, trunc).coeffs
+               - DoubleSeriesKernel.from_schur_taylor(b_tay, eye_r, eye_r, trunc).coeffs)
+    rhs_ref = DoubleSeriesKernel.from_schur_taylor(s0_tay, j1, eye_r, trunc).sandwich(b_tay).coeffs
+    lhs, rhs, diff = kernels._identity_sides(s_tay, b_tay, s0_tay, j1, trunc)
+    for fast, ref in ((lhs, lhs_ref), (rhs, rhs_ref), (diff, lhs_ref - rhs_ref)):
+        assert fast.shape == (trunc + 1, trunc + 1, r, r, 4)
+        assert np.max(np.abs(fast - ref)) <= 1e-13
+
+
+KL_CASES = {
+    "kappa0": ("ball", [], [], 0.7),
+    "kappa1": ("ball", [((0, .5, 0, 0), 1)], [], None),
+    "kappa2": ("ball", [((0, .5, 0, 0), 1), ((.3, 0, .5, 0), 1)], [],
+               ZeroSet("ball", points=[(Quaternion(0, 0, .3, 0), 1)])),
+    "kappa3": ("ball", [((.2, .5, 0, 0), 2), ((-.3, 0, .4, 0), 1)], [], 0.8),
+    "sphere": ("ball", [((0, .5, 0, 0), 1)], [((.2, 0, .5, 0), 1)], 0.7),
+    "halfspace": ("halfspace", [((.6, .5, 0, 0), 1), ((1.0, 0, .6, 0), 1)], [], 0.7),
+}
+
+
+@pytest.mark.parametrize("trunc", [20, 48])
+@pytest.mark.parametrize("label", sorted(KL_CASES))
+def test_kernel_identity_is_accurate_on_the_kl_cases(label, trunc):
+    # the Gram radius of the kl-identity benchmark: 0.25 x the smallest
+    # pole modulus of B0^{-*}, at most 0.35
+    domain, points, spheres, s0 = KL_CASES[label]
+    zeros = ZeroSet(domain, points=[(Quaternion(*a), n) for a, n in points],
+                    spheres=[(Quaternion(*c), m) for c, m in spheres])
+    case = transport_case_to_ball(synthesize_generalized_schur(zeros if points else None, s0))
+    radius = min(0.35, 0.25 * kernels._min_pole_radius(case.b0.inverse().rational))
+    rep = kernel_identity_check(case.s, case.b0, case.s0, trunc=trunc, gram_radius=radius)
+    assert rep.status == "ok" and rep.max_coeff_dev <= 1e-12
+    assert rep.vacuous == (label == "kappa1")
+
+
 def test_eval_gram_matches_double_series(rng):
     trunc = 9
     for r in (1, 2):

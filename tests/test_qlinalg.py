@@ -9,12 +9,13 @@ from qschur.qlinalg import (
     complex_adjoint,
     from_complex_adjoint,
     herm_eigen_neg,
+    qadjoint_arr,
     qmatrix_inv,
     random_qmatrix,
 )
 from qschur.quat import I, J, Quaternion
 
-from oracles import orthonormalize_columns, qmatrix_from_entries
+from oracles import herm_eigen_neg_chi, orthonormalize_columns, qmatrix_from_entries
 
 
 def test_complex_adjoint_examples():
@@ -32,6 +33,18 @@ def test_complex_adjoint_homomorphism(rng):
         rhs = complex_adjoint(m) @ complex_adjoint(n)
         assert np.max(np.abs(lhs - rhs)) < 1e-11
         assert np.max(np.abs(complex_adjoint(m.adjoint()) - complex_adjoint(m).conj().T)) < 1e-13
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 4), (3, 5, 4), (40, 40, 4), (6, 2, 1, 4),
+                                   (2, 3, 2, 4, 4)])
+def test_qadjoint_arr_is_the_negated_transposed_copy(rng, shape):
+    a = rng.standard_normal(shape)
+    a[..., ::2, :, 1] = 0.0
+    a[..., 1::3, :, 2] = -0.0
+    ref = np.swapaxes(a, -3, -2).copy()
+    ref[..., 1:] = -ref[..., 1:]
+    out = qadjoint_arr(a)
+    assert out.flags.c_contiguous and out.tobytes() == ref.tobytes()
 
 
 def test_complex_adjoint_roundtrip(rng):
@@ -69,6 +82,24 @@ def test_herm_eigen_rejects_non_hermitian(rng):
     m = random_qmatrix(rng, 3, 3)
     with pytest.raises(PrecondError):
         herm_eigen_neg(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16, 40])
+def test_herm_eigen_repeats_the_chi_side_symmetrization(rng, n):
+    # raw Grams are Hermitian only up to rounding, so H and H^* differ in
+    # their last bits, as here; a diagonal matrix has exact zero entries
+    for _ in range(20):
+        m = random_qmatrix(rng, n, n)
+        h = 0.5 * (m.data + m.adjoint().data)
+        h *= 1.0 + 1e-13 * rng.standard_normal(h.shape)
+        for mat in (QMatrix(h), QMatrix(h * np.eye(n)[..., None])):
+            fast, neg = herm_eigen_neg(mat, 1e-3)
+            slow, neg_slow = herm_eigen_neg_chi(mat, 1e-3)
+            assert fast.tobytes() == slow.tobytes() and neg == neg_slow
+    m = random_qmatrix(rng, n + 1, n + 1)
+    for f in (herm_eigen_neg, herm_eigen_neg_chi):
+        with pytest.raises(PrecondError, match="not Hermitian within 1e-10"):
+            f(m)
 
 
 def test_signature_invariance_under_unitary(rng):

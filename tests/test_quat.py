@@ -145,6 +145,16 @@ def test_sample_ball_points_repeat_the_frozen_loop(seed, count, radius):
     assert batch_rng.random() == loop_rng.random()
 
 
+@pytest.mark.parametrize("count", [1, 12, 40])
+def test_sample_ball_points_repeat_the_loop_on_trial_generators(count):
+    # the estimator draws every trial from its own (seed, trial) generator
+    for seed in (0, 1, 0x5C05):
+        for t in range(100):
+            loop = sample_ball_points_loop(np.random.default_rng([seed, t]), count, 0.9)
+            batch = sample_ball_points(np.random.default_rng([seed, t]), count, 0.9)
+            assert np.array_equal(batch, loop) and batch.tobytes() == loop.tobytes()
+
+
 def test_json_roundtrip():
     p = Quaternion(0.5, -1.25, 3.0, -0.0625)
     assert Quaternion.from_json(p.to_json()).isclose(p, 0.0)
