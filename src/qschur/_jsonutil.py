@@ -6,8 +6,8 @@ digits.  Validation walks raw parsed JSON and collects violations as
 (JSON pointer, message) pairs instead of failing on the first problem.
 """
 
-import json
 import math
+from json.encoder import encode_basestring_ascii
 
 
 def format_float(x):
@@ -20,9 +20,36 @@ def format_float(x):
 
 
 def dump_json(obj, indent=0):
-    """Serialize with sorted keys and 17-significant-digit doubles."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
+    """Serialize with sorted keys and 17-significant-digit doubles.
+
+    Exact floats, lists (and tuples) and dicts are dispatched on their
+    type, in that order, and floats inside a list or dict are formatted in
+    place; everything else, subclasses such as numpy scalars among them,
+    takes the isinstance branches.
+    """
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError("non-finite numbers are not serializable")
+        return format(obj, ".17g")
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = " " * (indent + 2)
+        items = [format(v, ".17g") if type(v) is float and math.isfinite(v)
+                 else dump_json(v, indent + 2) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + " " * indent + "]"
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = " " * (indent + 2)
+        items = []
+        for k in sorted(obj):
+            v = obj[k]
+            text = (format(v, ".17g") if type(v) is float and math.isfinite(v)
+                    else dump_json(v, indent + 2))
+            items.append(inner + encode_basestring_ascii(str(k)) + ": " + text)
+        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -32,20 +59,11 @@ def dump_json(obj, indent=0):
     if isinstance(obj, float):
         return format_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)
     if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dump_json(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+        return dump_json(list(obj), indent)
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            "%s%s: %s" % (inner, json.dumps(str(k)), dump_json(obj[k], indent + 2))
-            for k in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+        return dump_json(dict(obj), indent)
     raise TypeError("cannot serialize %r" % type(obj))
 
 

@@ -1,8 +1,11 @@
 """Quaternion scalars, sphere decomposition, and seeded point sampling.
 
-A quaternion p = x0 + i x1 + j x2 + k x3 is stored as a read-only float64
-array of shape (4,).  The unit relations are i^2 = j^2 = k^2 = -1 and
-ij = -ji = k, jk = -kj = i, ki = -ik = j.
+A quaternion p = x0 + i x1 + j x2 + k x3 holds its components as four
+Python floats, and its arithmetic is closed-form float arithmetic;
+as_array() gives a read-only (4,) float64 array for array code, where
+quaternions keep their (..., 4) storage (see _accel).  The unit
+relations are i^2 = j^2 = k^2 = -1 and ij = -ji = k, jk = -kj = i,
+ki = -ik = j.
 
 Every nonreal p = x + I y (y > 0, I a purely imaginary unit) sweeps the
 2-sphere [p] = {x + J y : J imaginary unit}, which is determined by the
@@ -14,7 +17,6 @@ import math
 
 import numpy as np
 
-from . import _accel
 from .errors import DomainError
 
 # a point counts as real when its imaginary modulus is below this times
@@ -23,102 +25,112 @@ REAL_AXIS_RTOL = 1e-13
 
 
 class Quaternion:
-    """Immutable quaternion scalar with componentwise arithmetic."""
+    """Immutable quaternion scalar with closed-form arithmetic on floats."""
 
-    __slots__ = ("_a",)
+    __slots__ = ("_x0", "_x1", "_x2", "_x3")
 
     def __init__(self, x0=0.0, x1=0.0, x2=0.0, x3=0.0):
-        a = np.array([x0, x1, x2, x3], dtype=np.float64)
-        a.flags.writeable = False
-        self._a = a
+        self._x0 = float(x0)
+        self._x1 = float(x1)
+        self._x2 = float(x2)
+        self._x3 = float(x3)
 
     @classmethod
     def from_array(cls, arr):
         arr = np.asarray(arr, dtype=np.float64)
         if arr.shape != (4,):
             raise DomainError("quaternion array must have shape (4,), got %s" % (arr.shape,))
-        return cls(arr[0], arr[1], arr[2], arr[3])
+        return cls(*arr.tolist())
 
     @classmethod
     def from_real(cls, x):
-        return cls(float(x), 0.0, 0.0, 0.0)
+        return cls(x, 0.0, 0.0, 0.0)
 
     # -- components ---------------------------------------------------------
 
     @property
     def x0(self):
-        return float(self._a[0])
+        return self._x0
 
     @property
     def x1(self):
-        return float(self._a[1])
+        return self._x1
 
     @property
     def x2(self):
-        return float(self._a[2])
+        return self._x2
 
     @property
     def x3(self):
-        return float(self._a[3])
+        return self._x3
 
     @property
     def re(self):
-        return float(self._a[0])
+        return self._x0
 
     def as_array(self):
-        """Read-only (4,) view of the components."""
-        return self._a
+        """Read-only (4,) float64 array of the components."""
+        a = np.array((self._x0, self._x1, self._x2, self._x3))
+        a.flags.writeable = False
+        return a
 
     # -- algebra ------------------------------------------------------------
 
     def conj(self):
-        return Quaternion(self._a[0], -self._a[1], -self._a[2], -self._a[3])
+        return Quaternion(self._x0, -self._x1, -self._x2, -self._x3)
 
     def normsq(self):
-        return float(np.dot(self._a, self._a))
+        return self._x0 * self._x0 + self._x1 * self._x1 + self._x2 * self._x2 + self._x3 * self._x3
 
     def norm(self):
-        return float(np.sqrt(self.normsq()))
+        return math.sqrt(self.normsq())
 
     __abs__ = norm
 
     def imag_modulus(self):
-        v = self._a[1:]
-        return float(np.sqrt(np.dot(v, v)))
+        return math.sqrt(self._x1 * self._x1 + self._x2 * self._x2 + self._x3 * self._x3)
 
     def inverse(self):
         n2 = self.normsq()
         if n2 == 0.0:
             raise DomainError("zero quaternion has no inverse")
-        c = self.conj()
-        return Quaternion(c.x0 / n2, c.x1 / n2, c.x2 / n2, c.x3 / n2)
+        return Quaternion(self._x0 / n2, -self._x1 / n2, -self._x2 / n2, -self._x3 / n2)
 
     def __add__(self, other):
         other = _coerce(other)
-        return Quaternion.from_array(self._a + other._a)
+        return Quaternion(self._x0 + other._x0, self._x1 + other._x1,
+                          self._x2 + other._x2, self._x3 + other._x3)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = _coerce(other)
-        return Quaternion.from_array(self._a - other._a)
+        return Quaternion(self._x0 - other._x0, self._x1 - other._x1,
+                          self._x2 - other._x2, self._x3 - other._x3)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return Quaternion.from_array(-self._a)
+        return Quaternion(-self._x0, -self._x1, -self._x2, -self._x3)
 
     def __mul__(self, other):
         other = _coerce(other)
-        return Quaternion.from_array(_accel.qmul(self._a, other._a))
+        a0, a1, a2, a3 = self._x0, self._x1, self._x2, self._x3
+        b0, b1, b2, b3 = other._x0, other._x1, other._x2, other._x3
+        # grouped as the complex-pair product of _accel.qmul
+        return Quaternion((a0 * b0 - a1 * b1) - (a2 * b2 + a3 * b3),
+                          (a0 * b1 + a1 * b0) - (a3 * b2 - a2 * b3),
+                          (a0 * b2 - a1 * b3) + (a2 * b0 + a3 * b1),
+                          (a0 * b3 + a1 * b2) + (a3 * b0 - a2 * b1))
 
     def __rmul__(self, other):
         return _coerce(other) * self
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Quaternion.from_array(self._a / float(other))
+            d = float(other)
+            return Quaternion(self._x0 / d, self._x1 / d, self._x2 / d, self._x3 / d)
         return self * _coerce(other).inverse()
 
     def __pow__(self, n):
@@ -132,16 +144,18 @@ class Quaternion:
     def isclose(self, other, tol=1e-12):
         other = _coerce(other)
         scale = max(1.0, self.norm(), other.norm())
-        return bool(np.max(np.abs(self._a - other._a)) <= tol * scale)
+        dev = max(abs(self._x0 - other._x0), abs(self._x1 - other._x1),
+                  abs(self._x2 - other._x2), abs(self._x3 - other._x3))
+        return dev <= tol * scale
 
     def __repr__(self):
-        return "Quaternion(%r, %r, %r, %r)" % (self.x0, self.x1, self.x2, self.x3)
+        return "Quaternion(%r, %r, %r, %r)" % (self._x0, self._x1, self._x2, self._x3)
 
     # -- JSON ---------------------------------------------------------------
 
     def to_json(self):
         """Array encoding [x0, x1, x2, x3] of finite doubles."""
-        return [self.x0, self.x1, self.x2, self.x3]
+        return [self._x0, self._x1, self._x2, self._x3]
 
     @classmethod
     def from_json(cls, obj):
@@ -152,7 +166,7 @@ class Quaternion:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise DomainError("quaternion components must be numbers")
             f = float(v)
-            if not np.isfinite(f):
+            if not math.isfinite(f):
                 raise DomainError("quaternion components must be finite")
             vals.append(f)
         return cls(*vals)

@@ -18,7 +18,11 @@ denominator with *real* coefficients.  Real-coefficient scalars are
 central for the star product and commute with p, so the value is simply
 den(p)^{-1} num(p); this representation is closed under star products
 and covers every factor used downstream (denominators always arise from
-symmetrizations, which are real).  Two closed forms follow:
+symmetrizations, which are real).  The denominator is held as its real
+coefficient vector: realness, the trim and the zero test are checked
+once, where a denominator arrives as a StarPoly (the constructor, hence
+JSON, and the symmetrization of a star inverse), and products and sums
+of real vectors stay real by type.  Two closed forms follow:
 
 * Taylor coefficients at 0: with g the real series of 1/den, the
   coefficients of den^{-1} num are the convolution g * num, and g comes
@@ -44,6 +48,9 @@ from .quat import Quaternion, as_quaternion, qdecompose
 REAL_COEFF_RTOL = 1e-13
 # default tolerance for root and divisibility decisions, relative to scale
 ROOT_RTOL = 1e-10
+# the real coefficient vector of the denominator 1
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 
 class StarPoly:
@@ -74,6 +81,14 @@ class StarPoly:
             q = as_quaternion(v)
             rows.append(q.as_array().reshape(1, 1, 4))
         return cls(np.array(rows))
+
+    @classmethod
+    def real(cls, values):
+        """1x1 polynomial with the real coefficients values."""
+        v = np.asarray(values, dtype=np.float64)
+        c = np.zeros((v.size, 1, 1, 4))
+        c[:, 0, 0, 0] = v
+        return cls(c)
 
     @classmethod
     def constant(cls, block):
@@ -131,18 +146,12 @@ class StarPoly:
         resid = float(np.max(np.abs(self._c[..., 1:])))
         return resid <= rtol * self.coeff_scale()
 
-    def realified(self, rtol=REAL_COEFF_RTOL):
-        """Copy with imaginary residues zeroed; requires real coefficients."""
-        if not self.is_real_coeff(rtol):
-            raise DomainError("polynomial does not have real coefficients")
-        c = np.array(self._c)
-        c[..., 1:] = 0.0
-        return StarPoly(c)
-
     def real_vector(self):
         """Real coefficient list c_0..c_d for a real scalar polynomial."""
-        if not (self.is_scalar() and self.is_real_coeff()):
+        if not self.is_scalar():
             raise DomainError("need a real scalar polynomial")
+        if not self.is_real_coeff():
+            raise DomainError("polynomial does not have real coefficients")
         return np.array(self._c[:, 0, 0, 0])
 
     # -- arithmetic ------------------------------------------------------------
@@ -246,9 +255,7 @@ class StarPoly:
 
     def eval_scales(self, points):
         """eval_scale at every point of an (B, 4) array, as a (B,) array."""
-        base = np.maximum(1.0, np.sqrt(np.sum(points * points, axis=-1)))
-        mags = np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3)))
-        return np.sum(mags * base[:, None] ** np.arange(mags.size), axis=1) + 1e-300
+        return _magnitude_scales(np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3))), points)
 
     # -- JSON ---------------------------------------------------------------------
 
@@ -316,6 +323,12 @@ def _one_point(p):
     return p.as_array().reshape(1, 4)
 
 
+def _magnitude_scales(mags, points):
+    """sum_n mags[n] max(1, |p|)^n at every point of an (B, 4) array."""
+    base = np.maximum(1.0, np.sqrt(np.sum(points * points, axis=-1)))
+    return np.sum(mags * base[:, None] ** np.arange(mags.size), axis=1) + 1e-300
+
+
 # -------------------------------------------------------------------------------
 # star-algebra operations
 # -------------------------------------------------------------------------------
@@ -338,7 +351,7 @@ def star_conj_sym(f):
     if not f.is_scalar():
         raise ShapeError("conjugate/symmetrization is unsupported for matrix input")
     fc = f.conj()
-    fs = f.star(fc).realified()
+    fs = StarPoly.real(f.star(fc).real_vector())
     return fc, fs
 
 
@@ -348,7 +361,7 @@ def star_inv_scalar(f, rtol=1e-12):
     if ft.is_zero():
         raise DomainError("zero polynomial has no star inverse")
     fc, fs = star_conj_sym(ft)
-    return SliceRational(fc, fs)
+    return SliceRational._over(fc, _real_den(fs.coeffs[:, 0, 0, 0]))
 
 
 def left_root_extract(f, a, tol=ROOT_RTOL):
@@ -391,14 +404,37 @@ def scalar_poly_times_matrix(poly, m):
     return StarPoly(out)
 
 
-def mul_real_poly(mp, rp):
-    """Matrix polynomial times a central real scalar polynomial."""
-    w = rp.real_vector()
+def mul_real_poly(mp, w):
+    """Matrix polynomial times the central real scalar polynomial with
+    coefficient vector w."""
     out = np.zeros((mp.degree + len(w),) + mp.coeffs.shape[1:])
     for n, wn in enumerate(w):
         if wn != 0.0:
             out[n : n + mp.degree + 1] += wn * mp.coeffs
-    return StarPoly(out[: mp.degree + len(w) - 1 + 1])
+    return StarPoly(out)
+
+
+def _real_star(a, b):
+    """Product of the real polynomials with coefficient vectors a and b,
+    summed in n ascending like StarPoly.star, so with the same bits."""
+    out = np.zeros(a.size + b.size - 1)
+    for n in range(a.size):
+        out[n : n + b.size] += a[n] * b
+    return out
+
+
+def _real_den(dv, rtol=1e-15, zero="denominator is identically zero"):
+    """A real denominator vector without its trailing coefficients of
+    modulus <= rtol * max |dv|; DomainError(zero) when it vanishes."""
+    mags = np.abs(dv)
+    top = float(mags.max())
+    cut = rtol * max(top, 1e-300)
+    d = dv.size - 1
+    while d > 0 and mags[d] <= cut:
+        d -= 1
+    if top <= 1e-14:
+        raise DomainError(zero)
+    return dv[: d + 1]
 
 
 def divmod_real(f, d):
@@ -545,32 +581,38 @@ def extend_from_slice(h, axis, q):
 # -------------------------------------------------------------------------------
 
 class SliceRational:
-    """Quotient den(p)^{-1} num(p) with a real scalar denominator."""
+    """Quotient den(p)^{-1} num(p) with a real scalar denominator, held as
+    its real coefficient vector."""
 
-    __slots__ = ("_num", "_den")
+    __slots__ = ("_num", "_dv")
 
     def __init__(self, num, den):
         if not isinstance(num, StarPoly) or not isinstance(den, StarPoly):
             raise ShapeError("SliceRational needs StarPoly numerator and denominator")
         if not den.is_scalar():
             raise ShapeError("denominator must be 1x1")
-        den = den.realified().trim(1e-15)
-        if den.is_zero():
-            raise DomainError("denominator is identically zero")
         self._num = num
-        self._den = den
+        self._dv = _real_den(den.real_vector())
+
+    @classmethod
+    def _over(cls, num, dv):
+        """num over the real coefficient vector dv, already trimmed and nonzero."""
+        out = cls.__new__(cls)
+        out._num = num
+        out._dv = dv
+        return out
 
     @classmethod
     def from_poly(cls, p):
-        return cls(p, StarPoly.one())
+        return cls._over(p, _ONE)
 
     @classmethod
     def one(cls, n=1):
-        return cls(StarPoly.one(n), StarPoly.one())
+        return cls._over(StarPoly.one(n), _ONE)
 
     @classmethod
     def constant(cls, block):
-        return cls(StarPoly.constant(block), StarPoly.one())
+        return cls._over(StarPoly.constant(block), _ONE)
 
     @property
     def num(self):
@@ -578,7 +620,7 @@ class SliceRational:
 
     @property
     def den(self):
-        return self._den
+        return StarPoly.real(self._dv)
 
     @property
     def shape(self):
@@ -601,10 +643,11 @@ class SliceRational:
         denominator is a complex number den(z) and S = Re F + I Im F with
         F(z) = num(z) / den(z)."""
         pts = np.asarray(points, dtype=np.float64)
+        dv = self._dv
         unit, z = slice_split(pts)
-        powers = _powers(z, max(self._num.degree, self._den.degree))
-        den = powers[:, : self._den.degree + 1] @ self._den.coeffs[:, 0, 0, 0]
-        bad = np.nonzero(np.abs(den) <= pole_rtol * self._den.eval_scales(pts))[0]
+        powers = _powers(z, max(self._num.degree, dv.size - 1))
+        den = powers[:, : dv.size] @ dv
+        bad = np.nonzero(np.abs(den) <= pole_rtol * _magnitude_scales(np.abs(dv), pts))[0]
         if bad.size:
             rep = qdecompose(Quaternion.from_array(pts[bad[0]]))
             raise PoleError(rep.x, rep.y)
@@ -615,7 +658,7 @@ class SliceRational:
         function with that many rows; any other f is returned as is."""
         if rows == 1 or not self.is_scalar():
             return self
-        return SliceRational(scalar_poly_times_matrix(self._num, QMatrix.eye(rows)), self._den)
+        return SliceRational._over(scalar_poly_times_matrix(self._num, QMatrix.eye(rows)), self._dv)
 
     # -- algebra -----------------------------------------------------------------
 
@@ -624,27 +667,26 @@ class SliceRational:
         if isinstance(other, StarPoly):
             other = SliceRational.from_poly(other)
         num = self._num.star(other._num)
-        den = self._den.star(other._den).realified()
-        return SliceRational(num, den)
+        return SliceRational._over(num, _real_den(_real_star(self._dv, other._dv)))
 
     def scale(self, x):
-        return SliceRational(self._num.scale(x), self._den)
+        return SliceRational._over(self._num.scale(x), self._dv)
 
     def __add__(self, other):
         if isinstance(other, StarPoly):
             other = SliceRational.from_poly(other)
         if self.shape != other.shape:
             raise ShapeError("rational shapes differ")
-        num = mul_real_poly(self._num, other._den) + mul_real_poly(other._num, self._den)
-        return SliceRational(num, self._den.star(other._den).realified())
+        num = mul_real_poly(self._num, other._dv) + mul_real_poly(other._num, self._dv)
+        return SliceRational._over(num, _real_den(_real_star(self._dv, other._dv)))
 
     def __sub__(self, other):
         if isinstance(other, StarPoly):
             other = SliceRational.from_poly(other)
-        return self + SliceRational(-other._num, other._den)
+        return self + (-other)
 
     def __neg__(self):
-        return SliceRational(-self._num, self._den)
+        return SliceRational._over(-self._num, self._dv)
 
     # -- expansions ----------------------------------------------------------------
 
@@ -652,8 +694,7 @@ class SliceRational:
         """Taylor truncation at 0: the real series g of 1/den from its scalar
         recurrence g_k = -(den_1 g_{k-1} + ... + den_k g_0) / den_0, then one
         convolution of g with the numerator coefficients."""
-        # the constructor made the denominator real
-        dv = self._den.coeffs[:, 0, 0, 0]
+        dv = self._dv
         d0 = dv[0]
         if abs(d0) <= 1e-14 * max(1.0, float(np.max(np.abs(dv)))):
             raise ExpansionError("denominator vanishes at the expansion point 0")
@@ -677,7 +718,7 @@ class SliceRational:
         if not self.is_scalar():
             raise DomainError("the closed-form star inverse needs a scalar rational")
         inv_num = star_inv_scalar(self._num)
-        return SliceRational(mul_real_poly(inv_num.num, self._den), inv_num.den)
+        return SliceRational._over(mul_real_poly(inv_num._num, self._dv), inv_num._dv)
 
     def compose_real_mobius(self, alpha, beta, gamma, delta):
         """Composition with the real Mobius map m(p) = (alpha + beta p)(gamma + delta p)^{-1}.
@@ -685,34 +726,32 @@ class SliceRational:
         Real coefficients keep every piece central, so substitution is done
         by clearing (gamma + delta p) powers against a common degree.
         """
-        u = StarPoly.scalar([float(alpha), float(beta)])
-        v = StarPoly.scalar([float(gamma), float(delta)])
-        d = max(self._num.degree, self._den.degree)
+        u = np.array([float(alpha), float(beta)])
+        v = np.array([float(gamma), float(delta)])
+        d = max(self._num.degree, self._dv.size - 1)
 
-        powers_u = [StarPoly.one()]
-        powers_v = [StarPoly.one()]
+        powers_u = [_ONE]
+        powers_v = [_ONE]
         for _ in range(d):
-            powers_u.append(powers_u[-1].star(u))
-            powers_v.append(powers_v[-1].star(v))
+            powers_u.append(_real_star(powers_u[-1], u))
+            powers_v.append(_real_star(powers_v[-1], v))
 
-        def weigh(poly):
+        def weigh(coeffs):
             # row n holds the d + 1 real coefficients of u^n v^(d - n)
-            w = np.array([powers_u[n].star(powers_v[d - n]).real_vector()
-                          for n in range(poly.degree + 1)])
-            terms = w[:, :, None, None, None] * poly.coeffs[:, None]
+            w = np.array([_real_star(powers_u[n], powers_v[d - n])
+                          for n in range(coeffs.shape[0])])
+            terms = w.reshape(w.shape + (1,) * (coeffs.ndim - 1)) * coeffs[:, None]
             # summed from 0.0, so that a coefficient whose terms are all -0.0 reads 0.0
-            return StarPoly(terms.sum(axis=0, initial=0.0))
+            return terms.sum(axis=0, initial=0.0)
 
-        num2 = weigh(self._num)
-        den2 = weigh(self._den).realified().trim(1e-14)
-        if den2.is_zero():
-            raise DomainError("composition produced a zero denominator")
-        return SliceRational(num2, den2)
+        num2 = StarPoly(weigh(self._num.coeffs))
+        den2 = _real_den(weigh(self._dv), 1e-14, "composition produced a zero denominator")
+        return SliceRational._over(num2, den2)
 
     # -- JSON --------------------------------------------------------------------------
 
     def to_json(self):
-        return {"num": self._num.to_json(), "den": self._den.to_json()}
+        return {"num": self._num.to_json(), "den": self.den.to_json()}
 
     @classmethod
     def from_json(cls, obj):
@@ -722,5 +761,6 @@ class SliceRational:
 
     def __repr__(self):
         return "SliceRational(shape=%dx%d, deg %d/%d)" % (
-            self.shape + (self._num.degree, self._den.degree)
+            self.shape + (self._num.degree, self._dv.size - 1)
         )
+

@@ -22,10 +22,15 @@ Each one is a frozen copy of an earlier, more direct implementation:
 * taylor_recursive: Taylor coefficients of a SliceRational by recursive
   division, coefficient by coefficient, the reference for its one
   convolution;
+* realified: a real-coefficient polynomial with its imaginary residues
+  checked and zeroed, so that realified(D1.star(D2)).trim(1e-15) is the
+  reference for the real denominator product of SliceRational;
 * qpow_table_loop: quaternion powers by repeated products, the reference
   for the complex-slice power table;
 * series_sum_pair (with tail_terms): the kernel series cut once its
-  geometric tail is below a tolerance, the reference for kernel_sum.
+  geometric tail is below a tolerance, the reference for kernel_sum;
+* dump_json_isinstance: the report writer as a chain of isinstance
+  branches, whose bytes and errors _jsonutil.dump_json must repeat.
 
 The test-only helpers below them build inputs for the tests and give
 independent evaluations: the pointwise-product law of a Blaschke chain,
@@ -35,18 +40,21 @@ the point of a sphere representation, and the cancellation of common
 real factors of a rational.
 """
 
+import json
+
 import numpy as np
 
 from qschur import _accel, kernels
+from qschur._jsonutil import format_float
 from qschur.blaschke import HALFSPACE
-from qschur.errors import (DivergenceError, ExpansionError, NumericError, PoleError,
-                           PrecondError, ShapeError)
+from qschur.errors import (DivergenceError, DomainError, ExpansionError, NumericError,
+                           PoleError, PrecondError, ShapeError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
 from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr,
                             random_qmatrix)
 from qschur.quat import Quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
-from qschur.starpoly import SliceRational, StarPoly, divmod_real
+from qschur.starpoly import REAL_COEFF_RTOL, SliceRational, StarPoly, divmod_real
 
 
 def qnormsq(a):
@@ -214,6 +222,15 @@ def taylor_recursive(rational, n):
     return out
 
 
+def realified(poly, rtol=REAL_COEFF_RTOL):
+    """Copy with imaginary residues zeroed; requires real coefficients."""
+    if not poly.is_real_coeff(rtol):
+        raise DomainError("polynomial does not have real coefficients")
+    c = np.array(poly.coeffs)
+    c[..., 1:] = 0.0
+    return StarPoly(c)
+
+
 def qpow_table_loop(points, nmax):
     """Powers p_l^n for n = 0..nmax, shape (B, nmax + 1, 4), one product a step."""
     pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -248,6 +265,37 @@ def series_sum_pair(p, mid, q, tol=1e-12):
     qw = qpow_table_loop(q.as_array().reshape(1, 4), n)
     out = _accel.series_sandwich(pw, mid.data[None, None], _accel.qconj(qw))
     return QMatrix(out[0, 0])
+
+
+def dump_json_isinstance(obj, indent=0):
+    """Sorted keys and 17-significant-digit doubles, one isinstance test
+    after another."""
+    pad = " " * indent
+    inner = " " * (indent + 2)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [dump_json_isinstance(v, indent + 2) for v in obj]
+        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            "%s%s: %s" % (inner, json.dumps(str(k)), dump_json_isinstance(obj[k], indent + 2))
+            for k in sorted(obj)
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    raise TypeError("cannot serialize %r" % type(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +400,7 @@ def normalize(rational, tol=1e-9):
             qn, rn = divmod_real(num, piece)
             if rn.coeff_scale() > tol * max(1.0, num.coeff_scale()):
                 continue
-            num, den = qn, qd.realified().trim(1e-14)
+            num, den = qn, realified(qd).trim(1e-14)
             changed = True
             break
     return SliceRational(num, den)

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qschur import _accel
 from qschur.errors import DomainError
 from qschur.quat import (
     I,
@@ -21,7 +24,7 @@ from qschur.quat import (
     sample_imaginary_unit,
 )
 
-from oracles import reconstruct, sample_ball_points_loop
+from oracles import qinv, qnormsq, reconstruct, sample_ball_points_loop
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -162,3 +165,86 @@ def test_json_roundtrip():
         Quaternion.from_json([1.0, 2.0, 3.0])
     with pytest.raises(DomainError):
         Quaternion.from_json([1.0, float("nan"), 0.0, 0.0])
+
+
+# the float closed forms against the array kernels: every difference is
+# rounding, at most 1e-15 times the operands' norm product (with a floor
+# for products that underflow)
+UNDERFLOW = 1e-290
+
+
+def size(q):
+    """|q| without the underflow of the sum of squares."""
+    return math.hypot(*q.to_json())
+
+
+@given(quats, quats)
+@settings(max_examples=300, deadline=None)
+def test_scalar_algebra_matches_the_array_kernels(a, b):
+    na, nb = size(a), size(b)
+    prod = np.array((a * b).to_json())
+    assert np.max(np.abs(prod - _accel.qmul(a.as_array(), b.as_array()))) <= 1e-15 * na * nb + UNDERFLOW
+    assert np.array_equal(np.array(a.conj().to_json()), _accel.qconj(a.as_array()))
+    assert abs(a.normsq() - qnormsq(a.as_array())) <= 1e-15 * na * na + UNDERFLOW
+    imag = np.sqrt(qnormsq(a.as_array()[1:]))
+    assert abs(a.imag_modulus() - imag) <= 1e-15 * na + UNDERFLOW
+    if a.normsq() > 1e-280:
+        inv = np.array(a.inverse().to_json())
+        assert np.max(np.abs(inv - qinv(a.as_array()))) <= 1e-15 / na
+
+
+@given(quats, quats, quats)
+@settings(max_examples=200, deadline=None)
+def test_product_is_associative_and_multiplicative_to_rounding(a, b, c):
+    na, nb, nc = size(a), size(b), size(c)
+    lhs, rhs = np.array(((a * b) * c).to_json()), np.array((a * (b * c)).to_json())
+    assert np.max(np.abs(lhs - rhs)) <= 1e-14 * na * nb * nc + UNDERFLOW
+    assert abs(size(a * b) - na * nb) <= 1e-15 * na * nb + UNDERFLOW
+
+
+@given(quats)
+@settings(max_examples=100, deadline=None)
+def test_as_array_is_a_read_only_copy_of_the_components(p):
+    arr = p.as_array()
+    assert arr.shape == (4,) and arr.dtype == np.float64
+    assert arr.tolist() == [p.x0, p.x1, p.x2, p.x3] == p.to_json()
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+    assert Quaternion.from_array(arr).to_json() == p.to_json()
+
+
+def test_components_are_immutable_floats():
+    p = Quaternion(1, np.float64(2.0), np.int64(3), 0.5)
+    assert [type(v) for v in p.to_json()] == [float] * 4
+    with pytest.raises(AttributeError):
+        p.x0 = 2.0
+    with pytest.raises(AttributeError):
+        p.extra = 1.0
+
+
+@pytest.mark.parametrize("arr, message", [
+    ([1.0, 2.0, 3.0], "quaternion array must have shape (4,), got (3,)"),
+    (np.zeros((2, 4)), "quaternion array must have shape (4,), got (2, 4)"),
+    (5.0, "quaternion array must have shape (4,), got ()"),
+])
+def test_from_array_errors_are_unchanged(arr, message):
+    with pytest.raises(DomainError) as err:
+        Quaternion.from_array(arr)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("obj, message", [
+    ([1.0, 2.0, 3.0], "quaternion JSON must be a 4-element array"),
+    ("1234", "quaternion JSON must be a 4-element array"),
+    ({"x0": 1.0}, "quaternion JSON must be a 4-element array"),
+    ([1.0, True, 0.0, 0.0], "quaternion components must be numbers"),
+    ([1.0, "2", 0.0, 0.0], "quaternion components must be numbers"),
+    ([1.0, None, 0.0, 0.0], "quaternion components must be numbers"),
+    ([1.0, float("inf"), 0.0, 0.0], "quaternion components must be finite"),
+    ([float("nan"), 0.0, 0.0, 0.0], "quaternion components must be finite"),
+])
+def test_from_json_errors_are_unchanged(obj, message):
+    with pytest.raises(DomainError) as err:
+        Quaternion.from_json(obj)
+    assert str(err.value) == message

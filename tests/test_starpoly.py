@@ -1,8 +1,12 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from qschur._jsonutil import dump_json
 from qschur.errors import DomainError, ExpansionError, NotARootError, PoleError, ShapeError
 from qschur.qlinalg import qmatmul_arr
 from qschur.quat import I, J, K, ONE, ImaginaryUnit, Quaternion, sample_ball_point
@@ -20,7 +24,7 @@ from qschur.starpoly import (
     zero_multiplicity,
 )
 
-from oracles import normalize, polyval_batch, rational_values, taylor_recursive
+from oracles import normalize, polyval_batch, rational_values, realified, taylor_recursive
 
 comp = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, comp, comp, comp, comp)
@@ -77,8 +81,68 @@ def test_rational_star_matches_the_double_loop_bit_for_bit(fg, d1, d2):
     b = SliceRational(g, StarPoly.scalar(d2))
     prod = a.star(b)
     assert_same_bits(prod.num.coeffs, star_double_loop(f, g))
-    den = StarPoly(star_double_loop(a.den, b.den)).realified().trim(1e-15)
+    den = realified(StarPoly(star_double_loop(a.den, b.den))).trim(1e-15)
     assert_same_bits(prod.den.coeffs, den.coeffs)
+
+
+# real denominator coefficients, with magnitudes whose products fall below
+# the 1e-15 trim and signed zeros
+den_coeffs = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e-8, -3e-8, 2e-16, 0.0, -0.0]))
+
+
+@given(st.lists(quats, min_size=1, max_size=3), st.lists(quats, min_size=1, max_size=3),
+       st.lists(den_coeffs, max_size=4), st.lists(den_coeffs, max_size=4))
+@example([ONE], [ONE], [1e-8], [1e-8])             # the product's p^2 term is trimmed
+@example([ONE], [ONE], [-0.0, 1.0], [])
+@settings(max_examples=150, deadline=None)
+def test_den_product_is_the_realified_star_bit_for_bit(n1, n2, d1, d2):
+    a = SliceRational(StarPoly.scalar(n1), StarPoly.scalar([1.0] + d1))
+    b = SliceRational(StarPoly.scalar(n2), StarPoly.scalar([1.0] + d2))
+    ref = realified(a.den.star(b.den)).trim(1e-15)
+    for got in (a.star(b), a + b, a - b):
+        assert_same_bits(got.den.coeffs, ref.coeffs)
+    # a polynomial operand has the denominator 1; the sum from 0.0 turns -0.0 into 0.0
+    assert_same_bits(a.star(b.num).den.coeffs, realified(a.den.star(StarPoly.one())).coeffs)
+
+
+def test_constructor_checks_the_arriving_denominator():
+    one = StarPoly.one()
+    with pytest.raises(DomainError, match="does not have real coefficients"):
+        SliceRational(one, StarPoly.scalar([1.0, Quaternion(0.5, 1e-6, 0.0, 0.0)]))
+    # a residue below REAL_COEFF_RTOL of the scale is accepted and dropped
+    r = SliceRational(one, StarPoly.scalar([2.0, Quaternion(0.5, 0.0, 1e-14, 0.0)]))
+    assert r.den.coeffs.tolist() == [[[[2.0, 0.0, 0.0, 0.0]]], [[[0.5, 0.0, 0.0, 0.0]]]]
+    for zero in (StarPoly.zero(), StarPoly.scalar([0.0, 1e-15, -1e-15])):
+        with pytest.raises(DomainError, match="identically zero"):
+            SliceRational(one, zero)
+    with pytest.raises(ShapeError):
+        SliceRational(one, StarPoly.one(2))
+
+
+def test_trailing_denominator_coefficient_at_1e16_of_the_scale_is_trimmed():
+    one = StarPoly.one()
+    assert SliceRational(one, StarPoly.scalar([2.0, 0.5, 2e-16])).den.degree == 1
+    assert SliceRational(one, StarPoly.scalar([2.0, 0.5, -2e-16, 2e-16])).den.degree == 1
+    assert SliceRational(one, StarPoly.scalar([2.0, 0.5, 3e-15])).den.degree == 2
+    f = SliceRational(one, StarPoly.scalar([1.0, 1e-8]))
+    assert f.star(f).den.degree == 1 and (f + f).den.degree == 1
+
+
+def test_to_json_bytes_on_the_kl_cases(monkeypatch):
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    import kl
+
+    for index, spec in enumerate(kl.CASES):
+        ball = kl.CaseOp(index, spec, None).ball
+        for rat in (ball.s.rational, ball.b0.rational, ball.s0.rational,
+                    ball.b0.rational.star_inverse()):
+            text = dump_json(rat.to_json())
+            # the real denominator prints as the realified StarPoly did,
+            # with imaginary parts 0
+            assert text == dump_json({"num": rat.num.to_json(), "den": realified(rat.den).to_json()})
+            for block in rat.to_json()["den"]["coeffs"]:
+                assert [dump_json(x) for x in block["entries"][0][1:]] == ["0", "0", "0"]
+            assert dump_json(SliceRational.from_json(json.loads(text)).to_json()) == text
 
 
 def compose_real_mobius_loop(rat, alpha, beta, gamma, delta):
@@ -102,7 +166,7 @@ def compose_real_mobius_loop(rat, alpha, beta, gamma, delta):
             acc = acc + StarPoly(term)
         return acc
 
-    return weigh(rat.num), weigh(rat.den).realified().trim(1e-14)
+    return weigh(rat.num), realified(weigh(rat.den)).trim(1e-14)
 
 
 @given(PAIR_SHAPES.flatmap(lambda rst: matrix_polys(rst[0], rst[1])),
@@ -438,7 +502,7 @@ def test_compose_real_mobius(rng):
 def test_normalize_reduces_common_factor():
     common = StarPoly.scalar([1.0, 2.0, 1.5])
     num = StarPoly.scalar([0.5, 1.0]).star(common)
-    den = StarPoly.scalar([1.0, -0.5]).star(common).realified()
+    den = realified(StarPoly.scalar([1.0, -0.5]).star(common))
     reduced = normalize(SliceRational(num, den))
     assert reduced.den.degree == 1
     assert reduced.num.degree == 1
