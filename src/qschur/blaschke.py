@@ -52,29 +52,30 @@ def _check_domain(domain):
 
 def _point_rational(domain, a):
     """Point-factor rational with no domain validation (inverse factors
-    legitimately sit outside the ball / half-space)."""
+    legitimately sit outside the ball / half-space).  Its real denominator
+    vector is built directly; its leading or constant coefficient is 1, so
+    it is nonzero and is kept untrimmed."""
     if domain == BALL:
         if a.norm() == 0.0:
-            return SliceRational(StarPoly.scalar([0.0, 1.0]), StarPoly.one())
-        den = StarPoly.scalar([1.0, -2.0 * a.re, a.normsq()])
+            return SliceRational.from_poly(StarPoly.real([0.0, 1.0]))
+        den = np.array([1.0, -2.0 * a.re, a.normsq()])
         unit = a.conj() * (1.0 / a.norm())
         num = StarPoly.scalar(
             [a * unit, -((Quaternion.from_real(1.0) + a * a) * unit), a * unit]
         )
-        return SliceRational(num, den)
-    den = StarPoly.scalar([a.normsq(), 2.0 * a.re, 1.0])
+        return SliceRational._over(num, den)
+    den = np.array([a.normsq(), 2.0 * a.re, 1.0])
     num = StarPoly.scalar([-(a * a), Quaternion(), Quaternion.from_real(1.0)])
-    return SliceRational(num, den)
+    return SliceRational._over(num, den)
 
 
 def _sphere_rational(domain, a):
+    """Sphere-factor rational over its real denominator vector, as in
+    _point_rational."""
+    num = StarPoly.real([a.normsq(), -2.0 * a.re, 1.0])
     if domain == BALL:
-        den = StarPoly.scalar([1.0, -2.0 * a.re, a.normsq()])
-        num = StarPoly.scalar([a.normsq(), -2.0 * a.re, 1.0])
-        return SliceRational(num, den)
-    den = StarPoly.scalar([a.normsq(), 2.0 * a.re, 1.0])
-    num = StarPoly.scalar([a.normsq(), -2.0 * a.re, 1.0])
-    return SliceRational(num, den)
+        return SliceRational._over(num, np.array([1.0, -2.0 * a.re, a.normsq()]))
+    return SliceRational._over(num, np.array([a.normsq(), 2.0 * a.re, 1.0]))
 
 
 def blaschke_factor(domain, kind, a):
@@ -447,11 +448,13 @@ def build_product(zeros, zero_tol=1e-10):
             frat = fac.rational(domain)
             acc = acc.star(frat)
             h = h.star(frat)
-            h = SliceRational(left_root_extract(h.num, a, 1e-8), h.den)
+            # the residual keeps its own denominator, checked when it was built
+            h = SliceRational._over(left_root_extract(h.num, a, 1e-8), h._dv)
 
     prod = FactoredProduct(domain, factors, size=1, rational=acc)
     for a, n in zeros.points:
-        val = prod.eval(as_quaternion(a)).as_quaternion()
-        if val.norm() > zero_tol * max(1.0, prod.rational.num.eval_scale(as_quaternion(a))):
+        a = as_quaternion(a)
+        val = prod.rational.eval_scalar(a)
+        if val.norm() > zero_tol * max(1.0, prod.rational.num.eval_scale(a)):
             raise ConstructionError("built product misses prescribed zero %r" % (a,))
     return prod

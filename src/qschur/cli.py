@@ -324,7 +324,7 @@ def _run_blaschke_build(cfg):
     product = build_product(zeros)
     residuals = []
     for a, _ in zeros.points:
-        residuals.append(product.eval(a).as_quaternion().norm())
+        residuals.append(product.rational.eval_scalar(a).norm())
     report = {
         "degree": product.degree(),
         "factors": [f.to_json() for f in product.factors],

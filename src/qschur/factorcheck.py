@@ -172,7 +172,8 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
     identity expansion that fails (B0 vanishing at the origin) ends the
     check INCONCLUSIVE with kappa_hat None, without sampling.  A sampling
     leg stopped by a pole sphere or a numeric failure leaves kappa_hat
-    None and, unless the identity leg fails, the verdict INCONCLUSIVE.
+    None and, unless the identity leg fails, the verdict INCONCLUSIVE.  A
+    PASS with a vacuous identity leg says so in its reason.
     """
     if case.domain == HALFSPACE:
         case = transport_case_to_ball(case)
@@ -233,7 +234,9 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
         reason = "difference kernel not positive (min eig %.3e)" % ident.min_gram_eig
     else:
         verdict = "PASS"
-        reason = ""
+        # S0 unitary gives S = B: the identity holds trivially and proves nothing
+        reason = ("identity leg is vacuous (S = B, so K_S - K_B = 0); "
+                  "the kappa leg carries the claim") if ident.vacuous else ""
     return VerdictReport(
         verdict=verdict,
         kappa_hat=kappa_hat,

@@ -14,6 +14,7 @@ pair (x, y) alone.  All randomness flows through explicitly passed
 """
 
 import math
+import sys
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .errors import DomainError
 # a point counts as real when its imaginary modulus is below this times
 # max(1, |p|); sphere membership and axis extraction are singular there
 REAL_AXIS_RTOL = 1e-13
+# the smallest normal float; a normsq below it has lost bits to underflow
+_NORMAL_MIN = sys.float_info.min
 
 
 class Quaternion:
@@ -83,18 +86,25 @@ class Quaternion:
         return self._x0 * self._x0 + self._x1 * self._x1 + self._x2 * self._x2 + self._x3 * self._x3
 
     def norm(self):
-        return math.sqrt(self.normsq())
+        # hypot, unlike the square root of normsq, neither under- nor overflows
+        return math.hypot(self._x0, self._x1, self._x2, self._x3)
 
     __abs__ = norm
 
     def imag_modulus(self):
-        return math.sqrt(self._x1 * self._x1 + self._x2 * self._x2 + self._x3 * self._x3)
+        return math.hypot(self._x1, self._x2, self._x3)
 
     def inverse(self):
         n2 = self.normsq()
-        if n2 == 0.0:
+        if _NORMAL_MIN <= n2 < math.inf:
+            return Quaternion(self._x0 / n2, -self._x1 / n2, -self._x2 / n2, -self._x3 / n2)
+        # normsq under- or overflowed: divide by the largest component first
+        top = max(abs(self._x0), abs(self._x1), abs(self._x2), abs(self._x3))
+        if top == 0.0:
             raise DomainError("zero quaternion has no inverse")
-        return Quaternion(self._x0 / n2, -self._x1 / n2, -self._x2 / n2, -self._x3 / n2)
+        s0, s1, s2, s3 = self._x0 / top, self._x1 / top, self._x2 / top, self._x3 / top
+        m2 = s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3
+        return Quaternion(s0 / m2 / top, -s1 / m2 / top, -s2 / m2 / top, -s3 / m2 / top)
 
     def __add__(self, other):
         other = _coerce(other)

@@ -9,9 +9,12 @@ so the star product is plain coefficient convolution,
 formula: for p = x + I y (y >= 0, I an imaginary unit) and z = x + i y,
 p^n = Re z^n + I Im z^n, so f(p) = Re F(z) + I Im F(z) with the
 complex-slice function F(z) = sum_n z^n f_n, whose real and imaginary
-parts are quaternion matrices.  For scalar f, g the pointwise
-law  (f * g)(p) = f(p) g(f(p)^{-1} p f(p))  (with value 0 when f(p) = 0)
-ties the star product back to ordinary products.
+parts are quaternion matrices.  Arrays of points go through eval_many,
+one complex Vandermonde product; the value of a scalar function at a
+single point (eval_scalar) uses the same formula on Python complex
+numbers, one Horner sum per quaternion component.  For scalar f, g the
+pointwise law  (f * g)(p) = f(p) g(f(p)^{-1} p f(p))  (with value 0 when
+f(p) = 0) ties the star product back to ordinary products.
 
 A SliceRational is a pair (num, den) with a matrix numerator and a 1x1
 denominator with *real* coefficients.  Real-coefficient scalars are
@@ -42,7 +45,7 @@ from .errors import (
     ShapeError,
 )
 from .qlinalg import QMatrix, qmatmul_arr
-from .quat import Quaternion, as_quaternion, qdecompose
+from .quat import I, ImaginaryUnit, Quaternion, as_quaternion, qdecompose
 
 # imaginary residue allowed when a polynomial claims real coefficients
 REAL_COEFF_RTOL = 1e-13
@@ -76,11 +79,8 @@ class StarPoly:
     @classmethod
     def scalar(cls, values):
         """1x1 polynomial from a list of Quaternion or real coefficients."""
-        rows = []
-        for v in values:
-            q = as_quaternion(v)
-            rows.append(q.as_array().reshape(1, 1, 4))
-        return cls(np.array(rows))
+        rows = [(q.x0, q.x1, q.x2, q.x3) for q in map(as_quaternion, values)]
+        return cls(np.array(rows).reshape(len(rows), 1, 1, 4))
 
     @classmethod
     def real(cls, values):
@@ -223,10 +223,6 @@ class StarPoly:
 
     # -- evaluation -------------------------------------------------------------
 
-    def eval_left(self, p):
-        """Left evaluation sum_n p^n f_n as a QMatrix."""
-        return QMatrix(self.eval_many(_one_point(p))[0])
-
     def eval_many(self, points):
         """Batch left evaluation; points is an (B, 4) array."""
         unit, z = slice_split(points)
@@ -242,9 +238,9 @@ class StarPoly:
         return vals.reshape((-1,) + c.shape[1:])
 
     def eval_scalar(self, p):
-        if not self.is_scalar():
-            raise ShapeError("scalar evaluation needs a 1x1 polynomial")
-        return self.eval_left(p).as_quaternion()
+        """Value sum_n p^n f_n of a 1x1 polynomial at one point, as a Quaternion
+        (see SliceRational.eval_scalar)."""
+        return SliceRational._over(self, _ONE).eval_scalar(p)
 
     def eval_scale(self, p):
         """Magnitude scale sum_n |f_n| max(1,|p|)^n used for zero tests."""
@@ -318,9 +314,6 @@ def _powers(z, d):
     return np.cumprod(out, axis=1, out=out)
 
 
-def _one_point(p):
-    p = as_quaternion(p)
-    return p.as_array().reshape(1, 4)
 
 
 def _magnitude_scales(mags, points):
@@ -382,10 +375,11 @@ def left_root_extract(f, a, tol=ROOT_RTOL):
     if d == 0:
         # constant vanishing at a is the zero polynomial
         return StarPoly.zero()
+    rows = f.coeffs[:, 0, 0].tolist()
     g = [None] * d
-    g[d - 1] = f.coeff(d).as_quaternion()
+    g[d - 1] = Quaternion(*rows[d])
     for k in range(d - 1, 0, -1):
-        g[k - 1] = f.coeff(k).as_quaternion() + a * g[k]
+        g[k - 1] = Quaternion(*rows[k]) + a * g[k]
     return StarPoly.scalar(g)
 
 
@@ -478,9 +472,7 @@ def find_sphere_zero(f, x, y, tol=ROOT_RTOL):
     unit, and the candidate is confirmed by direct evaluation.  Returns the
     string "sphere" when f vanishes identically on the sphere.
     """
-    from .quat import I as _I, ImaginaryUnit
-
-    axis = ImaginaryUnit(_I)
+    axis = ImaginaryUnit(I)
     vp, vm = _slice_pair_values(f, x, y, axis)
     alpha = (vp + vm) / 2.0
     beta = (axis.q * (vm - vp)) / 2.0
@@ -633,10 +625,38 @@ class SliceRational:
 
     def eval_left(self, p, pole_rtol=1e-12):
         """Value den(p)^{-1} num(p); raises PoleError on the denominator's zero spheres."""
-        return QMatrix(self.eval_many(_one_point(p), pole_rtol)[0])
+        return QMatrix(self.eval_many(as_quaternion(p).as_array()[None], pole_rtol)[0])
 
     def eval_scalar(self, p):
-        return self.eval_left(p).as_quaternion()
+        """Value of a scalar function at one point, as a Quaternion: the
+        splitting formula of eval_many on Python complex numbers, with each
+        quaternion component of F(z) = num(z) / den(z) summed by Horner's
+        rule, and the pole test of eval_many at its default pole_rtol."""
+        if not self.is_scalar():
+            raise ShapeError("scalar evaluation needs a 1x1 function")
+        p = as_quaternion(p)
+        y = p.imag_modulus()
+        z = complex(p.re, y)
+        # den(z) and the magnitude scale sum_n |d_n| max(1,|p|)^n
+        base = max(1.0, p.norm())
+        den, scale = 0j, 0.0
+        for d in reversed(self._dv.tolist()):
+            den = den * z + d
+            scale = scale * base + abs(d)
+        if abs(den) <= 1e-12 * (scale + 1e-300):
+            rep = qdecompose(p)
+            raise PoleError(rep.x, rep.y)
+        f0 = f1 = f2 = f3 = 0j
+        for c0, c1, c2, c3 in reversed(self._num.coeffs[:, 0, 0].tolist()):
+            f0 = f0 * z + c0
+            f1 = f1 * z + c1
+            f2 = f2 * z + c2
+            f3 = f3 * z + c3
+        f0, f1, f2, f3 = f0 / den, f1 / den, f2 / den, f3 / den
+        # Re F + I Im F; a real point gets the unit i, as in slice_split
+        unit = Quaternion(0.0, p.x1 / y, p.x2 / y, p.x3 / y) if y > 0.0 else I
+        return (unit * Quaternion(f0.imag, f1.imag, f2.imag, f3.imag)
+                + Quaternion(f0.real, f1.real, f2.real, f3.real))
 
     def eval_many(self, points, pole_rtol=1e-12):
         """Batch values on an (B, 4) array: on the complex slice the real

@@ -30,7 +30,12 @@ Each one is a frozen copy of an earlier, more direct implementation:
 * series_sum_pair (with tail_terms): the kernel series cut once its
   geometric tail is below a tolerance, the reference for kernel_sum;
 * dump_json_isinstance: the report writer as a chain of isinstance
-  branches, whose bytes and errors _jsonutil.dump_json must repeat.
+  branches, whose bytes and errors _jsonutil.dump_json must repeat;
+* scalar_poly_per_coeff: a 1x1 StarPoly from one (1, 1, 4) array per
+  coefficient, whose bits StarPoly.scalar must repeat;
+* point_rational_checked and sphere_rational_checked: the Blaschke factor
+  rationals with StarPoly denominators through the checking constructor,
+  whose bits the factors built over real vectors must repeat.
 
 The test-only helpers below them build inputs for the tests and give
 independent evaluations: the pointwise-product law of a Blaschke chain,
@@ -46,13 +51,13 @@ import numpy as np
 
 from qschur import _accel, kernels
 from qschur._jsonutil import format_float
-from qschur.blaschke import HALFSPACE
+from qschur.blaschke import BALL, HALFSPACE
 from qschur.errors import (DivergenceError, DomainError, ExpansionError, NumericError,
                            PoleError, PrecondError, ShapeError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
 from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr,
                             random_qmatrix)
-from qschur.quat import Quaternion, qdecompose, sample_ball_points
+from qschur.quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
 from qschur.starpoly import REAL_COEFF_RTOL, SliceRational, StarPoly, divmod_real
 
@@ -404,3 +409,33 @@ def normalize(rational, tol=1e-9):
             changed = True
             break
     return SliceRational(num, den)
+
+
+def scalar_poly_per_coeff(values):
+    """1x1 polynomial built one (1, 1, 4) component array per coefficient."""
+    return StarPoly(np.array([as_quaternion(v).as_array().reshape(1, 1, 4) for v in values]))
+
+
+def point_rational_checked(domain, a):
+    """Point-factor rational with its denominator as a StarPoly, checked,
+    trimmed and tested for zero by the SliceRational constructor."""
+    scalar = scalar_poly_per_coeff
+    if domain == BALL:
+        if a.norm() == 0.0:
+            return SliceRational(scalar([0.0, 1.0]), StarPoly.one())
+        den = scalar([1.0, -2.0 * a.re, a.normsq()])
+        unit = a.conj() * (1.0 / a.norm())
+        num = scalar([a * unit, -((Quaternion.from_real(1.0) + a * a) * unit), a * unit])
+        return SliceRational(num, den)
+    den = scalar([a.normsq(), 2.0 * a.re, 1.0])
+    num = scalar([-(a * a), Quaternion(), Quaternion.from_real(1.0)])
+    return SliceRational(num, den)
+
+
+def sphere_rational_checked(domain, a):
+    """Sphere-factor rational through the checking constructor."""
+    scalar = scalar_poly_per_coeff
+    num = scalar([a.normsq(), -2.0 * a.re, 1.0])
+    if domain == BALL:
+        return SliceRational(num, scalar([1.0, -2.0 * a.re, a.normsq()]))
+    return SliceRational(num, scalar([a.normsq(), 2.0 * a.re, 1.0]))

@@ -142,12 +142,15 @@ def test_vacuous_identity_leg_is_flagged():
     assert rep.verdict == "PASS" and rep.identity.vacuous
     assert rep.identity.to_json()["vacuous"] is True
     assert rep.to_json()["identity_vacuous"] is True
+    assert rep.reason.startswith("identity leg is vacuous (S = B")
+    assert "the kappa leg carries the claim" in rep.reason
 
     case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]), 0.7)
     rep = krein_langer_check(case, Budget(trials=5, batch=15))
     assert rep.verdict == "PASS" and not rep.identity.vacuous
     assert rep.identity.to_json()["vacuous"] is False
     assert "identity_vacuous" not in rep.to_json()
+    assert rep.reason == ""
 
 
 def test_krein_langer_inconclusive_truncation():

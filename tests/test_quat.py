@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur import _accel
@@ -72,6 +73,46 @@ def test_inverse_examples():
 def test_inverse_of_zero_raises():
     with pytest.raises(DomainError):
         qinverse(Quaternion())
+
+
+# component moduli from 1e-300 to 1e300, with either sign, or exactly zero
+wide = st.one_of(
+    st.just(0.0),
+    st.tuples(st.floats(-300.0, 300.0), st.booleans()).map(
+        lambda t: (-1.0 if t[1] else 1.0) * 10.0 ** t[0]),
+)
+
+
+def within_one_ulp_of_exact_norm(q):
+    """|norm(q) - |q|| <= ulp(norm(q)), decided exactly on squares."""
+    r = q.norm()
+    exact = sum(Fraction(c) ** 2 for c in q.to_json())
+    ulp = Fraction(math.ulp(r))
+    low = max(Fraction(r) - ulp, Fraction(0))
+    return low * low <= exact <= (Fraction(r) + ulp) ** 2
+
+
+@example(Quaternion(0.0, 0.0, 0.0, 5.1e-218))
+@example(Quaternion(1e200, 0.0, 0.0, 0.0))
+@example(Quaternion(1e300, -1e300, 1e300, 1e-300))
+@settings(max_examples=400, deadline=None)
+@given(st.builds(Quaternion, wide, wide, wide, wide))
+def test_norm_and_inverse_do_not_under_or_overflow(q):
+    assert within_one_ulp_of_exact_norm(q)
+    assert within_one_ulp_of_exact_norm(Quaternion(0.0, q.x1, q.x2, q.x3))
+    assert abs(q.imag_modulus() - Quaternion(0.0, q.x1, q.x2, q.x3).norm()) == 0.0
+    if q.norm() == 0.0:
+        with pytest.raises(DomainError):
+            q.inverse()
+        return
+    unit = q * q.inverse()
+    assert max(abs(unit.x0 - 1.0), abs(unit.x1), abs(unit.x2), abs(unit.x3)) <= 1e-15
+
+
+def test_inverse_keeps_the_closed_form_on_normal_squares():
+    for q in (Quaternion(0.3, -1.0, 2.5, 1e-3), Quaternion(1e150, 1.0, 0.0, -2.0)):
+        n2 = q.normsq()
+        assert q.inverse().to_json() == [q.x0 / n2, -q.x1 / n2, -q.x2 / n2, -q.x3 / n2]
 
 
 def test_decompose_examples():
@@ -186,7 +227,10 @@ def test_scalar_algebra_matches_the_array_kernels(a, b):
     assert np.max(np.abs(prod - _accel.qmul(a.as_array(), b.as_array()))) <= 1e-15 * na * nb + UNDERFLOW
     assert np.array_equal(np.array(a.conj().to_json()), _accel.qconj(a.as_array()))
     assert abs(a.normsq() - qnormsq(a.as_array())) <= 1e-15 * na * na + UNDERFLOW
-    imag = np.sqrt(qnormsq(a.as_array()[1:]))
+    # the array reference on components scaled by a power of two, since its
+    # sum of squares underflows where imag_modulus (a hypot) does not
+    shift = math.frexp(max(abs(a.x1), abs(a.x2), abs(a.x3)))[1]
+    imag = np.ldexp(np.sqrt(qnormsq(np.ldexp(a.as_array()[1:], -shift))), shift)
     assert abs(a.imag_modulus() - imag) <= 1e-15 * na + UNDERFLOW
     if a.normsq() > 1e-280:
         inv = np.array(a.inverse().to_json())

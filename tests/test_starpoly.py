@@ -7,9 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qschur._jsonutil import dump_json
+from qschur.blaschke import _point_rational, _sphere_rational
 from qschur.errors import DomainError, ExpansionError, NotARootError, PoleError, ShapeError
 from qschur.qlinalg import qmatmul_arr
-from qschur.quat import I, J, K, ONE, ImaginaryUnit, Quaternion, sample_ball_point
+from qschur.quat import I, J, K, ONE, ImaginaryUnit, Quaternion, qdecompose, sample_ball_point
 from qschur.starpoly import (
     SliceRational,
     StarPoly,
@@ -24,7 +25,8 @@ from qschur.starpoly import (
     zero_multiplicity,
 )
 
-from oracles import normalize, polyval_batch, rational_values, realified, taylor_recursive
+from oracles import (normalize, point_rational_checked, polyval_batch, rational_values, realified,
+                     scalar_poly_per_coeff, sphere_rational_checked, taylor_recursive)
 
 comp = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, comp, comp, comp, comp)
@@ -276,7 +278,10 @@ def test_pointwise_product_law(f, g, p):
     if fval.norm() <= 1e-9 * f.eval_scale(p):
         assert prod_val.norm() <= 1e-7 * scale
     else:
-        moved = fval.inverse() * p * fval
+        # f(p)^{-1} p f(p) = conj(u) p u with u = f(p) / |f(p)|, which stays
+        # finite where the inverse of a subnormal f(p) overflows
+        u = fval / fval.norm()
+        moved = u.conj() * p * u
         assert prod_val.isclose(fval * g.eval_scalar(moved), 1e-11 * scale)
 
 
@@ -564,8 +569,9 @@ def assert_within_scale(fast, slow, scales, rtol):
 def test_split_eval_matches_horner(f, pts):
     scales = f.eval_scales(pts)
     assert_within_scale(f.eval_many(pts), polyval_batch(f.coeffs, pts), scales, 1e-13)
-    one = f.eval_left(Quaternion.from_array(pts[0])).data
-    assert_within_scale(one[None], polyval_batch(f.coeffs, pts[:1]), scales[:1], 1e-13)
+    if f.is_scalar():
+        one = f.eval_scalar(Quaternion.from_array(pts[0])).as_array()
+        assert_within_scale(one[None], polyval_batch(f.coeffs, pts[:1])[:, 0, 0], scales[:1], 1e-13)
 
 
 @st.composite
@@ -615,3 +621,133 @@ def test_split_pole_error_at_the_same_points(x, y, axis, extra, pts, on_sphere):
     if on_sphere:
         with pytest.raises(PoleError):
             f.eval_many(pts)
+
+
+# -- one scalar point on Python complex numbers --------------------------------
+
+@st.composite
+def scalar_rationals(draw):
+    """A scalar rational whose denominator vanishes on the sphere (x, y),
+    with the sphere data: den = (p^2 - 2 x p + x^2 + y^2)(1 + e p)."""
+    num = draw(eval_polys(max_degree=6).filter(lambda f: f.is_scalar()))
+    x, y = draw(st.floats(-0.9, 0.9)), draw(st.floats(0.05, 0.9))
+    extra = draw(unit_comp)
+    den = sphere_poly(Quaternion(x, y, 0.0, 0.0)).star(StarPoly.scalar([1.0, 0.25 * extra]))
+    return SliceRational(num, den), x, y
+
+
+@st.composite
+def scalar_points(draw, x, y):
+    """Points as eval_points draws them, and points on the sphere (x, y)
+    and 1e-9 off it, in the real part or in the modulus of the imaginary part."""
+    rows = list(draw(eval_points()))
+    v = np.array(draw(st.lists(unit_comp, min_size=3, max_size=3)))
+    assume(np.linalg.norm(v) > 1e-3)
+    v = v / np.linalg.norm(v)
+    for dx, dy in ((0.0, 0.0), (1e-9, 0.0), (0.0, 1e-9), (-1e-9, -1e-9)):
+        rows.append(np.concatenate([[x + dx], (y + dy) * v]))
+    return np.array(rows)
+
+
+def value_or_pole(fn, p):
+    try:
+        return fn(p), None
+    except PoleError as exc:
+        return None, (exc.x, exc.y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_eval_scalar_matches_eval_many(data):
+    rat, x, y = data.draw(scalar_rationals())
+    pts = data.draw(scalar_points(x, y))
+    dv = rat.den.real_vector()
+    for p in pts:
+        q = Quaternion.from_array(p)
+        fast, fast_pole = value_or_pole(rat.eval_scalar, q)
+        slow, slow_pole = value_or_pole(lambda _: rat.eval_many(p[None])[0, 0, 0], q)
+        assert fast_pole == slow_pole
+        # F = N / D moves by |dN| / |D| + |N| |dD| / |D|^2 under rounding of N and D
+        pnum = rat.num.eval_scale(q)
+        pden = rat.den.eval_scale(q)
+        z = complex(p[0], float(np.linalg.norm(p[1:])))
+        dabs = abs(np.polyval(dv[::-1], z))
+        if fast_pole is None:
+            scale = pnum * (1.0 / dabs + pden / dabs**2)
+            assert np.max(np.abs(fast.as_array() - slow)) <= 1e-13 * scale
+        poly = rat.num
+        assert np.max(np.abs(poly.eval_scalar(q).as_array() - poly.eval_many(p[None])[0, 0, 0])) \
+            <= 1e-13 * pnum
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.floats(-0.9, 0.9), st.floats(0.05, 0.9), eval_polys(max_degree=4))
+def test_eval_scalar_raises_on_the_pole_sphere_as_eval_many(x, y, num):
+    assume(num.is_scalar())
+    den = sphere_poly(Quaternion(x, y, 0.0, 0.0))
+    rat = SliceRational(num, den)
+    for p in (Quaternion(x, y, 0.0, 0.0), Quaternion(x, 0.0, -y, 0.0), Quaternion(x, 0.0, 0.6 * y, 0.8 * y)):
+        with pytest.raises(PoleError) as fast:
+            rat.eval_scalar(p)
+        with pytest.raises(PoleError) as slow:
+            rat.eval_many(p.as_array()[None])
+        assert (fast.value.x, fast.value.y) == (slow.value.x, slow.value.y)
+
+
+def test_eval_scalar_needs_a_scalar():
+    m = StarPoly(np.zeros((2, 2, 1, 4)))
+    with pytest.raises(ShapeError):
+        m.eval_scalar(I)
+    with pytest.raises(ShapeError):
+        SliceRational.from_poly(m).eval_scalar(I)
+
+
+def test_eval_scalar_gives_real_points_the_unit_i():
+    # f(p) = p i at a real point x is x i
+    f = StarPoly.scalar([0.0, I])
+    assert f.eval_scalar(0.5).to_json() == [0.0, 0.5, 0.0, 0.0]
+    assert SliceRational.from_poly(f).eval_scalar(Quaternion(-0.25)).to_json() == [0.0, -0.25, 0.0, 0.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(quats, comp), min_size=1, max_size=6))
+def test_scalar_keeps_the_bits_of_the_per_coefficient_arrays(values):
+    assert_same_bits(StarPoly.scalar(values).coeffs, scalar_poly_per_coeff(values).coeffs)
+
+
+def assert_same_rational(fast, slow):
+    assert_same_bits(fast.num.coeffs, slow.num.coeffs)
+    assert_same_bits(fast.den.coeffs, slow.den.coeffs)
+
+
+ball_zeros = st.builds(Quaternion, unit_comp, unit_comp, unit_comp, unit_comp).filter(
+    lambda a: a.norm() < 1.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ball_zeros, st.sampled_from(("ball", "halfspace")))
+@example(Quaternion(), "ball")
+@example(Quaternion(0.0, 0.5, 0.0, 0.0), "ball")
+def test_factor_rationals_keep_the_bits_of_the_checked_route(a, domain):
+    if domain == "halfspace":
+        a = Quaternion(abs(a.re) + 0.05, a.x1, a.x2, a.x3)
+    # the factors of the product and of its star inverse (points outside the
+    # ball, kept where their squared modulus is finite)
+    inverse = -a.conj() if domain == "halfspace" else a.conj().inverse() if a.norm() > 1e-60 else a
+    for b in (a, inverse):
+        checked = point_rational_checked(domain, b)
+        # the checking constructor trims a top coefficient below 1e-15 of the
+        # largest; the vector built directly keeps it
+        if checked.den.degree == 2:
+            assert_same_rational(_point_rational(domain, b), checked)
+        if qdecompose(b).axis is not None:
+            checked = sphere_rational_checked(domain, b)
+            if checked.den.degree == 2:
+                assert_same_rational(_sphere_rational(domain, b), checked)
+
+
+def test_factor_rational_keeps_a_tiny_top_coefficient():
+    a = Quaternion(1e-9, 0.0, 1e-9, 0.0)
+    assert point_rational_checked("ball", a).den.degree == 1
+    fast = _point_rational("ball", a)
+    assert fast.den.degree == 2 and fast.den.real_vector()[2] == a.normsq()
