@@ -88,6 +88,7 @@ from .realization import (
     backward_shift_colligation,
     colligation_from_blaschke_factor,
     realize_eval,
+    realize_many,
     solve_stein,
 )
 from .starpoly import (

@@ -30,7 +30,7 @@ from .factorcheck import (
 from .kernels import SchurFunction, estimate_dim_HB, estimate_neg_squares
 from .qlinalg import QMatrix
 from .quat import Quaternion, sample_ball_points
-from .realization import Colligation, colligation_from_blaschke_factor, realize_eval, solve_stein, stein_is_negative
+from .realization import Colligation, colligation_from_blaschke_factor, realize_many, solve_stein, stein_is_negative
 from .starpoly import SliceRational, StarPoly
 
 COMMANDS = ("blaschke-build", "negsq", "dim-hb", "realize", "stein", "kl-check", "transport")
@@ -364,9 +364,9 @@ def _run_dim_hb(cfg):
 
 def _run_realize(cfg):
     col = cfg.objects["colligation"]
-    values = []
-    for p in cfg.objects["points"]:
-        values.append({"p": p.to_json(), "value": realize_eval(col, p).to_json()})
+    pts = cfg.objects["points"]
+    values = [{"p": p.to_json(), "value": QMatrix(v).to_json()}
+              for p, v in zip(pts, realize_many(col, pts))]
     body = {
         "values": values,
         "coisometry_residual": col.coisometry_residual(),

@@ -38,11 +38,13 @@ class DivergenceError(QSchurError, ValueError):
 
 
 class NumericError(QSchurError, ArithmeticError):
-    """Numerical failure: ill conditioning or solver breakdown."""
+    """Numerical failure: ill conditioning or solver breakdown; index is
+    the failing matrix's position when a stack was processed."""
 
-    def __init__(self, message, condition=None):
+    def __init__(self, message, condition=None, index=None):
         super().__init__(message)
         self.condition = condition
+        self.index = index
 
 
 class PoleError(QSchurError, ArithmeticError):

@@ -221,16 +221,30 @@ def block_diag(mats):
 # ---------------------------------------------------------------------------
 
 def complex_adjoint(m):
-    """chi(M): complex matrix of doubled size with chi(MN) = chi(M) chi(N)."""
+    """chi(M): complex matrix of doubled size with chi(MN) = chi(M) chi(N).
+
+    A component array (..., r, c, 4) gives the stack (..., 2r, 2c)."""
     d = _accel.as_pairs(m.data if isinstance(m, QMatrix) else m)
+    if d.ndim < 3:
+        raise ShapeError("complex adjoint needs a (..., rows, cols, 4) array")
     a, b = d[..., 0], d[..., 1]
-    r, c = a.shape
+    r, c = a.shape[-2:]
     # filled block by block: no temporaries beside the result
-    z = np.empty((2 * r, 2 * c), dtype=np.complex128)
-    z[:r, :c], z[:r, c:] = a, b
-    np.negative(np.conjugate(b, out=z[r:, :c]), out=z[r:, :c])
-    np.conjugate(a, out=z[r:, c:])
+    z = np.empty(a.shape[:-2] + (2 * r, 2 * c), dtype=np.complex128)
+    z[..., :r, :c], z[..., :r, c:] = a, b
+    np.negative(np.conjugate(b, out=z[..., r:, :c]), out=z[..., r:, :c])
+    np.conjugate(a, out=z[..., r:, c:])
     return z
+
+
+def _from_chi_arr(z):
+    """Components (..., r, c, 4) of a stack of complex adjoints (..., 2r, 2c);
+    averages the two structured blocks for robustness."""
+    r, c = z.shape[-2] // 2, z.shape[-1] // 2
+    d = np.empty(z.shape[:-2] + (r, c, 2), dtype=np.complex128)
+    d[..., 0] = 0.5 * (z[..., :r, :c] + np.conj(z[..., r:, c:]))
+    d[..., 1] = 0.5 * (z[..., :r, c:] - np.conj(z[..., r:, :c]))
+    return d.view(np.float64)
 
 
 def from_complex_adjoint(z):
@@ -238,11 +252,7 @@ def from_complex_adjoint(z):
     z = np.asarray(z, dtype=np.complex128)
     if z.ndim != 2 or z.shape[0] % 2 or z.shape[1] % 2:
         raise ShapeError("complex adjoint must be 2r x 2c")
-    r, c = z.shape[0] // 2, z.shape[1] // 2
-    d = np.empty((r, c, 2), dtype=np.complex128)
-    d[..., 0] = 0.5 * (z[:r, :c] + np.conj(z[r:, c:]))
-    d[..., 1] = 0.5 * (z[:r, c:] - np.conj(z[r:, :c]))
-    return QMatrix(d.view(np.float64))
+    return QMatrix(_from_chi_arr(z))
 
 
 class SignatureMatrix:
@@ -263,7 +273,10 @@ class SignatureMatrix:
 
     @classmethod
     def identity(cls, n):
-        return cls(QMatrix.eye(n))
+        """I_n, self-adjoint and unitary by construction, so left unchecked."""
+        sig = cls.__new__(cls)
+        sig._m = QMatrix.eye(n)
+        return sig
 
     @classmethod
     def from_signs(cls, signs):
@@ -332,21 +345,45 @@ def herm_eigen_neg(h, cutoff=1e-8, pairing_rtol=1e-9):
     return reps, negatives
 
 
+def qinv_arr(a):
+    """Inverses of square matrices stacked as (..., n, n, 4), through chi.
+
+    Raises NumericError for the first matrix, in C order of the stack,
+    that is numerically singular or whose 1-norm condition estimate on
+    chi exceeds COND_LIMIT; the error's index is its flat position.
+    """
+    z = complex_adjoint(a)
+    if z.shape[-1] != z.shape[-2]:
+        raise ShapeError("inversion needs square matrices")
+    flat = z.reshape((-1,) + z.shape[-2:])
+    singular = np.zeros(flat.shape[0], dtype=bool)
+    try:
+        zinv = np.linalg.inv(flat)
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole stack: invert one at a time
+        zinv = np.full_like(flat, np.nan)
+        for k, zk in enumerate(flat):
+            try:
+                zinv[k] = np.linalg.inv(zk)
+            except np.linalg.LinAlgError:
+                singular[k] = True
+    # 1-norms are the largest column sums
+    cond = np.abs(flat).sum(axis=-2).max(axis=-1) * np.abs(zinv).sum(axis=-2).max(axis=-1)
+    bad = np.flatnonzero(singular | ~(cond <= COND_LIMIT))
+    if bad.size:
+        k = int(bad[0])
+        if singular[k]:
+            raise NumericError("matrix is numerically singular", condition=np.inf, index=k)
+        raise NumericError("matrix too ill-conditioned to invert (cond~%.3e)" % cond[k],
+                           condition=float(cond[k]), index=k)
+    return _from_chi_arr(zinv.reshape(z.shape))
+
+
 def qmatrix_inv(m):
     """Inverse through chi(M); refuses condition estimates beyond 1e12."""
     if m.rows != m.cols:
         raise ShapeError("inversion needs a square matrix")
-    z = complex_adjoint(m)
-    try:
-        zinv = np.linalg.inv(z)
-    except np.linalg.LinAlgError:
-        raise NumericError("matrix is numerically singular", condition=np.inf)
-    cond = float(np.linalg.norm(z, 1) * np.linalg.norm(zinv, 1))
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise NumericError(
-            "matrix too ill-conditioned to invert (cond~%.3e)" % cond, condition=cond
-        )
-    return from_complex_adjoint(zinv)
+    return QMatrix(qinv_arr(m.data))
 
 
 def check_colligation(m, j1, j2, mode="coisometry"):

@@ -8,15 +8,21 @@ so ball evaluation needs the resolvent I - 2Re(p)A + |p|^2 A^2 to be
 invertible (p outside the S-spectrum spheres of A).  Half-space
 colligations carry blocks (F, G, H) with the derived block
 B = -(I + x0 A) making up the coisometric operator matrix.
+realize_many evaluates a whole list of points in one batched pass: the
+resolvents of all points form one stack with one inversion, and an
+error is reported for the first failing point in point order.
 
 State spaces are plain quaternionic coordinate spaces; indefinite
 metrics appear only through finite Gram matrices handled elsewhere.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from .blaschke import BALL, HALFSPACE
 from .errors import (
     DomainError,
@@ -35,7 +41,8 @@ from .qlinalg import (
     from_complex_adjoint,
     herm_eigen_neg,
     hstack,
-    qmatrix_inv,
+    qinv_arr,
+    qmatmul_arr,
     vstack,
 )
 from .quat import Quaternion, as_quaternion, qdecompose
@@ -73,6 +80,11 @@ class Colligation:
             self.J2 = SignatureMatrix.identity(self.C.rows)
         if self.domain not in (BALL, HALFSPACE):
             raise DomainError("domain must be 'ball' or 'halfspace'")
+        if self.x0 is not None:
+            if isinstance(self.x0, bool) or not isinstance(self.x0, numbers.Real):
+                raise DomainError("x0 must be a real number, not %r" % (self.x0,))
+            if not math.isfinite(self.x0):
+                raise DomainError("x0 must be finite")
         if self.domain == HALFSPACE:
             if self.x0 is None or not self.x0 > 0.0:
                 raise DomainError("half-space colligations need x0 > 0")
@@ -142,48 +154,64 @@ class Colligation:
         )
 
 
-def _resolvent_inverse(a, p):
-    """(I - 2 Re(p) A + |p|^2 A^2)^{-1}, raising SpectrumError when p lies
-    on an S-spectrum sphere of A."""
-    n = a.rows
-    eye = QMatrix.eye(n)
-    res = eye - (a.scale_left(2.0 * p.re)) + (a @ a).scale_left(p.normsq())
-    try:
-        return qmatrix_inv(res)
-    except NumericError as exc:
-        rep = qdecompose(p)
-        raise SpectrumError(
-            "resolvent singular at sphere (x=%.6g, y=%.6g): %s" % (rep.x, rep.y, exc)
-        )
+def _stack(quats):
+    """A list of quaternions as a (B, 1, 1, 4) array, one 1x1 matrix each."""
+    return np.array([(q.x0, q.x1, q.x2, q.x3) for q in quats]).reshape(-1, 1, 1, 4)
 
 
-def realize_eval(col, p):
-    """Evaluate the transfer function of a colligation at a quaternion.
+def realize_many(col, points):
+    """Values of the transfer function of a colligation at every point of a
+    sequence of quaternions, as one (B, r, s, 4) array.
 
     Ball:  D + p (C - conj(p) C A)(I - 2Re(p)A + |p|^2 A^2)^{-1} B,
     which reduces to D + x C (I - xA)^{-1} B at real x.  Half-space:
     H - (p - x0)(G - phib G A)(|phi|^2 A^2 - 2Re(phi) A + I)^{-1} F with
     phi = (p - x0)(p + x0)^{-1} and phib its conjugate; the (p - x0)
     prefactor annihilates the second term at p = x0, so S(x0) = H.
-    """
-    p = as_quaternion(p)
-    if col.domain == BALL:
-        rinv = _resolvent_inverse(col.A, p)
-        ca = col.C @ col.A
-        left = col.C - ca.scale_left(p.conj())
-        return col.D + (left @ rinv @ col.B).scale_left(p)
 
-    x0 = float(col.x0)
-    shift = p + Quaternion.from_real(x0)
-    if shift.norm() <= 1e-13 * max(1.0, p.norm()):
-        rep = qdecompose(p)
-        raise PoleError(rep.x, rep.y, "half-space evaluation at p = -x0")
-    phi = (p - Quaternion.from_real(x0)) * shift.inverse()
-    rinv = _resolvent_inverse(col.A, phi)
-    ga = col.G @ col.A
-    left = col.G - ga.scale_left(phi.conj())
-    term = (left @ rinv @ col.F).scale_left(p - Quaternion.from_real(x0))
-    return col.H - term
+    The resolvents of all points are inverted as one stack.  The error
+    is that of the first failing point: PoleError at p = -x0, or
+    SpectrumError when phi lies on an S-spectrum sphere of A.
+    """
+    pts = [as_quaternion(p) for p in points]
+    pole = None
+    if col.domain == BALL:
+        phis, pres = pts, pts
+    else:
+        x0 = Quaternion.from_real(float(col.x0))
+        phis, pres = [], []
+        for p in pts:
+            shift = p + x0
+            if shift.norm() <= 1e-13 * max(1.0, p.norm()):
+                rep = qdecompose(p)
+                pole = PoleError(rep.x, rep.y, "half-space evaluation at p = -x0")
+                break
+            pres.append(p - x0)
+            phis.append(pres[-1] * shift.inverse())
+    phi = _stack(phis)
+    c0, c1, c2, c3 = (phi[..., k:k + 1] for k in range(4))
+    normsq = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3    # summed as Quaternion.normsq
+    a = col.A.data
+    res = QMatrix.eye(col.state_dim).data - (2.0 * c0) * a + normsq * qmatmul_arr(a, a)
+    try:
+        rinv = qinv_arr(res)
+    except NumericError as exc:
+        rep = qdecompose(phis[exc.index])
+        raise SpectrumError(
+            "resolvent singular at sphere (x=%.6g, y=%.6g): %s" % (rep.x, rep.y, exc)
+        )
+    if pole is not None:
+        raise pole
+    # C - conj(phi) C A, times the resolvent inverse and B
+    left = col.C.data - _accel.qmul(_accel.qconj(phi), qmatmul_arr(col.C.data, a))
+    pre = phi if col.domain == BALL else _stack(pres)
+    term = _accel.qmul(pre, qmatmul_arr(qmatmul_arr(left, rinv), col.B.data))
+    return col.D.data + term if col.domain == BALL else col.D.data - term
+
+
+def realize_eval(col, p):
+    """The transfer function at one quaternion, as a QMatrix (see realize_many)."""
+    return QMatrix(realize_many(col, [p])[0])
 
 
 def colligation_from_blaschke_factor(a, domain=BALL):

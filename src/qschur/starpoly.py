@@ -45,7 +45,7 @@ from .errors import (
     ShapeError,
 )
 from .qlinalg import QMatrix, qmatmul_arr
-from .quat import I, ImaginaryUnit, Quaternion, as_quaternion, qdecompose
+from .quat import _NORMAL_MIN, I, ImaginaryUnit, Quaternion, as_quaternion, qdecompose
 
 # imaginary residue allowed when a polynomial claims real coefficients
 REAL_COEFF_RTOL = 1e-13
@@ -124,12 +124,11 @@ class StarPoly:
 
     def coeff_scale(self):
         """Largest coefficient Frobenius norm (at least a tiny floor)."""
-        mags = np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3)))
-        return float(max(np.max(mags), 1e-300))
+        return float(max(np.max(_coeff_moduli(self._c)), 1e-300))
 
     def trim(self, rtol=0.0):
         """Drop trailing coefficients of norm <= rtol * scale."""
-        mags = np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3)))
+        mags = _coeff_moduli(self._c)
         cut = rtol * self.coeff_scale()
         d = self._c.shape[0] - 1
         while d > 0 and mags[d] <= cut:
@@ -246,12 +245,12 @@ class StarPoly:
         """Magnitude scale sum_n |f_n| max(1,|p|)^n used for zero tests."""
         p = as_quaternion(p)
         base = max(1.0, p.norm())
-        mags = np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3)))
+        mags = _coeff_moduli(self._c)
         return float(sum(m * base**n for n, m in enumerate(mags)) + 1e-300)
 
     def eval_scales(self, points):
         """eval_scale at every point of an (B, 4) array, as a (B,) array."""
-        return _magnitude_scales(np.sqrt(np.sum(self._c * self._c, axis=(1, 2, 3))), points)
+        return _magnitude_scales(_coeff_moduli(self._c), points)
 
     # -- JSON ---------------------------------------------------------------------
 
@@ -314,6 +313,23 @@ def _powers(z, d):
     return np.cumprod(out, axis=1, out=out)
 
 
+
+
+def _coeff_moduli(c):
+    """Frobenius norms of the coefficients c[n] of a (d + 1, r, s, 4) array.
+
+    A squared sum that is not a normal float has lost bits to underflow
+    or overflowed; those coefficients are divided by their largest
+    component before squaring."""
+    with np.errstate(over="ignore"):
+        sq = np.sum(c * c, axis=(1, 2, 3))
+    mags = np.sqrt(sq)
+    for n, v in enumerate(sq.tolist()):
+        if not _NORMAL_MIN <= v < np.inf:
+            top = np.max(np.abs(c[n]), initial=0.0)
+            if 0.0 < top < np.inf:
+                mags[n] = top * np.sqrt(np.sum(np.square(c[n] / top)))
+    return mags
 
 
 def _magnitude_scales(mags, points):

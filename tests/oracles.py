@@ -35,7 +35,10 @@ Each one is a frozen copy of an earlier, more direct implementation:
   coefficient, whose bits StarPoly.scalar must repeat;
 * point_rational_checked and sphere_rational_checked: the Blaschke factor
   rationals with StarPoly denominators through the checking constructor,
-  whose bits the factors built over real vectors must repeat.
+  whose bits the factors built over real vectors must repeat;
+* realize_eval_pointwise (with resolvent_inverse): the transfer function
+  of a colligation one point at a time by QMatrix products and one
+  qmatrix_inv, the reference for the stacked realization.realize_many.
 
 The test-only helpers below them build inputs for the tests and give
 independent evaluations: the pointwise-product law of a Blaschke chain,
@@ -53,10 +56,10 @@ from qschur import _accel, kernels
 from qschur._jsonutil import format_float
 from qschur.blaschke import BALL, HALFSPACE
 from qschur.errors import (DivergenceError, DomainError, ExpansionError, NumericError,
-                           PoleError, PrecondError, ShapeError)
+                           PoleError, PrecondError, ShapeError, SpectrumError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
 from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr,
-                            random_qmatrix)
+                            qmatrix_inv, random_qmatrix)
 from qschur.quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
 from qschur.starpoly import REAL_COEFF_RTOL, SliceRational, StarPoly, divmod_real
@@ -439,3 +442,41 @@ def sphere_rational_checked(domain, a):
     if domain == BALL:
         return SliceRational(num, scalar([1.0, -2.0 * a.re, a.normsq()]))
     return SliceRational(num, scalar([a.normsq(), 2.0 * a.re, 1.0]))
+
+
+def resolvent_inverse(a, p):
+    """(I - 2 Re(p) A + |p|^2 A^2)^{-1}, raising SpectrumError when p lies
+    on an S-spectrum sphere of A."""
+    n = a.rows
+    eye = QMatrix.eye(n)
+    res = eye - (a.scale_left(2.0 * p.re)) + (a @ a).scale_left(p.normsq())
+    try:
+        return qmatrix_inv(res)
+    except NumericError as exc:
+        rep = qdecompose(p)
+        raise SpectrumError(
+            "resolvent singular at sphere (x=%.6g, y=%.6g): %s" % (rep.x, rep.y, exc)
+        )
+
+
+def realize_eval_pointwise(col, p):
+    """The transfer function of a colligation at one quaternion, by
+    QMatrix products and one inverse (see realization.realize_many)."""
+    p = as_quaternion(p)
+    if col.domain == BALL:
+        rinv = resolvent_inverse(col.A, p)
+        ca = col.C @ col.A
+        left = col.C - ca.scale_left(p.conj())
+        return col.D + (left @ rinv @ col.B).scale_left(p)
+
+    x0 = float(col.x0)
+    shift = p + Quaternion.from_real(x0)
+    if shift.norm() <= 1e-13 * max(1.0, p.norm()):
+        rep = qdecompose(p)
+        raise PoleError(rep.x, rep.y, "half-space evaluation at p = -x0")
+    phi = (p - Quaternion.from_real(x0)) * shift.inverse()
+    rinv = resolvent_inverse(col.A, phi)
+    ga = col.G @ col.A
+    left = col.G - ga.scale_left(phi.conj())
+    term = (left @ rinv @ col.F).scale_left(p - Quaternion.from_real(x0))
+    return col.H - term

@@ -330,6 +330,7 @@ ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 0.0, 0.0]]}
 HALF = {"rows": 1, "cols": 1, "entries": [[0.5, 0.0, 0.0, 0.0]]}
 RATIONAL = {"kind": "rational", "num": {"shape": [1, 1], "coeffs": [HALF]},
             "den": {"shape": [1, 1], "coeffs": [ONE]}}
+HALFSPACE_COLLIGATION = {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "domain": "halfspace"}
 
 
 @pytest.mark.parametrize("payload, pointer", [
@@ -347,6 +348,15 @@ RATIONAL = {"kind": "rational", "num": {"shape": [1, 1], "coeffs": [HALF]},
     ({"command": "kl-check", "b0": BALL_ZEROS,
       "s0": {"kind": "constant", "value": [0.5, 0, 0, 0], "domain": "halfspace"}},
      "/s0"),
+    pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+                  "colligation": dict(HALFSPACE_COLLIGATION, x0=float("inf"))},
+                 "/colligation", id="realize-halfspace-x0-inf"),
+    pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+                  "colligation": dict(HALFSPACE_COLLIGATION, x0=True)},
+                 "/colligation", id="realize-halfspace-x0-true"),
+    pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+                  "colligation": dict(HALFSPACE_COLLIGATION, domain="ball", x0="abc")},
+                 "/colligation", id="realize-ball-x0-string"),
 ])
 def test_hostile_config_exit_3_with_pointer(tmp_path, capsys, payload, pointer):
     cfg = write_config(tmp_path, "hostile.json", payload)

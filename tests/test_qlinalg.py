@@ -10,6 +10,7 @@ from qschur.qlinalg import (
     from_complex_adjoint,
     herm_eigen_neg,
     qadjoint_arr,
+    qinv_arr,
     qmatrix_inv,
     random_qmatrix,
 )
@@ -125,6 +126,46 @@ def test_inverse_examples(rng):
 def test_inverse_rejects_singular():
     with pytest.raises(NumericError):
         qmatrix_inv(QMatrix.zeros(2, 2))
+
+
+def test_stacked_inverse_repeats_the_one_matrix_inverse(rng):
+    stack = rng.uniform(-1.0, 1.0, size=(2, 3, 3, 3, 4))
+    inv = qinv_arr(stack)
+    assert inv.shape == stack.shape
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(inv[idx], qmatrix_inv(QMatrix(stack[idx])).data)
+    assert qinv_arr(stack[:0]).shape == (0, 3, 3, 3, 4)
+
+
+def test_stacked_inverse_names_the_first_failing_matrix():
+    good = QMatrix.diag([I, Quaternion(0.5, 0.0, -1.0, 2.0)]).data
+    ill = QMatrix.diag([1.0, 1e-14]).data
+    zero = np.zeros((2, 2, 4))
+    for layout, index, text in (
+        ([good, ill, zero], 1, "matrix too ill-conditioned to invert (cond~1.000e+14)"),
+        ([good, zero, ill], 1, "matrix is numerically singular"),
+        ([zero, good, good], 0, "matrix is numerically singular"),
+    ):
+        stack = np.array(layout)
+        with pytest.raises(NumericError) as info:
+            qinv_arr(stack)
+        assert info.value.index == index and str(info.value) == text
+        with pytest.raises(NumericError) as one:
+            qmatrix_inv(QMatrix(stack[index]))
+        assert str(one.value) == text and one.value.condition == info.value.condition
+    with pytest.raises(ShapeError):
+        qinv_arr(np.zeros((2, 3, 4)))
+
+
+def test_identity_signature_equals_the_checked_construction():
+    for n in range(1, 5):
+        fast, checked = SignatureMatrix.identity(n), SignatureMatrix(QMatrix.eye(n))
+        assert np.array_equal(fast.matrix.data, checked.matrix.data)
+        assert fast.n == n and fast.index() == 0
+    with pytest.raises(PrecondError, match="unitary"):
+        SignatureMatrix(QMatrix.diag([1.0, 2.0]))
+    with pytest.raises(PrecondError, match="self-adjoint"):
+        SignatureMatrix(QMatrix.scalar(I))
 
 
 def test_check_colligation_examples():

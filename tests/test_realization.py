@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qschur.blaschke import blaschke_factor
-from qschur.errors import DomainError, IllPosedError, ShapeError, SpectrumError
+from qschur.errors import DomainError, IllPosedError, PoleError, QSchurError, ShapeError, SpectrumError
 from qschur.kernels import SchurFunction
-from qschur.qlinalg import QMatrix, herm_eigen_neg, qmatrix_inv, random_qmatrix
+from qschur.qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, qmatrix_inv, random_qmatrix
 from qschur.quat import I, J, Quaternion, sample_ball_point, sample_halfspace_point, sample_imaginary_unit
 from qschur.realization import (
     Colligation,
     backward_shift_colligation,
     colligation_from_blaschke_factor,
     realize_eval,
+    realize_many,
     solve_stein,
     stein_is_negative,
 )
 from qschur.starpoly import SliceRational, StarPoly, extend_from_slice
 
-from oracles import random_halfspace_colligation
+from oracles import random_halfspace_colligation, realize_eval_pointwise, resolvent_inverse
 
 
 def test_realize_degenerate_state():
@@ -237,3 +240,140 @@ def test_colligation_json_roundtrip(rng):
     ball = colligation_from_blaschke_factor(Quaternion(0, 0.5, 0, 0))
     back = Colligation.from_json(ball.to_json())
     assert (back.D - ball.D).norm() == 0.0
+
+
+def test_colligation_rejects_bad_x0():
+    blocks = dict(A=QMatrix.zeros(1, 1), B=QMatrix.zeros(1, 1),
+                  C=QMatrix.zeros(1, 1), D=QMatrix.zeros(1, 1))
+    for x0 in (float("inf"), float("nan"), True, np.bool_(True), "1.0", [1.0], -1.0, 0.0):
+        with pytest.raises(DomainError):
+            Colligation(x0=x0, domain="halfspace", **blocks)
+    for x0 in (float("inf"), True, "1.0", [1.0]):
+        with pytest.raises(DomainError):
+            Colligation(x0=x0, **blocks)
+    assert Colligation(x0=np.float64(0.5), domain="halfspace", **blocks).x0 == 0.5
+    assert Colligation(x0=-1.0, **blocks).to_json()["x0"] == -1.0
+
+
+# -- the batched realization against the per-point oracle -------------------
+
+def _slice_point(z, unit):
+    """The quaternion Re z + unit |Im z| for a complex z and a unit 3-vector."""
+    return Quaternion(z.real, *(abs(z.imag) * unit))
+
+
+def _phi(col, p):
+    if col.domain == "ball":
+        return p
+    x0 = Quaternion.from_real(col.x0)
+    return (p - x0) * (p + x0).inverse()
+
+
+def _operand_scale(col, p):
+    """|D| + |pre| (|C| + |phi| |C A|) |R^{-1}| |B|, R the resolvent at phi,
+    with pre = p on the ball and p - x0 on the half-space."""
+    phi = _phi(col, p)
+    pre = p if col.domain == "ball" else p - Quaternion.from_real(col.x0)
+    rinv = resolvent_inverse(col.A, phi)
+    return col.D.norm() + pre.norm() * (col.C.norm() + phi.norm() * (col.C @ col.A).norm()) \
+        * rinv.norm() * col.B.norm()
+
+
+def _oracle(col, pts):
+    """The per-point values, or the first error as (type, message)."""
+    try:
+        return [realize_eval_pointwise(col, p) for p in pts]
+    except QSchurError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def colligations_and_points(draw):
+    """A ball or half-space colligation with state dimension 1-3 and
+    r, s in {1, 2}, and 0-6 points: random, real, x0, on or near an
+    S-spectrum sphere of A, and -x0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, r, s = draw(st.integers(1, 3)), draw(st.sampled_from([1, 2])), draw(st.sampled_from([1, 2]))
+    domain = draw(st.sampled_from(["ball", "halfspace"]))
+    x0 = float(rng.uniform(0.3, 2.5)) if domain == "halfspace" else None
+    col = Colligation(A=QMatrix(rng.uniform(-0.6, 0.6, size=(n, n, 4))), B=random_qmatrix(rng, n, s),
+                      C=random_qmatrix(rng, r, n), D=random_qmatrix(rng, r, s), domain=domain, x0=x0)
+    lam = np.linalg.eigvals(complex_adjoint(col.A))
+    pts = []
+    for kind in draw(st.lists(st.sampled_from(["random", "real", "x0", "on", "near", "pole"]),
+                              max_size=6)):
+        unit = rng.normal(size=3)
+        unit /= np.linalg.norm(unit)
+        if kind == "random":
+            pts.append(Quaternion(*rng.uniform(-1.0, 1.0, size=4)))
+        elif kind == "real":
+            pts.append(Quaternion.from_real(rng.uniform(-1.0, 1.0)))
+        elif kind == "x0":
+            pts.append(Quaternion.from_real(x0 if x0 is not None else 0.0))
+        elif kind == "pole":
+            pts.append(Quaternion.from_real(-x0 if x0 is not None else -0.5))
+        else:
+            # phi = 1/lambda puts phi on an S-spectrum sphere of A
+            phi = 1.0 / lam[rng.integers(lam.size)] * (1.0 if kind == "on" else 1.0 + 1e-6)
+            z = phi if domain == "ball" else x0 * (1.0 + phi) / (1.0 - phi)
+            pts.append(_slice_point(z, unit))
+    return col, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=colligations_and_points())
+def test_realize_many_matches_the_pointwise_oracle(case):
+    col, pts = case
+    expect = _oracle(col, pts)
+    if isinstance(expect, tuple):
+        with pytest.raises(expect[0]) as info:
+            realize_many(col, pts)
+        assert str(info.value) == expect[1]
+        return
+    got = realize_many(col, pts)
+    assert got.shape == (len(pts),) + col.D.shape + (4,)
+    for p, value, ref in zip(pts, got, expect):
+        assert np.max(np.abs(value - ref.data)) <= 1e-14 * _operand_scale(col, p)
+        one = realize_eval(col, p)
+        assert np.array_equal(one.data, realize_many(col, [p])[0])
+
+
+def test_realize_many_of_no_points_is_empty():
+    col = random_halfspace_colligation(np.random.default_rng(3), 2, 2, 2, 0.8)
+    assert realize_many(col, []).shape == (0, 2, 2, 4)
+    assert realize_many(colligation_from_blaschke_factor(Quaternion(0, 0.5, 0, 0)), ()).shape \
+        == (0, 1, 1, 4)
+
+
+def test_first_failing_point_decides_the_error():
+    # A = 1/2 on the half-space with x0 = 1: phi = 2 puts the resolvent on
+    # the spectrum sphere (x=2, y=0), which p = -3 reaches; p = -1 is -x0
+    col = Colligation(A=QMatrix.scalar(0.5), B=QMatrix.scalar(1.0), C=QMatrix.scalar(1.0),
+                      D=QMatrix.scalar(0.0), domain="halfspace", x0=1.0)
+    ok, spec, pole = Quaternion(0.3, 0.2, 0, 0), Quaternion.from_real(-3.0), Quaternion.from_real(-1.0)
+    for pts, kind in (([ok, spec, pole], SpectrumError), ([ok, pole, spec], PoleError)):
+        expect = _oracle(col, pts)
+        assert expect[0] is kind
+        with pytest.raises(kind) as info:
+            realize_many(col, pts)
+        assert str(info.value) == expect[1]
+    assert "resolvent singular at sphere (x=2, y=0): matrix is numerically singular" \
+        in _oracle(col, [spec])[1]
+    assert _oracle(col, [pole])[1] == "half-space evaluation at p = -x0"
+
+
+def test_singular_and_ill_conditioned_points_in_one_stack():
+    # on the ball with A = diag(1/2, 1/10) the resolvent diag((1 - p/2)^2,
+    # (1 - p/10)^2) is singular at p = 2 and ill-conditioned next to it
+    col = Colligation(A=QMatrix.diag([0.5, 0.1]), B=QMatrix.from_real(np.ones((2, 1))),
+                      C=QMatrix.from_real(np.ones((1, 2))), D=QMatrix.scalar(0.0))
+    near, on, ok = (Quaternion.from_real(2.0 * (1.0 + 1e-7)), Quaternion.from_real(2.0),
+                    Quaternion.from_real(0.1))
+    for pts in ([ok, near, on], [ok, on, near], [on, ok], [near]):
+        expect = _oracle(col, pts)
+        assert expect[0] is SpectrumError
+        with pytest.raises(SpectrumError) as info:
+            realize_many(col, pts)
+        assert str(info.value) == expect[1]
+    assert "numerically singular" in _oracle(col, [ok, on, near])[1]
+    assert "ill-conditioned" in _oracle(col, [ok, near, on])[1]

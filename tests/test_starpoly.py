@@ -1,5 +1,8 @@
 import json
 import pathlib
+import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -751,3 +754,36 @@ def test_factor_rational_keeps_a_tiny_top_coefficient():
     assert point_rational_checked("ball", a).den.degree == 1
     fast = _point_rational("ball", a)
     assert fast.den.degree == 2 and fast.den.real_vector()[2] == a.normsq()
+
+
+def _exact_modulus(block):
+    """sqrt of the exact sum of squares of a coefficient, to 50 digits."""
+    sq = sum(Fraction(float(v)) ** 2 for v in block.ravel())
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return (Decimal(sq.numerator) / Decimal(sq.denominator)).sqrt()
+
+
+@pytest.mark.parametrize("size", [1e-200, 1e200, 1.0])
+def test_coefficient_moduli_neither_under_nor_overflow(rng, size):
+    c = rng.uniform(-1.0, 1.0, size=(4, 2, 2, 4)) * size
+    c[2] = 0.0
+    f = StarPoly(c)
+    pts = np.array([[0.5, 0.0, 0.0, 0.0], [1.5, 0.5, -0.5, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scale, scales = f.coeff_scale(), f.eval_scales(pts)
+        pointwise = [f.eval_scale(Quaternion.from_array(x)) for x in pts]
+        trimmed = f.trim(1e-3)
+    exact = [_exact_modulus(block) for block in c]
+    top = max(exact)
+    assert abs(Decimal(scale) - top) <= Decimal(1e-15) * top
+    for x, s in zip(pts, scales):
+        base = max(Decimal(1), Decimal(float(np.linalg.norm(x))))
+        ref = sum(m * base**n for n, m in enumerate(exact))
+        assert abs(Decimal(s) - ref) <= Decimal(1e-15) * ref
+    assert np.allclose(scales, pointwise, rtol=1e-14, atol=0.0)
+    assert trimmed.degree == 3
+    if size == 1.0:
+        # normal squared sums keep the plain formula's bits
+        assert scale == float(np.max(np.sqrt(np.sum(c * c, axis=(1, 2, 3)))))
