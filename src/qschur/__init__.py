@@ -22,8 +22,6 @@ from .blaschke import (
     blaschke_factor,
     build_product,
     potapov_factor,
-    product_degree,
-    product_inverse,
 )
 from .errors import (
     ConfigError,
@@ -75,8 +73,6 @@ from .quat import (
     Quaternion,
     SphereRep,
     qdecompose,
-    qinverse,
-    qproduct,
     same_sphere,
     sample_ball_point,
     sample_ball_points,
@@ -98,7 +94,6 @@ from .starpoly import (
     left_root_extract,
     star_conj_sym,
     star_inv_scalar,
-    star_mul,
     zero_multiplicity,
 )
 

@@ -379,9 +379,6 @@ class FactoredProduct:
             self._rational = acc
         return self._rational
 
-    def eval(self, p):
-        return self.rational.eval_left(p)
-
     def eval_many(self, points):
         return self.rational.eval_many(points)
 
@@ -399,16 +396,6 @@ class FactoredProduct:
             "factors": [f.to_json() for f in self.factors],
             "rational": self.rational.to_json(),
         }
-
-
-def product_degree(b):
-    """Degree d = sum 2 m_i + sum n_j (Potapov factors add rank P or 1)."""
-    return b.degree()
-
-
-def product_inverse(b):
-    """Reversed list of per-factor star inverses."""
-    return b.inverse()
 
 
 def build_product(zeros, zero_tol=1e-10):

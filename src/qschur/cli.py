@@ -140,7 +140,7 @@ def _parse_schur_spec(v, obj, path):
                                                 StarPoly.from_json(obj.get("den"))))
     if rat is None or domain is None:
         return None
-    return SchurFunction.from_rational(rat, domain=domain)
+    return SchurFunction(rat, domain=domain)
 
 
 def _quaternions(message):
@@ -261,6 +261,10 @@ def _kl_domains(v, raw, objects, effective):
     b0, s0 = objects["b0"], objects["s0"]
     if b0 is not None and s0 is not None and s0.domain != b0.domain:
         v.fail("/s0", "S0 lives on the %s but B0 on the %s" % (s0.domain, b0.domain))
+    # a constant S0 must be a Schur function, as synthesize_generalized_schur requires
+    constant = s0 is not None and raw["s0"]["kind"] == "constant"
+    if constant and s0.evaluate(0.0).norm() > 1.0 + 1e-14:
+        v.fail("/s0/value", "constant S0 needs norm at most 1")
     effective.setdefault("s0", None)     # S0 = 1 is echoed as null
 
 

@@ -172,8 +172,9 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
     identity expansion that fails (B0 vanishing at the origin) ends the
     check INCONCLUSIVE with kappa_hat None, without sampling.  A sampling
     leg stopped by a pole sphere or a numeric failure leaves kappa_hat
-    None and, unless the identity leg fails, the verdict INCONCLUSIVE.  A
-    PASS with a vacuous identity leg says so in its reason.
+    None and, unless the identity leg fails, the verdict INCONCLUSIVE; when
+    both legs are inconclusive the reason names both.  A PASS with a
+    vacuous identity leg says so in its reason.
     """
     if case.domain == HALFSPACE:
         case = transport_case_to_ball(case)
@@ -219,6 +220,8 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
             reason = "identity deviation is not finite"
         else:
             reason = "identity truncation insufficient (tail %.3e)" % ident.tail_bound
+        if negsq is None:
+            reason += "; sampling leg failed: %s" % sampling_error
     elif ident.status == "fail":
         verdict = "FAIL"
         reason = "identity deviation %.3e with certified tail %.3e" % (

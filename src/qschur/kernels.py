@@ -4,8 +4,8 @@ The generalized Schur kernel on the unit ball is the power series
 
     K_S(p, q) = sum_n p^n (J2 - S(p) J1 S(q)^*) conj(q)^n,
 
-which kernel_sum and gram evaluate in closed form, without truncation,
-on the complex slices of p and q.  Write p = x + I y and q = u + J v
+which gram evaluates in closed form, without truncation, on the complex
+slices of p and q.  Write p = x + I y and q = u + J v
 with imaginary units I, J and y, v >= 0, and z = x + i y, w = u + i v.
 By the splitting formula p^n = Re z^n + I Im z^n and
 conj(q)^n = Re w^n - J Im w^n, so with the Szego sums
@@ -25,7 +25,8 @@ points and builds their columns, and _gram_slice sums the kernel for one
 set of points.  estimate_neg_squares runs the first once per block of
 TRIAL_BLOCK trials and the second once per trial, with the complex
 adjoint of diag(J2, -J1) built once per call, so its per-point arrays
-are O(TRIAL_BLOCK batch) for any number of trials.
+are O(TRIAL_BLOCK batch) for any number of trials.  schur_kernel_eval
+reads one value K_S(p, q) off the Gram at p and q with identity columns.
 
 Gram matrices built from kernel sections drive two estimators:
 
@@ -41,11 +42,9 @@ series X convolves its coefficients on the p-index, and a right one with
 Y^* convolves the adjoint coefficients on the conj(q)-index: products
 with lower-triangular block Toeplitz matrices T_X and T_Y^*, from which
 kernel_identity_check builds both sides of the identity.  The
-coefficients come from two closed forms of starpoly: the Taylor series
-of den^{-1} num is the convolution of num with the real series of
-1/den, and a scalar B0 = D^{-1} N has the star inverse
-B0^{-*} = (N^s)^{-1} N^c D, with N^c the conjugate polynomial and
-N^s = N * N^c its real symmetrization.
+coefficients come from the closed form of starpoly.SliceRational.taylor:
+the Taylor series of den^{-1} num is the convolution of num with the
+real series of 1/den.
 """
 
 from dataclasses import dataclass
@@ -103,10 +102,6 @@ class SchurFunction:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_rational(cls, rat, domain=BALL, J1=None, J2=None, label=""):
-        return cls(rat, domain, J1, J2, label)
-
-    @classmethod
     def from_product(cls, product, J1=None, J2=None, label=""):
         return cls(product.rational, product.domain, J1, J2, label or "blaschke-product")
 
@@ -161,15 +156,13 @@ class SchurFunction:
 # ---------------------------------------------------------------------------
 
 def base_kernel(domain, p, q):
-    """Positive base kernel: sum p^n conj(q)^n on the ball, its half-space
-    counterpart (conj(p)+conj(q)) (|p|^2 + 2 Re(p) conj(q) + conj(q)^2)^{-1}."""
+    """Positive base kernel: sum p^n conj(q)^n on the ball, the kernel of
+    S = 0; its half-space counterpart is
+    (conj(p)+conj(q)) (|p|^2 + 2 Re(p) conj(q) + conj(q)^2)^{-1}."""
     p = as_quaternion(p)
     q = as_quaternion(q)
     if domain == BALL:
-        if p.norm() * q.norm() >= 1.0:
-            raise DivergenceError("ball kernel needs |p||q| < 1")
-        den = Quaternion.from_real(1.0) - p * (2.0 * q.re) + (p * p) * q.normsq()
-        return den.inverse() * (Quaternion.from_real(1.0) - p * q)
+        return schur_kernel_eval(SchurFunction.constant(0.0), p, q).as_quaternion()
     if domain == HALFSPACE:
         qc = q.conj()
         den = Quaternion.from_real(p.normsq()) + (2.0 * p.re) * qc + qc * qc
@@ -191,43 +184,20 @@ def _szego_halves(z, w):
     return 0.5 * (e + f), 0.5 * (e - f)
 
 
-def kernel_sum(left, mid, right):
-    """sum_n p_l^n M[l, j] conj(q_j)^n for every pair, in closed form.
-
-    left is (B1, 4), right is (B2, 4) and mid is (B1, B2, r, c, 4); with
-    a, b the halves of the Szego sums and I, J the units of p, q, each
-    block is Re(a) M + Im(a) I M + (Re(b) I M - Im(b) M) J.
-    """
-    unit_l, z = slice_split(left)
-    unit_r, w = slice_split(right)
-    half_sum, half_diff = _szego_halves(z, w)
-    im = _accel.qmul(unit_l[:, None, None, None, :], mid)
-    wsum = half_sum[:, :, None, None, None]
-    wdiff = half_diff[:, :, None, None, None]
-    tail = wdiff.real * im - wdiff.imag * mid
-    return wsum.real * mid + wsum.imag * im + _accel.qmul(tail, unit_r[None, :, None, None, :])
-
-
-def _kernel_pair(p, mid, q):
-    """kernel_sum for one pair of points and one QMatrix M."""
-    p = as_quaternion(p)
-    q = as_quaternion(q)
-    out = kernel_sum(p.as_array()[None], mid.data[None, None], q.as_array()[None])
-    return QMatrix(out[0, 0])
-
-
 def schur_kernel_eval(s, p, q):
-    """K_S(p, q) in closed form."""
+    """K_S(p, q) in closed form: the (p, q) block of the Gram at the points
+    p and q with identity columns."""
     if s.domain != BALL:
         raise DomainError("direct kernel series applies on the ball; transport first")
-    sp = s.evaluate(p)
-    sq = s.evaluate(q)
-    mid = s.J2.matrix - sp @ s.J1.matrix @ sq.adjoint()
-    return _kernel_pair(p, mid, q)
+    r = s.rows
+    pts = np.repeat([as_quaternion(p).as_array(), as_quaternion(q).as_array()], r, axis=0)
+    g = gram(s, pts, np.tile(QMatrix.eye(r).data, (2, 1, 1)))
+    return QMatrix(g.data[:r, r:])
 
 
-def gram(s, points, vectors, hermitize=True):
-    """Hermitian Gram matrix with entries c_l^* K_S(w_l, w_j) c_j.
+def gram(s, points, vectors):
+    """Gram matrix with entries c_l^* K_S(w_l, w_j) c_j, Hermitian up to
+    rounding (herm_eigen_neg symmetrizes it).
 
     vectors is an (B, r, 4) array (or list of r x 1 QMatrix columns).
     """
@@ -240,10 +210,7 @@ def gram(s, points, vectors, hermitize=True):
         raise ShapeError("need one vector per point")
     if vecs.shape[1] != s.rows:
         raise ShapeError("vectors must have length %d" % s.rows)
-    g = _gram_slice(_chi_signature(s), *_gram_columns(s, pts, vecs))
-    if hermitize:
-        g = QMatrix(0.5 * (g.data + g.adjoint().data))
-    return g
+    return _gram_slice(_chi_signature(s), *_gram_columns(s, pts, vecs))
 
 
 def _gram_columns(s, pts, vecs):
@@ -415,7 +382,7 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
     # one section per point and identity column, point-major
     b_count, r = pts.shape[0], s.rows
     cols = np.tile(QMatrix.eye(r).data, (b_count, 1, 1))
-    g = gram(s, np.repeat(pts, r, axis=0), cols, hermitize=False)
+    g = gram(s, np.repeat(pts, r, axis=0), cols)
     eigs, _ = herm_eigen_neg(g, cutoff)
     lam_max = float(np.max(eigs)) if eigs.size else 0.0
     dim = int(np.sum(eigs > cutoff * max(lam_max, 1e-300)))
@@ -588,9 +555,9 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     """Check K_S - K_B = B(p) * (K_{S0}) *_r B(q)^* with B = B0^{-*}.
 
     S, B0 and S0 must live on the ball (transport half-space data first),
-    and S must carry identity signatures.  For a scalar B0 = D^{-1} N the
-    inverse B0^{-*} = (N^s)^{-1} N^c D is read off B0's own rational;
-    a matrix (Potapov) B0 is inverted factor by factor.
+    and S must carry identity signatures.  B0^{-*} is b0.inverse(), the
+    inverse that synthesize_generalized_schur builds S from; a scalar B0
+    acts on an r-row S0 as B0^{-*} I_r.
 
     At the given truncation both sides are products of block Toeplitz
     matrices of Taylor coefficients, in which the J2 terms cancel:
@@ -623,9 +590,7 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     if (s.J1.matrix - eye_s).norm() > 1e-12 or (s.J2.matrix - eye_r).norm() > 1e-12:
         raise PrecondError("the factorization identity applies to identity signatures")
 
-    b0_rat = b0.rational
-    binv = b0_rat.star_inverse() if b0_rat.is_scalar() else b0.inverse().rational
-    binv = binv.lift(s.rows)
+    binv = b0.inverse().rational.lift(s.rows)
     if gram_radius is None:
         pole = _min_pole_radius(binv)
         gram_radius = 0.6 if not np.isfinite(pole) else min(0.6, 0.45 * pole)
@@ -675,8 +640,8 @@ def moebius_identity_check(s, x0, p, q):
 
     With b(p) = (p + x0)(1 + p x0)^{-1} the kernel of S o b factors as
     (1 - x0^2)(1 + p x0)^{-1} K_S(b(p), b(q)) (1 + conj(q) x0)^{-1};
-    both sides are summed in closed form and the norm of the difference
-    is returned.
+    both kernels come from schur_kernel_eval, the left one of the composed
+    rational S o b, and the norm of the difference is returned.
     """
     if not (-1.0 < x0 < 1.0):
         raise DomainError("x0 must lie in (-1, 1)")
@@ -690,13 +655,8 @@ def moebius_identity_check(s, x0, p, q):
             raise PoleError(rep.x, rep.y, "Mobius pole at p = -1/x0")
         return (v + Quaternion.from_real(x0)) * den.inverse()
 
-    bp, bq = mob(p), mob(q)
-    sp = s.evaluate(bp)
-    sq = s.evaluate(bq)
-    mid = s.J2.matrix - sp @ s.J1.matrix @ sq.adjoint()
-
-    lhs = _kernel_pair(p, mid, q)
-    inner = _kernel_pair(bp, mid, bq)
+    lhs = schur_kernel_eval(SchurFunction.compose_real_mobius(s, x0, 1.0, 1.0, x0), p, q)
+    inner = schur_kernel_eval(s, mob(p), mob(q))
     left = (Quaternion.from_real(1.0) + p * x0).inverse() * (1.0 - x0 * x0)
     right = (Quaternion.from_real(1.0) + q.conj() * x0).inverse()
     rhs = inner.scale_left(left).scale_right(right)

@@ -254,16 +254,6 @@ class SphereRep:
         return "SphereRep(x=%r, y=%r, axis=%r)" % (self.x, self.y, self.axis)
 
 
-def qproduct(a, b):
-    """Hamilton product of two quaternions."""
-    return _coerce(a) * _coerce(b)
-
-
-def qinverse(a):
-    """Multiplicative inverse conj(a)/|a|^2; zero input raises DomainError."""
-    return _coerce(a).inverse()
-
-
 def qdecompose(p, rtol=REAL_AXIS_RTOL):
     """Split p into SphereRep(x, y, axis); axis absent for real p."""
     p = _coerce(p)

@@ -78,6 +78,8 @@ class Colligation:
             self.J1 = SignatureMatrix.identity(self.B.cols)
         if self.J2 is None:
             self.J2 = SignatureMatrix.identity(self.C.rows)
+        if self.J1.n != self.B.cols or self.J2.n != self.C.rows:
+            raise ShapeError("J1 must be B.cols square and J2 C.rows square")
         if self.domain not in (BALL, HALFSPACE):
             raise DomainError("domain must be 'ball' or 'halfspace'")
         if self.x0 is not None:

@@ -206,12 +206,6 @@ class StarPoly:
             out[n : n + dg + 1] += prod[n]
         return StarPoly(out)
 
-    def shift(self, k):
-        """Multiply by p^k (k >= 0)."""
-        out = np.zeros((self.degree + k + 1,) + self._c.shape[1:])
-        out[k:] = self._c
-        return StarPoly(out)
-
     def conj(self):
         """Conjugate polynomial (coefficients conjugated); scalar only."""
         if not self.is_scalar():
@@ -341,15 +335,6 @@ def _magnitude_scales(mags, points):
 # -------------------------------------------------------------------------------
 # star-algebra operations
 # -------------------------------------------------------------------------------
-
-def star_mul(f, g):
-    """Star product of StarPoly / SliceRational operands (mixed allowed)."""
-    if isinstance(f, SliceRational) or isinstance(g, SliceRational):
-        fr = f if isinstance(f, SliceRational) else SliceRational.from_poly(f)
-        gr = g if isinstance(g, SliceRational) else SliceRational.from_poly(g)
-        return fr.star(gr)
-    return f.star(g)
-
 
 def star_conj_sym(f):
     """Conjugate f^c and symmetrization f^s = f * f^c of a scalar polynomial.
@@ -729,10 +714,12 @@ class SliceRational:
     def taylor(self, n):
         """Taylor truncation at 0: the real series g of 1/den from its scalar
         recurrence g_k = -(den_1 g_{k-1} + ... + den_k g_0) / den_0, then one
-        convolution of g with the numerator coefficients."""
+        convolution of g with the numerator coefficients.  The expansion
+        fails only when den has a root at 0, that is den_0 == 0: a den_0
+        that is merely small (a pole close to 0) still has its series."""
         dv = self._dv
         d0 = dv[0]
-        if abs(d0) <= 1e-14 * max(1.0, float(np.max(np.abs(dv)))):
+        if d0 == 0.0:
             raise ExpansionError("denominator vanishes at the expansion point 0")
         tail = (-dv[1 : n + 1] / d0).tolist()
         g = [1.0 / d0]

@@ -28,7 +28,8 @@ Each one is a frozen copy of an earlier, more direct implementation:
 * qpow_table_loop: quaternion powers by repeated products, the reference
   for the complex-slice power table;
 * series_sum_pair (with tail_terms): the kernel series cut once its
-  geometric tail is below a tolerance, the reference for kernel_sum;
+  geometric tail is below a tolerance, the reference for
+  kernels.schur_kernel_eval;
 * dump_json_isinstance: the report writer as a chain of isinstance
   branches, whose bytes and errors _jsonutil.dump_json must repeat;
 * scalar_poly_per_coeff: a 1x1 StarPoly from one (1, 1, 4) array per
@@ -197,7 +198,7 @@ def estimate_neg_squares_per_trial(s, trials=200, batch=40, seed=0x5C05, rho=0.9
         rng = np.random.default_rng([int(seed), t])
         pts = sample_ball_points(rng, batch, rho)
         vecs = sample_gram_vectors(rng, batch, s.rows)
-        eigs, neg = herm_eigen_neg(kernels.gram(s, pts, vecs, hermitize=False), cutoff)
+        eigs, neg = herm_eigen_neg(kernels.gram(s, pts, vecs), cutoff)
         if neg > best:
             best, witness = neg, (pts, vecs, eigs)
     pts, vecs, eigs = witness
@@ -217,7 +218,7 @@ def taylor_recursive(rational, n):
     """Taylor truncation at 0 by recursive division of real coefficients."""
     dv = rational.den.real_vector()
     d0 = dv[0]
-    if abs(d0) <= 1e-14 * max(1.0, float(np.max(np.abs(dv)))):
+    if d0 == 0.0:
         raise ExpansionError("denominator vanishes at the expansion point 0")
     r, s = rational.shape
     num = rational.num.coeffs

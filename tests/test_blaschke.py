@@ -8,8 +8,6 @@ from qschur.blaschke import (
     blaschke_factor,
     build_product,
     potapov_factor,
-    product_degree,
-    product_inverse,
 )
 from qschur.errors import ConstructionError, DomainError
 from qschur.qlinalg import QMatrix
@@ -22,7 +20,7 @@ from qschur.quat import (
     sample_halfspace_point,
     sample_imaginary_unit,
 )
-from qschur.starpoly import star_mul, zero_multiplicity
+from qschur.starpoly import zero_multiplicity
 
 from oracles import eval_pointwise_chain, total_degree
 
@@ -124,17 +122,15 @@ def test_inverse_factor_roundtrips(rng):
         a = sample_ball_point(rng, 0.8)
         if a.norm() < 0.05:
             continue
-        prod = star_mul(
-            blaschke_factor("ball", "point", a),
-            PointFactor(a).inverse("ball").rational("ball"),
+        prod = blaschke_factor("ball", "point", a).star(
+            PointFactor(a).inverse("ball").rational("ball")
         )
         assert PointFactor(a).inverse("ball").a.isclose(a.conj().inverse())
         c = sample_ball_point(rng, 0.8)
         if c.imag_modulus() < 1e-3:
             continue
-        prods = star_mul(
-            blaschke_factor("ball", "sphere", c),
-            SphereFactor(c).inverse("ball").rational("ball"),
+        prods = blaschke_factor("ball", "sphere", c).star(
+            SphereFactor(c).inverse("ball").rational("ball")
         )
         for _ in range(5):
             p = sample_ball_point(rng, 0.7)
@@ -161,14 +157,14 @@ def test_build_two_points_conjugation_rule(rng):
     alpha21 = b1val.inverse() * a2 * b1val
     assert prod.factors[1].a.isclose(alpha21, 1e-12)
     for a in (a1, a2):
-        assert prod.eval(a).as_quaternion().norm() < 1e-10
+        assert prod.rational.eval_left(a).as_quaternion().norm() < 1e-10
     assert same_sphere(prod.factors[1].a, a2)
 
 
 def test_build_sphere_only():
     c = Quaternion(0, 0.5, 0, 0)
     prod = build_product(ZeroSet("ball", spheres=[(c, 1)]))
-    assert len(prod.factors) == 1 and product_degree(prod) == 2
+    assert len(prod.factors) == 1 and prod.degree() == 2
 
 
 def test_build_multiplicity_chain(rng):
@@ -206,13 +202,13 @@ def test_build_random_sets_multiplicities(rng):
         except ConstructionError:
             continue
         built += 1
-        assert product_degree(prod) == total_degree(zs)
+        assert prod.degree() == total_degree(zs)
         for a, n in pts:
-            assert prod.eval(a).as_quaternion().norm() < 1e-10
+            assert prod.rational.eval_left(a).as_quaternion().norm() < 1e-10
             assert zero_multiplicity(prod.rational.num, a) == ("point", n)
         for c, m in spheres:
             for q in sphere_points(c, rng, 4):
-                assert prod.eval(q).as_quaternion().norm() < 1e-10
+                assert prod.rational.eval_left(q).as_quaternion().norm() < 1e-10
             assert zero_multiplicity(prod.rational.num, c) == ("spherical", m)
 
 
@@ -229,7 +225,7 @@ def test_product_inverse_roundtrip(rng):
         spheres=[(Quaternion(0.1, 0, 0, 0.4), 1)],
     )
     prod = build_product(zs)
-    inv = product_inverse(prod)
+    inv = prod.inverse()
     assert [type(f).__name__ for f in inv.factors] == [
         type(f).__name__ for f in reversed(prod.factors)
     ]
@@ -245,16 +241,17 @@ def test_pointwise_chain_matches_rational(rng):
     prod = build_product(zs)
     for _ in range(20):
         p = sample_ball_point(rng, 0.8)
-        assert prod.eval(p).as_quaternion().isclose(eval_pointwise_chain(prod, p), 1e-10)
+        value = prod.rational.eval_left(p).as_quaternion()
+        assert value.isclose(eval_pointwise_chain(prod, p), 1e-10)
 
 
 def test_degree_examples():
     zs = ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 2)],
                  spheres=[(Quaternion(0.3, 0, 0.4, 0), 1)])
-    assert product_degree(build_product(zs)) == 4
+    assert build_product(zs).degree() == 4
     single = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
-    assert product_degree(single) == 1
-    assert product_degree(FactoredProduct.identity("ball")) == 0
+    assert single.degree() == 1
+    assert FactoredProduct.identity("ball").degree() == 0
 
 
 def test_halfspace_build_and_inverse(rng):
@@ -262,8 +259,8 @@ def test_halfspace_build_and_inverse(rng):
                                       (Quaternion(1.1, 0, 0.5, 0), 1)])
     prod = build_product(zs)
     for a, _ in zs.points:
-        assert prod.eval(a).as_quaternion().norm() < 1e-11
-    inv = product_inverse(prod)
+        assert prod.rational.eval_left(a).as_quaternion().norm() < 1e-11
+    inv = prod.inverse()
     both = prod.rational.star(inv.rational)
     for _ in range(10):
         p = sample_halfspace_point(rng, 0.2, 2.0, 1.0)
@@ -278,13 +275,13 @@ def test_potapov_factor_kinds(rng):
     full = potapov_factor("ball", 1, a=a, P=QMatrix.eye(2), J=jm)
     b = blaschke_factor("ball", "point", a)
     p = Quaternion(0.2, 0.1, 0, 0.05)
-    val = full.eval(p)
+    val = full.rational.eval_left(p)
     bval = b.eval_scalar(p)
     for idx in range(2):
         assert val.entry(idx, idx).isclose(bval, 1e-12)
 
     none = potapov_factor("ball", 1, a=a, P=QMatrix.zeros(2, 2), J=jm)
-    assert (none.eval(p) - QMatrix.eye(2)).norm() < 1e-13
+    assert (none.rational.eval_left(p) - QMatrix.eye(2)).norm() < 1e-13
 
     fac = potapov_factor("ball", 1, a=a, P=proj, J=jm)
     inv = fac.inverse()
@@ -364,6 +361,6 @@ def test_cached_rational_matches_factor_chain(rng):
     rebuilt = FactoredProduct(prod.domain, prod.factors, size=1)
     for _ in range(20):
         p = sample_ball_point(rng, 0.75)
-        assert prod.eval(p).as_quaternion().isclose(
-            rebuilt.eval(p).as_quaternion(), 1e-11
+        assert prod.rational.eval_left(p).as_quaternion().isclose(
+            rebuilt.rational.eval_left(p).as_quaternion(), 1e-11
         )

@@ -330,6 +330,8 @@ ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 0.0, 0.0]]}
 HALF = {"rows": 1, "cols": 1, "entries": [[0.5, 0.0, 0.0, 0.0]]}
 RATIONAL = {"kind": "rational", "num": {"shape": [1, 1], "coeffs": [HALF]},
             "den": {"shape": [1, 1], "coeffs": [ONE]}}
+EYE2 = {"rows": 2, "cols": 2, "entries": [[1.0, 0, 0, 0], [0.0, 0, 0, 0],
+                                          [0.0, 0, 0, 0], [1.0, 0, 0, 0]]}
 HALFSPACE_COLLIGATION = {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "domain": "halfspace"}
 
 
@@ -348,6 +350,12 @@ HALFSPACE_COLLIGATION = {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "domain": "ha
     ({"command": "kl-check", "b0": BALL_ZEROS,
       "s0": {"kind": "constant", "value": [0.5, 0, 0, 0], "domain": "halfspace"}},
      "/s0"),
+    pytest.param({"command": "kl-check", "b0": BALL_ZEROS,
+                  "s0": {"kind": "constant", "value": [2.0, 0, 0, 0]}},
+                 "/s0/value", id="kl-check-s0-norm-2"),
+    pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+                  "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "J1": EYE2}},
+                 "/colligation", id="realize-j1-2x2-beside-1-column-b"),
     pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
                   "colligation": dict(HALFSPACE_COLLIGATION, x0=float("inf"))},
                  "/colligation", id="realize-halfspace-x0-inf"),

@@ -18,7 +18,6 @@ from qschur.factorcheck import (
 )
 from qschur.kernels import SchurFunction, estimate_neg_squares
 from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
-from qschur.starpoly import star_mul
 
 from oracles import qinv
 
@@ -241,6 +240,19 @@ def test_zero_at_origin_stops_before_sampling(monkeypatch):
     assert doc["kappa_hat"] is None and doc["identity_residual"] is None
 
 
+def test_inconclusive_reason_names_both_legs():
+    # 0.1 i of multiplicity 8: den_0 of S is 1e-16, not 0, so the identity
+    # leg expands and fails to certify its tail, and the sampling leg meets
+    # a pole sphere; the reason names both and kappa-hat is null
+    case = synthesize_generalized_schur(
+        ZeroSet("ball", points=[(Quaternion(0, 0.1, 0, 0), 8)]), 0.7)
+    rep = krein_langer_check(case, Budget())
+    assert rep.verdict == "INCONCLUSIVE" and rep.kappa_hat is None
+    assert "expansion failed" not in rep.reason
+    assert rep.reason.startswith("identity truncation insufficient")
+    assert "; sampling leg failed: evaluation on pole sphere" in rep.reason
+
+
 def test_verdict_json_shape():
     case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]))
     rep = krein_langer_check(case, Budget(trials=5, batch=15))
@@ -255,12 +267,12 @@ def test_composition_consistency(rng):
     # f = g * h implies f o b = (g o b) * (h o b) for the real Mobius b
     g = blaschke_factor("ball", "point", A_I)
     h = blaschke_factor("ball", "point", A_J)
-    f = star_mul(g, h)
+    f = g.star(h)
     x0 = 0.3
     fb = f.compose_real_mobius(x0, 1.0, 1.0, x0)
     gb = g.compose_real_mobius(x0, 1.0, 1.0, x0)
     hb = h.compose_real_mobius(x0, 1.0, 1.0, x0)
-    both = star_mul(gb, hb)
+    both = gb.star(hb)
     for _ in range(10):
         p = sample_ball_point(rng, 0.6)
         assert fb.eval_scalar(p).isclose(both.eval_scalar(p), 1e-10)
@@ -288,9 +300,7 @@ def test_cayley_roundtrip(rng):
 
 def test_transported_halfspace_factor_is_schur(rng):
     a = Quaternion(0.8, 0.4, 0.1, 0.0)
-    s_hs = SchurFunction.from_rational(
-        blaschke_factor("halfspace", "point", a), domain="halfspace"
-    )
+    s_hs = SchurFunction(blaschke_factor("halfspace", "point", a), domain="halfspace")
     s_ball = cayley_transport(s_hs, 1.0, "halfspace_to_ball")
     assert s_ball.domain == "ball"
     rep = estimate_neg_squares(s_ball, trials=20, batch=25, seed=4)

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qschur import _accel, kernels
-from qschur.blaschke import ZeroSet, blaschke_factor, build_product, product_inverse
+from qschur.blaschke import ZeroSet, blaschke_factor, build_product
 from qschur._jsonutil import dump_json
 from qschur.errors import DivergenceError, DomainError, PoleError
 from qschur.factorcheck import synthesize_generalized_schur, transport_case_to_ball
@@ -16,7 +16,6 @@ from qschur.kernels import (
     estimate_neg_squares,
     gram,
     kernel_identity_check,
-    kernel_sum,
     moebius_identity_check,
     sample_gram_vectors,
     schur_kernel_eval,
@@ -92,7 +91,7 @@ def test_schur_kernel_unitary_constant_vanishes(rng):
 
 
 def test_schur_kernel_diag_positive(rng):
-    s = SchurFunction.from_rational(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
+    s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
     for _ in range(20):
         w = sample_ball_point(rng, 0.85)
         val = schur_kernel_eval(s, w, w).as_quaternion()
@@ -101,30 +100,24 @@ def test_schur_kernel_diag_positive(rng):
 
 
 def test_closed_form_kernel_matches_series(rng):
-    # every pair of a (3 x 2) batch against the term-by-term series
+    # K_S(p, q) of a 1 x 1 and a 2 x 2 polynomial S against the term-by-term series
     for r in (1, 2):
-        for _ in range(5):
-            left = np.array([sample_ball_point(rng, 0.9).as_array() for _ in range(3)])
-            right = np.array([sample_ball_point(rng, 0.9).as_array() for _ in range(2)])
-            mid = rng.uniform(-1.0, 1.0, size=(3, 2, r, r, 4))
-            closed = kernel_sum(left, mid, right)
-            for l in range(3):
-                for j in range(2):
-                    series = series_sum_pair(
-                        Quaternion.from_array(left[l]), QMatrix(mid[l, j]),
-                        Quaternion.from_array(right[j]), tol=1e-12,
-                    )
-                    assert np.max(np.abs(closed[l, j] - series.data)) < 1e-11
+        s = SchurFunction(SliceRational(StarPoly(rng.uniform(-0.5, 0.5, size=(3, r, r, 4))),
+                                        StarPoly.one()))
+        for _ in range(6):
+            p, q = sample_ball_point(rng, 0.9), sample_ball_point(rng, 0.9)
+            mid = QMatrix.eye(r) - s.evaluate(p) @ s.evaluate(q).adjoint()
+            series = series_sum_pair(p, mid, q, tol=1e-12)
+            assert np.max(np.abs(schur_kernel_eval(s, p, q).data - series.data)) < 1e-11
 
 
 def test_gram_hermitian_and_positive(rng):
     a = Quaternion(0, 0.5, 0, 0)
-    s = SchurFunction.from_rational(blaschke_factor("ball", "point", a))
+    s = SchurFunction(blaschke_factor("ball", "point", a))
     pts = np.array([sample_ball_point(rng, 0.8).as_array() for _ in range(12)])
     vecs = sample_gram_vectors(rng, 12, 1)
-    raw = gram(s, pts, vecs, hermitize=False)
-    assert raw.herm_residual() < 1e-10 * max(1.0, raw.norm())
     g = gram(s, pts, vecs)
+    assert g.herm_residual() < 1e-10 * max(1.0, g.norm())
     eigs, neg = herm_eigen_neg(g)
     assert neg == 0
     assert np.min(eigs) > -1e-10
@@ -139,14 +132,14 @@ def test_gram_hermitian_and_positive(rng):
 
 
 def test_neg_squares_schur_zero(rng):
-    s = SchurFunction.from_rational(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
+    s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
     rep = estimate_neg_squares(s, trials=25, batch=25, seed=3)
     assert rep.kappa_hat == 0
 
 
 def test_neg_squares_inverse_factor():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
-    s = SchurFunction.from_rational(product_inverse(b).rational)
+    s = SchurFunction(b.inverse().rational)
     rep = estimate_neg_squares(s, trials=25, batch=25, seed=3)
     assert rep.kappa_hat == 1
 
@@ -159,14 +152,14 @@ def test_neg_squares_degree_two():
     s0 = SchurFunction.from_product(
         build_product(ZeroSet("ball", points=[(Quaternion(0, 0, 0.3, 0), 1)]))
     )
-    s = SchurFunction.star_quotient(product_inverse(b).rational, s0)
+    s = SchurFunction.star_quotient(b.inverse().rational, s0)
     rep = estimate_neg_squares(s, trials=40, batch=35, seed=3)
     assert rep.kappa_hat == 2
 
 
 def test_neg_squares_monotone_in_trials():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
-    s = SchurFunction.from_rational(product_inverse(b).rational)
+    s = SchurFunction(b.inverse().rational)
     values = [
         estimate_neg_squares(s, trials=t, batch=20, seed=12).kappa_hat
         for t in (1, 5, 15)
@@ -212,7 +205,7 @@ def test_dim_hb_halfspace_products():
 def test_dim_hb_rejects_inverse_factors():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
     with pytest.raises(DomainError):
-        estimate_dim_HB(product_inverse(b))
+        estimate_dim_HB(b.inverse())
 
 
 def test_dim_hb_warning_on_few_points(rng):
@@ -236,7 +229,7 @@ def test_kernel_identity_trivial_cases():
 def test_kernel_identity_inverse_factor_case():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
     s0 = SchurFunction.constant(Quaternion.from_real(1.0))
-    s = SchurFunction.star_quotient(product_inverse(b).rational, s0)
+    s = SchurFunction.star_quotient(b.inverse().rational, s0)
     rep = kernel_identity_check(s, b, s0, trunc=40)
     assert rep.status == "ok"
     assert rep.min_gram_eig >= -1e-8
@@ -251,7 +244,7 @@ def test_kernel_identity_nontrivial_case():
     s0 = SchurFunction.from_product(
         build_product(ZeroSet("ball", points=[(Quaternion(0, 0, 0.3, 0), 1)]))
     )
-    s = SchurFunction.star_quotient(product_inverse(b).rational, s0)
+    s = SchurFunction.star_quotient(b.inverse().rational, s0)
     rep = kernel_identity_check(s, b, s0, trunc=48)
     assert rep.status == "ok"
     assert rep.max_coeff_dev < 1e-9
@@ -288,7 +281,7 @@ def test_kernel_identity_matrix_potapov_b0():
     proj = QMatrix.from_real(np.diag([1.0, 0.0]))
     b = potapov_factor("ball", 1, a=Quaternion(0, 0.5, 0, 0), P=proj, J=QMatrix.eye(2))
     s0 = SchurFunction.constant(QMatrix.eye(2).scale_left(Quaternion.from_real(0.6)))
-    s = SchurFunction.from_rational(product_inverse(b).rational.star(s0.rational))
+    s = SchurFunction(b.inverse().rational.star(s0.rational))
     rep = kernel_identity_check(s, b, s0, trunc=40)
     assert rep.status == "ok" and rep.max_coeff_dev < 1e-9
     wrong = SchurFunction.constant(QMatrix.eye(2).scale_left(Quaternion.from_real(0.5)))
@@ -402,14 +395,14 @@ def test_eval_gram_matches_double_series(rng):
 
 
 def test_double_series_kernel_hermitian():
-    s = SchurFunction.from_rational(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
+    s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
     one = SignatureMatrix.identity(1)
     k = DoubleSeriesKernel.from_schur_taylor(s.taylor(12), one.matrix, one.matrix, 12)
     assert k.hermitian_residual() < 1e-12
 
 
 def test_moebius_identity(rng):
-    s = SchurFunction.from_rational(blaschke_factor("ball", "point", Quaternion(0.1, 0.4, 0, 0)))
+    s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0.1, 0.4, 0, 0)))
     p = sample_ball_point(rng, 0.6)
     q = sample_ball_point(rng, 0.6)
     assert moebius_identity_check(s, 0.0, p, q) < 1e-12
@@ -441,7 +434,7 @@ def test_blaschke_taylor_head():
 
 def test_witness_reproduces_kappa_hat():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
-    s = SchurFunction.from_rational(product_inverse(b).rational)
+    s = SchurFunction(b.inverse().rational)
     rep = estimate_neg_squares(s, trials=10, batch=20, seed=2)
     pts = np.array(rep.witness_points)
     vecs = np.array(rep.witness_vectors)
@@ -453,7 +446,7 @@ def test_witness_reproduces_kappa_hat():
 def test_moebius_index_invariance():
     # Lemma-style invariance: kappa-hat of S o b matches kappa-hat of S
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
-    s = SchurFunction.from_rational(product_inverse(b).rational)
+    s = SchurFunction(b.inverse().rational)
     x0 = 0.3
     composed = SchurFunction.compose_real_mobius(s, x0, 1.0, 1.0, x0)
     k1 = estimate_neg_squares(s, trials=25, batch=25, seed=6).kappa_hat
@@ -520,7 +513,7 @@ ISOTROPIC = (
 @example(ISOTROPIC)
 def test_split_gram_matches_dense_kernel_gram(case):
     s, (pts, vecs) = case
-    fast = gram(s, pts, vecs, hermitize=False).data
+    fast = gram(s, pts, vecs).data
     slow = dense_gram(s, pts, vecs)
     # the split Gram cancels terms of the size |c_l||c_j| (||J2|| + ||S_l|| ||S_j||)
     # / (1 - |p_l||p_j|) in another order than the dense one, so it may miss

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from qschur.blaschke import blaschke_factor
 from qschur.errors import DomainError, IllPosedError, PoleError, QSchurError, ShapeError, SpectrumError
 from qschur.kernels import SchurFunction
-from qschur.qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, qmatrix_inv, random_qmatrix
+from qschur.qlinalg import (QMatrix, SignatureMatrix, complex_adjoint, herm_eigen_neg, qmatrix_inv,
+                            random_qmatrix)
 from qschur.quat import I, J, Quaternion, sample_ball_point, sample_halfspace_point, sample_imaginary_unit
 from qschur.realization import (
     Colligation,
@@ -92,7 +93,7 @@ def test_backward_shift_polynomial_exact(rng):
     s1 = Quaternion(0, 0, 0.3, 0)
     s2 = Quaternion(0, -0.2, 0, 0.4)
     rat = SliceRational.from_poly(StarPoly.scalar([s0, s1, s2]))
-    s = SchurFunction.from_rational(rat)
+    s = SchurFunction(rat)
     col = backward_shift_colligation(s, 2)
     for _ in range(10):
         p = sample_ball_point(rng, 0.9)
@@ -101,9 +102,7 @@ def test_backward_shift_polynomial_exact(rng):
 
 def test_backward_shift_reads_value_at_zero(rng):
     # C applied to a coefficient stack returns f(0) = f_0
-    s = SchurFunction.from_rational(
-        blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0))
-    )
+    s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
     col = backward_shift_colligation(s, 5)
     stack = random_qmatrix(rng, col.state_dim, 1)
     assert (col.C @ stack - QMatrix(stack.data[:1])).norm() < 1e-14
@@ -112,7 +111,7 @@ def test_backward_shift_reads_value_at_zero(rng):
 
 def test_backward_shift_taylor_tail(rng):
     a = Quaternion(0, 0.5, 0, 0)
-    s = SchurFunction.from_rational(blaschke_factor("ball", "point", a))
+    s = SchurFunction(blaschke_factor("ball", "point", a))
     col = backward_shift_colligation(s, 12)
     worst = 0.0
     for x in np.linspace(-0.5, 0.5, 21):
@@ -123,9 +122,7 @@ def test_backward_shift_taylor_tail(rng):
 
 
 def test_backward_shift_observable(rng):
-    s = SchurFunction.from_rational(
-        blaschke_factor("ball", "point", Quaternion(0.2, 0.4, 0, 0))
-    )
+    s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0.2, 0.4, 0, 0)))
     col = backward_shift_colligation(s, 4)
     rows = [col.C]
     power = col.A
@@ -229,6 +226,12 @@ def test_colligation_validation():
         Colligation(A=QMatrix.zeros(1, 1), B=QMatrix.zeros(1, 1),
                     C=QMatrix.zeros(1, 1), D=QMatrix.zeros(1, 1),
                     domain="halfspace")
+    # J1 acts on the input space (B.cols), J2 on the output space (C.rows)
+    blocks = dict(A=QMatrix.zeros(1, 1), B=QMatrix.zeros(1, 1),
+                  C=QMatrix.zeros(1, 1), D=QMatrix.zeros(1, 1))
+    for key in ("J1", "J2"):
+        with pytest.raises(ShapeError):
+            Colligation(**blocks, **{key: SignatureMatrix.identity(2)})
 
 
 def test_colligation_json_roundtrip(rng):

@@ -24,7 +24,6 @@ from qschur.starpoly import (
     sphere_poly,
     star_conj_sym,
     star_inv_scalar,
-    star_mul,
     zero_multiplicity,
 )
 
@@ -306,7 +305,7 @@ def test_star_inverse_roundtrip(rng):
         if f.coeff_scale() < 0.1:
             continue
         inv = star_inv_scalar(f)
-        prod = star_mul(f, inv)
+        prod = f.star(inv)
         for _ in range(6):
             p = sample_ball_point(rng, 0.9)
             try:
@@ -392,6 +391,20 @@ def test_taylor_expansion_point_error():
     r = SliceRational(StarPoly.one(), StarPoly.scalar([0.0, 1.0]))
     with pytest.raises(ExpansionError):
         r.taylor(3)
+    with pytest.raises(ExpansionError):
+        taylor_recursive(r, 3)
+
+
+def test_taylor_expands_a_pole_near_the_origin():
+    # (p^2 + 0.01)^8, the denominator of a zero of multiplicity 8 at 0.1 i,
+    # has den_0 = 1e-16: the pole is near 0, not at it, so the series exists
+    den = np.array([1.0])
+    for _ in range(8):
+        den = np.convolve(den, [0.01, 0.0, 1.0])
+    rat = SliceRational(StarPoly.one(), StarPoly.real(den))
+    t = rat.taylor(4).coeffs[:, 0, 0, 0]
+    assert t[0] == pytest.approx(1e16) and t[2] == pytest.approx(-8e18) and t[1] == t[3] == 0.0
+    assert np.allclose(rat.taylor(4).coeffs, taylor_recursive(rat, 4), rtol=1e-12, atol=0.0)
 
 
 def real_denominator(rng, deg):
