@@ -92,8 +92,6 @@ from .starpoly import (
     StarPoly,
     extend_from_slice,
     left_root_extract,
-    star_conj_sym,
-    star_inv_scalar,
     zero_multiplicity,
 )
 

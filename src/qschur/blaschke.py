@@ -352,7 +352,8 @@ class ZeroSet:
 # ---------------------------------------------------------------------------
 
 class FactoredProduct:
-    """Ordered Blaschke/Potapov factors with a cached rational form."""
+    """Ordered Blaschke/Potapov factors with a cached rational form and
+    star inverse."""
 
     def __init__(self, domain, factors, size=1, rational=None):
         _check_domain(domain)
@@ -360,6 +361,7 @@ class FactoredProduct:
         self.factors = tuple(factors)
         self.size = size
         self._rational = rational
+        self._inverse = None
 
     @classmethod
     def identity(cls, domain, size=1):
@@ -383,8 +385,11 @@ class FactoredProduct:
         return self.rational.eval_many(points)
 
     def inverse(self):
-        inv = [f.inverse(self.domain) for f in reversed(self.factors)]
-        return FactoredProduct(self.domain, inv, size=self.size)
+        """The reversed chain of factor inverses, built on the first call."""
+        if self._inverse is None:
+            inv = [f.inverse(self.domain) for f in reversed(self.factors)]
+            self._inverse = FactoredProduct(self.domain, inv, size=self.size)
+        return self._inverse
 
     def degree(self):
         return sum(f.degree_contribution() for f in self.factors)

@@ -422,12 +422,6 @@ class DoubleSeriesKernel:
         c[np.arange(t), np.arange(t)] += j2.data
         return cls(c)
 
-    def hermitian_residual(self):
-        """Max componentwise |C_{NM} - C_{MN}^*|."""
-        swapped = np.transpose(self.coeffs, (1, 0, 3, 2, 4)).copy()
-        swapped[..., 1:] = -swapped[..., 1:]
-        return float(np.max(np.abs(self.coeffs - swapped)))
-
     def sandwich(self, left_taylor):
         """B(p) * K(p,q) *_r B(q)^* = T_B K T_B^*: convolve Taylor
         coefficients of B on the p-index from the left and their adjoints
@@ -437,14 +431,6 @@ class DoubleSeriesKernel:
         tb = _toeplitz(b, t)
         out = _qmatmul_rows(_qmatmul_rows(tb, _unroll(self.coeffs), r), qadjoint_arr(tb), r)
         return DoubleSeriesKernel(_roll(out, t, r, r))
-
-    def weighted_norms(self, radius):
-        """Coefficient norms scaled by radius^(N+M), the natural magnitude
-        of each term on the bidisk of that radius."""
-        mags = np.sqrt(np.sum(self.coeffs**2, axis=(2, 3, 4)))
-        t = self.trunc + 1
-        w = radius ** (np.arange(t)[:, None] + np.arange(t)[None, :])
-        return mags * w
 
     def eval_gram(self, points):
         """Hermitianized Gram P C P^* of the truncated kernel at the given
@@ -492,6 +478,21 @@ def _toeplitz(coeffs, t):
     return _unroll(padded[t - 1 + lag])
 
 
+def _weighted_tables(sides, radius):
+    """Radius-weighted tables of the stacked sides of _identity_sides: the
+    norms ||C_{NM}|| radius^(N+M) of all three as a (3, t, t) array, from
+    one radius^(N+M) table and one reduction, and the Hermitian residuals
+    max |C_{NM} - C_{MN}^*| of the two weighted sides K_S - K_B and
+    B * K_{S0} *_r B^*."""
+    t = sides.shape[1]
+    w = radius ** (np.arange(t)[:, None] + np.arange(t)[None, :])
+    norms = np.sqrt(np.sum(sides**2, axis=(3, 4, 5))) * w
+    weighted = sides[:2] * w[:, :, None, None, None]
+    resid = np.max(np.abs(weighted - qadjoint_arr(weighted.swapaxes(1, 2))),
+                   axis=(1, 2, 3, 4, 5))
+    return norms, resid
+
+
 def _boundary_band(norms):
     """Sum of the weighted norms along the truncation boundary band."""
     return float(np.sum(norms[-1, :]) + np.sum(norms[:, -1]) - norms[-1, -1])
@@ -535,8 +536,9 @@ def _min_pole_radius(rational):
 
 def _identity_sides(s_taylor, b_taylor, s0_taylor, j1, trunc):
     """Coefficients of K_S - K_B, of B * K_{S0} *_r B^* and of their
-    difference, each as a (t, t, r, r, 4) block array, t = trunc + 1, from
-    the Taylor data of S, B and S0 and S0's signature J1."""
+    difference, stacked in that order as one (3, t, t, r, r, 4) block
+    array, t = trunc + 1, from the Taylor data of S, B and S0 and S0's
+    signature J1."""
     t, r, c0 = trunc + 1, s_taylor.shape[1], s0_taylor.shape[2]
     t_s, t_b = _toeplitz(s_taylor, t), _toeplitz(b_taylor, t)
     p_s = _qmatmul_rows(t_s, qadjoint_arr(t_s), r)
@@ -547,7 +549,12 @@ def _identity_sides(s_taylor, b_taylor, s0_taylor, j1, trunc):
         # T_{S0 J1} = T_{S0} (I (x) J1): J1 acts on each block column
         m_j = qmatmul_arr(m.reshape(t * r, t, c0, 4), j1.data).reshape(m.shape)
     q = _qmatmul_rows(m_j, qadjoint_arr(m), r)
-    return (_roll(p_b - p_s, t, r, r), _roll(p_b - q, t, r, r), _roll(q - p_s, t, r, r))
+    sides = np.empty((3,) + p_s.shape)
+    np.subtract(p_b, p_s, out=sides[0])
+    np.subtract(p_b, q, out=sides[1])
+    np.subtract(q, p_s, out=sides[2])
+    # _roll of each side, as views into the one array
+    return sides.reshape(3, t, r, t, r, 4).transpose(0, 1, 3, 2, 4, 5)
 
 
 def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
@@ -556,8 +563,9 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
 
     S, B0 and S0 must live on the ball (transport half-space data first),
     and S must carry identity signatures.  B0^{-*} is b0.inverse(), the
-    inverse that synthesize_generalized_schur builds S from; a scalar B0
-    acts on an r-row S0 as B0^{-*} I_r.
+    one cached inverse that synthesize_generalized_schur (or, for a
+    half-space case, transport_case_to_ball) builds S from, of degree
+    2 deg B0; a scalar B0 acts on an r-row S0 as B0^{-*} I_r.
 
     At the given truncation both sides are products of block Toeplitz
     matrices of Taylor coefficients, in which the J2 terms cancel:
@@ -570,7 +578,12 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     Taylor coefficients grow like (pole radius)^(-n).  The comparison and
     the tail bound are therefore taken in the radius-weighted norm
     ||C_{NM}|| rho^(N+M), with the Gram sample radius pulled strictly
-    inside the smallest pole sphere.
+    inside the smallest pole sphere.  The three coefficient arrays (both
+    sides and their difference) are stacked, so one rho^(N+M) table and
+    one reduction give all three norm tables, and one more pass the
+    Hermitian residual of both weighted sides.  Coefficients that
+    overflow leave these non-finite, without a warning, and the status
+    'inconclusive'.
 
     The report carries the weighted coefficient deviation, the Hermitian
     symmetry residual, and the minimum Gram eigenvalue of the difference
@@ -595,29 +608,26 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
         pole = _min_pole_radius(binv)
         gram_radius = 0.6 if not np.isfinite(pole) else min(0.6, 0.45 * pole)
 
-    lhs, rhs, diff = map(DoubleSeriesKernel, _identity_sides(
-        s.taylor(trunc), binv.taylor(trunc).coeffs, s0.taylor(trunc), s0.J1.matrix, trunc))
-
-    lhs_norms = lhs.weighted_norms(gram_radius)
-    rhs_norms = rhs.weighted_norms(gram_radius)
-    dev = float(np.max(diff.weighted_norms(gram_radius)))
+    sides = _identity_sides(s.taylor(trunc), binv.taylor(trunc).coeffs, s0.taylor(trunc),
+                            s0.J1.matrix, trunc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms, resid = _weighted_tables(sides, gram_radius)
+        lhs_norms, rhs_norms = norms[0], norms[1]
+        dev = float(np.max(norms[2]))
+        band = max(_boundary_band(lhs_norms), _boundary_band(rhs_norms))
+        inner = max(lhs_norms[: trunc, : trunc].max(), rhs_norms[: trunc, : trunc].max(),
+                    1e-300)
+        ratio = min(band / inner, 0.97) if inner > 0 else 0.0
+        tail_bound = band / max(1.0 - ratio, 0.03) ** 2
     vacuous = float(np.max(lhs_norms)) <= dev_tol
-    t1 = trunc + 1
-    w = gram_radius ** (np.arange(t1)[:, None, None, None, None]
-                        + np.arange(t1)[None, :, None, None, None])
-    herm = max(DoubleSeriesKernel(lhs.coeffs * w).hermitian_residual(),
-               DoubleSeriesKernel(rhs.coeffs * w).hermitian_residual())
+    herm = max(float(resid[0]), float(resid[1]))
 
     rng = np.random.default_rng(seed)
     pts = sample_ball_points(rng, gram_points, gram_radius)
-    g = lhs.eval_gram(pts)
+    g = DoubleSeriesKernel(sides[0]).eval_gram(pts)
     eigs, _ = herm_eigen_neg(g)
     min_eig = float(np.min(eigs))
 
-    band = max(_boundary_band(lhs_norms), _boundary_band(rhs_norms))
-    inner = max(lhs_norms[: trunc, : trunc].max(), rhs_norms[: trunc, : trunc].max(), 1e-300)
-    ratio = min(band / inner, 0.97) if inner > 0 else 0.0
-    tail_bound = band / max(1.0 - ratio, 0.03) ** 2
     # NaN and inf compare False, so a non-finite tail or deviation falls
     # to "inconclusive" rather than to "ok"
     if not (tail_bound <= tail_tol and np.isfinite(dev)):

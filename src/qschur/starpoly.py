@@ -24,14 +24,10 @@ and covers every factor used downstream (denominators always arise from
 symmetrizations, which are real).  The denominator is held as its real
 coefficient vector: realness, the trim and the zero test are checked
 once, where a denominator arrives as a StarPoly (the constructor, hence
-JSON, and the symmetrization of a star inverse), and products and sums
-of real vectors stay real by type.  Two closed forms follow:
-
-* Taylor coefficients at 0: with g the real series of 1/den, the
-  coefficients of den^{-1} num are the convolution g * num, and g comes
-  from a scalar recurrence on the real denominator coefficients;
-* star inverse of a scalar rational: (D^{-1} N)^{-*} = (N^s)^{-1} N^c D,
-  where N^c is the conjugate polynomial and N^s = N * N^c is real.
+JSON), and products and sums of real vectors stay real by type.  The
+Taylor coefficients at 0 come in closed form: with g the real series of
+1/den, the coefficients of den^{-1} num are the convolution g * num, and
+g comes from a scalar recurrence on the real denominator coefficients.
 """
 
 import numpy as np
@@ -206,14 +202,6 @@ class StarPoly:
             out[n : n + dg + 1] += prod[n]
         return StarPoly(out)
 
-    def conj(self):
-        """Conjugate polynomial (coefficients conjugated); scalar only."""
-        if not self.is_scalar():
-            raise ShapeError("conjugate polynomial is unsupported for matrix input")
-        c = np.array(self._c)
-        c[..., 1:] = -c[..., 1:]
-        return StarPoly(c)
-
     # -- evaluation -------------------------------------------------------------
 
     def eval_many(self, points):
@@ -335,28 +323,6 @@ def _magnitude_scales(mags, points):
 # -------------------------------------------------------------------------------
 # star-algebra operations
 # -------------------------------------------------------------------------------
-
-def star_conj_sym(f):
-    """Conjugate f^c and symmetrization f^s = f * f^c of a scalar polynomial.
-
-    The symmetrization always has real coefficients; it is returned with
-    imaginary residues zeroed after a tolerance check.
-    """
-    if not f.is_scalar():
-        raise ShapeError("conjugate/symmetrization is unsupported for matrix input")
-    fc = f.conj()
-    fs = StarPoly.real(f.star(fc).real_vector())
-    return fc, fs
-
-
-def star_inv_scalar(f, rtol=1e-12):
-    """Star inverse of a scalar polynomial as the rational (f^c, f^s)."""
-    ft = f.trim(rtol)
-    if ft.is_zero():
-        raise DomainError("zero polynomial has no star inverse")
-    fc, fs = star_conj_sym(ft)
-    return SliceRational._over(fc, _real_den(fs.coeffs[:, 0, 0, 0]))
-
 
 def left_root_extract(f, a, tol=ROOT_RTOL):
     """Factor f = (p - a) * g when f(a) = 0; returns g of one lower degree.
@@ -734,14 +700,6 @@ class SliceRational:
         # einsum, unlike matmul, calls no BLAS (see StarPoly.eval_slice)
         out = np.einsum("kj,jx->kx", toeplitz, nc.reshape(nc.shape[0], -1))
         return StarPoly(out.reshape((n + 1,) + nc.shape[1:]))
-
-    def star_inverse(self):
-        """(D^{-1} N)^{-*} = (N^s)^{-1} N^c D for a scalar rational, with the
-        conjugate N^c and the real symmetrization N^s = N * N^c."""
-        if not self.is_scalar():
-            raise DomainError("the closed-form star inverse needs a scalar rational")
-        inv_num = star_inv_scalar(self._num)
-        return SliceRational._over(mul_real_poly(inv_num._num, self._dv), inv_num._dv)
 
     def compose_real_mobius(self, alpha, beta, gamma, delta):
         """Composition with the real Mobius map m(p) = (alpha + beta p)(gamma + delta p)^{-1}.

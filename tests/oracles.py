@@ -39,7 +39,14 @@ Each one is a frozen copy of an earlier, more direct implementation:
   whose bits the factors built over real vectors must repeat;
 * realize_eval_pointwise (with resolvent_inverse): the transfer function
   of a colligation one point at a time by QMatrix products and one
-  qmatrix_inv, the reference for the stacked realization.realize_many.
+  qmatrix_inv, the reference for the stacked realization.realize_many;
+* weighted_norms and hermitian_residual: the radius-weighted coefficient
+  norms and the Hermitian residual of one double-series kernel at a
+  time, whose bits kernels.kernel_identity_check's stacked pass over both
+  sides and their difference must repeat;
+* star_inverse (with star_inv_scalar and star_conj_sym): the closed-form
+  star inverse (D^{-1} N)^{-*} = (N^s)^{-1} N^c D of a scalar rational,
+  the reference for the factor-chain inverse of a Blaschke product.
 
 The test-only helpers below them build inputs for the tests and give
 independent evaluations: the pointwise-product law of a Blaschke chain,
@@ -63,7 +70,7 @@ from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_a
                             qmatrix_inv, random_qmatrix)
 from qschur.quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
-from qschur.starpoly import REAL_COEFF_RTOL, SliceRational, StarPoly, divmod_real
+from qschur.starpoly import REAL_COEFF_RTOL, SliceRational, StarPoly, divmod_real, mul_real_poly
 
 
 def qnormsq(a):
@@ -481,3 +488,48 @@ def realize_eval_pointwise(col, p):
     left = col.G - ga.scale_left(phi.conj())
     term = (left @ rinv @ col.F).scale_left(p - Quaternion.from_real(x0))
     return col.H - term
+
+
+def weighted_norms(coeffs, radius):
+    """Norms of the blocks C_{NM} of a (t, t, r, c, 4) double series scaled
+    by radius^(N+M), the natural magnitude of each term on the bidisk of
+    that radius."""
+    mags = np.sqrt(np.sum(coeffs**2, axis=(2, 3, 4)))
+    t = coeffs.shape[0]
+    return mags * radius ** (np.arange(t)[:, None] + np.arange(t)[None, :])
+
+
+def hermitian_residual(coeffs):
+    """Max componentwise |C_{NM} - C_{MN}^*| of a (t, t, r, r, 4) double series."""
+    swapped = np.transpose(coeffs, (1, 0, 3, 2, 4)).copy()
+    swapped[..., 1:] = -swapped[..., 1:]
+    return float(np.max(np.abs(coeffs - swapped)))
+
+
+def star_conj_sym(f):
+    """Conjugate f^c and symmetrization f^s = f * f^c of a scalar polynomial;
+    f^s has real coefficients and comes back as a real polynomial."""
+    if not f.is_scalar():
+        raise ShapeError("conjugate/symmetrization is unsupported for matrix input")
+    c = np.array(f.coeffs)
+    c[..., 1:] = -c[..., 1:]
+    fc = StarPoly(c)
+    return fc, StarPoly.real(f.star(fc).real_vector())
+
+
+def star_inv_scalar(f, rtol=1e-12):
+    """Star inverse of a scalar polynomial as the rational (f^s)^{-1} f^c."""
+    ft = f.trim(rtol)
+    if ft.is_zero():
+        raise DomainError("zero polynomial has no star inverse")
+    fc, fs = star_conj_sym(ft)
+    return SliceRational(fc, fs)
+
+
+def star_inverse(rational):
+    """(D^{-1} N)^{-*} = (N^s)^{-1} N^c D for a scalar rational, with the
+    conjugate N^c and the real symmetrization N^s = N * N^c."""
+    if not rational.is_scalar():
+        raise DomainError("the closed-form star inverse needs a scalar rational")
+    inv = star_inv_scalar(rational.num)
+    return SliceRational(mul_real_poly(inv.num, rational.den.real_vector()), inv.den)

@@ -235,6 +235,13 @@ def test_product_inverse_roundtrip(rng):
         assert both.eval_scalar(p).isclose(ONE, 1e-9)
 
 
+def test_product_inverse_is_built_once():
+    prod = build_product(ZeroSet("ball", points=[(Quaternion(0.2, 0.5, 0, 0), 2)]))
+    assert prod.inverse() is prod.inverse()
+    empty = FactoredProduct.identity("halfspace")
+    assert empty.inverse() is empty.inverse() and empty.inverse().factors == ()
+
+
 def test_pointwise_chain_matches_rational(rng):
     zs = ZeroSet("ball", points=[(Quaternion(0.2, 0.5, 0, 0), 2),
                                  (Quaternion(-0.3, 0, 0.4, 0), 1)])

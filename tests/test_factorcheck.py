@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from qschur.factorcheck import (
 from qschur.kernels import SchurFunction, estimate_neg_squares
 from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
 
-from oracles import qinv
+from oracles import qinv, star_inverse
 
 SMALL = Budget(trials=30, batch=30)
 
@@ -171,7 +172,9 @@ def test_non_finite_identity_tail_is_inconclusive(wrong_s0):
     if wrong_s0 is not None:
         case = dataclasses.replace(
             case, s0=SchurFunction.constant(Quaternion.from_real(wrong_s0)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # the overflow is part of the input, not news: no RuntimeWarning may escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         rep = krein_langer_check(case, Budget(trials=2, batch=15))
     assert rep.budget.identity_trunc == 48
     assert rep.identity.status == "inconclusive"
@@ -180,6 +183,18 @@ def test_non_finite_identity_tail_is_inconclusive(wrong_s0):
     doc = json.loads(dump_json(rep.to_json()))
     assert doc["verdict"] == "INCONCLUSIVE"
     assert doc["identity_tail_bound"] is None
+
+
+def test_fivefold_pole_near_the_origin_warns_nothing():
+    # B0^{-*} with a fivefold pole at 0.03 i overflows in the identity leg's
+    # norms and boundary band; the verdict is INCONCLUSIVE and stderr stays clean
+    case = synthesize_generalized_schur(
+        ZeroSet("ball", points=[(Quaternion(0, 0.03, 0, 0), 5)]), 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = krein_langer_check(case, Budget(trials=2, batch=15))
+    assert rep.verdict == "INCONCLUSIVE"
+    assert rep.reason.startswith("identity tail bound is not finite")
 
 
 # B0 zero data of the benchmark's six Krein-Langer cases: (domain, points, spheres)
@@ -200,10 +215,10 @@ def test_closed_form_inverse_matches_the_factor_chain(domain, points, spheres):
     zeros = ZeroSet(domain, [(Quaternion(*a), n) for a, n in points],
                     [(Quaternion(*c), m) for c, m in spheres])
     b0 = build_product(zeros) if points or spheres else FactoredProduct.identity(domain)
-    closed, chain = b0.rational.star_inverse(), b0.inverse().rational
+    closed, chain = star_inverse(b0.rational), b0.inverse().rational
     if domain == "halfspace":
         ball_b0 = transport_case_to_ball(synthesize_generalized_schur(b0, 0.7)).b0
-        closed = ball_b0.rational.star_inverse()
+        closed = star_inverse(ball_b0.rational)
         chain = chain.compose_real_mobius(1.0, 1.0, 1.0, -1.0)
     for n in (20, 48):
         fast, ref = closed.taylor(n).coeffs, chain.taylor(n).coeffs

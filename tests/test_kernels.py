@@ -366,19 +366,92 @@ KL_CASES = {
 }
 
 
-@pytest.mark.parametrize("trunc", [20, 48])
-@pytest.mark.parametrize("label", sorted(KL_CASES))
-def test_kernel_identity_is_accurate_on_the_kl_cases(label, trunc):
-    # the Gram radius of the kl-identity benchmark: 0.25 x the smallest
-    # pole modulus of B0^{-*}, at most 0.35
+def synthesized_kl_case(label):
+    """The case as synthesize_generalized_schur builds it, on its own domain."""
     domain, points, spheres, s0 = KL_CASES[label]
     zeros = ZeroSet(domain, points=[(Quaternion(*a), n) for a, n in points],
                     spheres=[(Quaternion(*c), m) for c, m in spheres])
-    case = transport_case_to_ball(synthesize_generalized_schur(zeros if points else None, s0))
-    radius = min(0.35, 0.25 * kernels._min_pole_radius(case.b0.inverse().rational))
-    rep = kernel_identity_check(case.s, case.b0, case.s0, trunc=trunc, gram_radius=radius)
+    return synthesize_generalized_schur(zeros if points else None, s0)
+
+
+def kl_gram_radius(case):
+    """The Gram radius of the kl-identity benchmark: 0.25 x the smallest pole
+    modulus of B0^{-*}, at most 0.35."""
+    return min(0.35, 0.25 * kernels._min_pole_radius(case.b0.inverse().rational))
+
+
+@pytest.mark.parametrize("trunc", [20, 48])
+@pytest.mark.parametrize("label", sorted(KL_CASES))
+def test_kernel_identity_is_accurate_on_the_kl_cases(label, trunc):
+    case = transport_case_to_ball(synthesized_kl_case(label))
+    rep = kernel_identity_check(case.s, case.b0, case.s0, trunc=trunc,
+                                gram_radius=kl_gram_radius(case))
     assert rep.status == "ok" and rep.max_coeff_dev <= 1e-12
     assert rep.vacuous == (label == "kappa1")
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+def assert_tables_match_the_oracles(sides, radius):
+    """The stacked norm tables and Hermitian residuals against the per-kernel
+    oracles, bit for bit; returns the reference deviation and residual."""
+    norms, resid = kernels._weighted_tables(sides, radius)
+    for side, table in zip(sides, norms):
+        assert same_bits(table, oracles.weighted_norms(side, radius))
+    t = sides.shape[1]
+    w = radius ** (np.arange(t)[:, None, None, None, None]
+                   + np.arange(t)[None, :, None, None, None])
+    for side, value in zip(sides[:2], resid):
+        assert same_bits(value, oracles.hermitian_residual(side * w))
+    return (float(np.max(oracles.weighted_norms(sides[2], radius))),
+            max(oracles.hermitian_residual(sides[0] * w), oracles.hermitian_residual(sides[1] * w)))
+
+
+@pytest.mark.parametrize("trunc", [20, 48])
+@pytest.mark.parametrize("label", sorted(KL_CASES))
+def test_stacked_identity_tables_match_the_oracles_on_the_kl_cases(label, trunc):
+    case = transport_case_to_ball(synthesized_kl_case(label))
+    radius = kl_gram_radius(case)
+    binv = case.b0.inverse().rational.lift(case.s.rows)
+    sides = kernels._identity_sides(case.s.taylor(trunc), binv.taylor(trunc).coeffs,
+                                    case.s0.taylor(trunc), case.s0.J1.matrix, trunc)
+    dev, herm = assert_tables_match_the_oracles(sides, radius)
+    rep = kernel_identity_check(case.s, case.b0, case.s0, trunc=trunc, gram_radius=radius)
+    assert same_bits(rep.max_coeff_dev, dev) and same_bits(rep.hermitian_residual, herm)
+
+
+@given(r=st.sampled_from([1, 2]), signs=st.sampled_from([(-1.0,), (1.0, -1.0)]),
+       trunc=st.integers(1, 9), radius=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stacked_identity_tables_match_the_oracles_on_random_taylor_data(r, signs, trunc,
+                                                                       radius, seed):
+    rng = np.random.default_rng(seed)
+    c = len(signs)
+    s_tay, s0_tay = (rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4)) for _ in "ab")
+    b_tay = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, r, 4))
+    j1 = SignatureMatrix.from_signs(signs).matrix
+    assert_tables_match_the_oracles(kernels._identity_sides(s_tay, b_tay, s0_tay, j1, trunc),
+                                    radius)
+
+
+@pytest.mark.parametrize("label", sorted(KL_CASES))
+def test_identity_leg_inverts_no_factor_after_synthesis(label, monkeypatch):
+    # the B0^{-*} that S was built from is the one the identity leg expands
+    from qschur.blaschke import PointFactor, PotapovFactor, SphereFactor
+
+    case = synthesized_kl_case(label)
+    calls = []
+    for cls in (PointFactor, SphereFactor, PotapovFactor):
+        def counted(self, domain, _inverse=cls.inverse):
+            calls.append(type(self).__name__)
+            return _inverse(self, domain)
+        monkeypatch.setattr(cls, "inverse", counted)
+    ball = transport_case_to_ball(case)
+    assert ball.b0.inverse() is ball.b0.inverse()
+    kernel_identity_check(ball.s, ball.b0, ball.s0, trunc=20, gram_radius=kl_gram_radius(ball))
+    assert calls == []
 
 
 def test_eval_gram_matches_double_series(rng):
@@ -398,7 +471,7 @@ def test_double_series_kernel_hermitian():
     s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
     one = SignatureMatrix.identity(1)
     k = DoubleSeriesKernel.from_schur_taylor(s.taylor(12), one.matrix, one.matrix, 12)
-    assert k.hermitian_residual() < 1e-12
+    assert oracles.hermitian_residual(k.coeffs) < 1e-12
 
 
 def test_moebius_identity(rng):
