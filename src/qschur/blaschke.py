@@ -43,6 +43,9 @@ from .starpoly import (
 BALL = "ball"
 HALFSPACE = "halfspace"
 _DOMAINS = (BALL, HALFSPACE)
+# a built product must vanish at its prescribed points within this
+# tolerance, relative to the magnitude scale of its numerator there
+PRODUCT_ZERO_TOL = 1e-10
 
 
 def _check_domain(domain):
@@ -403,7 +406,7 @@ class FactoredProduct:
         }
 
 
-def build_product(zeros, zero_tol=1e-10):
+def build_product(zeros):
     """Blaschke product vanishing exactly on a prescribed finite ZeroSet.
 
     Sphere factors come first as pointwise powers.  For each point a_r the
@@ -447,6 +450,6 @@ def build_product(zeros, zero_tol=1e-10):
     for a, n in zeros.points:
         a = as_quaternion(a)
         val = prod.rational.eval_scalar(a)
-        if val.norm() > zero_tol * max(1.0, prod.rational.num.eval_scale(a)):
+        if val.norm() > PRODUCT_ZERO_TOL * max(1.0, prod.rational.num.eval_scale(a)):
             raise ConstructionError("built product misses prescribed zero %r" % (a,))
     return prod

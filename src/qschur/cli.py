@@ -28,9 +28,9 @@ from .factorcheck import (
     synthesize_generalized_schur,
 )
 from .kernels import SchurFunction, estimate_dim_HB, estimate_neg_squares
-from .qlinalg import QMatrix
+from .qlinalg import QMatrix, herm_eigen_neg
 from .quat import Quaternion, sample_ball_points
-from .realization import Colligation, colligation_from_blaschke_factor, realize_many, solve_stein, stein_is_negative
+from .realization import Colligation, colligation_from_blaschke_factor, realize_many, solve_stein
 from .starpoly import SliceRational, StarPoly
 
 COMMANDS = ("blaschke-build", "negsq", "dim-hb", "realize", "stein", "kl-check", "transport")
@@ -360,9 +360,7 @@ def _run_dim_hb(cfg):
         rng = np.random.default_rng(eff["seed"])
         kwargs["points"] = sample_ball_points(rng, eff["points"], eff["radius"])
     rep = estimate_dim_HB(product, **kwargs)
-    body = {"dim": rep.dim, "degree": product.degree(), "eigenvalues": rep.eigenvalues}
-    if rep.warning:
-        body["warning"] = rep.warning
+    body = {**rep.to_json(), "degree": product.degree()}
     return EXIT_OK, body, _eig_csv(rep.eigenvalues)
 
 
@@ -380,17 +378,17 @@ def _run_realize(cfg):
 
 
 def _run_stein(cfg):
-    from .qlinalg import herm_eigen_neg
-
-    p = solve_stein(cfg.objects["A"], cfg.objects["C"])
     a, c = cfg.objects["A"], cfg.objects["C"]
+    p = solve_stein(a, c)
     residual = (a.adjoint() @ p @ a - p + c.adjoint() @ c).norm()
     eigs, _ = herm_eigen_neg(p)
+    # negative semidefinite: no eigenvalue above 1e-8 times max(1, spectral radius)
+    cutoff = 1e-8 * max(1.0, float(np.max(np.abs(eigs))))
     body = {
         "P": p.to_json(),
         "residual": residual,
         "eigenvalues": [float(x) for x in eigs],
-        "negative_semidefinite": stein_is_negative(p),
+        "negative_semidefinite": bool(np.all(eigs <= cutoff)),
     }
     return EXIT_OK, body, _eig_csv(body["eigenvalues"])
 

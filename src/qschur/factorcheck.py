@@ -14,7 +14,7 @@ values and Taylor coefficients every check reads.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .blaschke import BALL, HALFSPACE, FactoredProduct, ZeroSet, build_product
 from .errors import DomainError, ExpansionError, NumericError, PoleError
@@ -48,17 +48,7 @@ class Budget:
     min_eig_tol: float = 1e-8
 
     def to_json(self):
-        return {
-            "trials": self.trials,
-            "batch": self.batch,
-            "rho": self.rho,
-            "seed": self.seed,
-            "cutoff": self.cutoff,
-            "kernel_tol": self.kernel_tol,
-            "identity_trunc": self.identity_trunc,
-            "identity_points": self.identity_points,
-            "min_eig_tol": self.min_eig_tol,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -116,8 +106,7 @@ def synthesize_generalized_schur(b0_spec, s0_spec=None):
         b0 = FactoredProduct.identity(domain)
         s = s0
     else:
-        s = SchurFunction.star_quotient(b0.inverse().rational, s0,
-                                        label="B0^{-*} * S0")
+        s = SchurFunction.star_quotient(b0.inverse().rational, s0)
     # B0^{-*} acts on S0 as B0^{-*} I_r, a product of degree r deg B0
     return FactorizationCase(
         b0=b0, s0=s0, s=s, expected_kappa=s0.rows * b0.degree(), domain=domain
@@ -289,17 +278,11 @@ def cayley_transport(s, x0, direction="halfspace_to_ball"):
     if direction == "halfspace_to_ball":
         if s.domain != HALFSPACE:
             raise DomainError("source must live on the half-space")
-        return SchurFunction.compose_real_mobius(
-            s, x0, x0, 1.0, -1.0, domain=BALL,
-            label=(s.label or "S") + " o cayley",
-        )
+        return SchurFunction.compose_real_mobius(s, x0, x0, 1.0, -1.0, domain=BALL)
     if direction == "ball_to_halfspace":
         if s.domain != BALL:
             raise DomainError("source must live on the ball")
-        return SchurFunction.compose_real_mobius(
-            s, -x0, 1.0, x0, 1.0, domain=HALFSPACE,
-            label=(s.label or "S") + " o cayley-inverse",
-        )
+        return SchurFunction.compose_real_mobius(s, -x0, 1.0, x0, 1.0, domain=HALFSPACE)
     raise DomainError("unknown transport direction %r" % (direction,))
 
 
@@ -336,9 +319,7 @@ def transport_case_to_ball(case, x0=1.0):
         case.b0.rational.compose_real_mobius(x0, x0, 1.0, -1.0), case.b0.degree(),
         case.b0.inverse().rational.compose_real_mobius(x0, x0, 1.0, -1.0))
     s0_ball = cayley_transport(case.s0, x0, "halfspace_to_ball")
-    s_ball = SchurFunction.star_quotient(
-        b0_ball.inverse().rational, s0_ball, label="transported quotient"
-    )
+    s_ball = SchurFunction.star_quotient(b0_ball.inverse().rational, s0_ball)
     return FactorizationCase(
         b0=b0_ball, s0=s0_ball, s=s_ball,
         expected_kappa=case.expected_kappa, domain=BALL,

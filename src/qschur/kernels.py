@@ -47,7 +47,7 @@ the Taylor series of den^{-1} num is the convolution of num with the
 real series of 1/den.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -67,13 +67,11 @@ from .starpoly import SliceRational, slice_split
 
 
 def as_points(points):
-    """Normalize a list of Quaternion (or an (B,4) array) to an (B,4) array."""
-    if isinstance(points, np.ndarray):
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 4:
-            raise ShapeError("points array must have shape (B, 4)")
-        return pts
-    return np.array([p.as_array() for p in points], dtype=np.float64)
+    """The points as a float (B, 4) array; ShapeError for any other shape."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 4:
+        raise ShapeError("points array must have shape (B, 4)")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +81,13 @@ def as_points(points):
 class SchurFunction:
     """A slice-rational matrix function with signature data.
 
-    The record is (rational, domain, J1, J2, label): rational is the one
+    The record is (rational, domain, J1, J2): rational is the one
     value source, so eval_many is its batch evaluation and taylor(n) its
     Taylor coefficients at 0; J1 and J2 are the signature matrices of the
     kernel J2 - S(p) J1 S(q)^*, and domain is the ball or the half-space.
     """
 
-    def __init__(self, rational, domain=BALL, J1=None, J2=None, label=""):
+    def __init__(self, rational, domain=BALL, J1=None, J2=None):
         if domain not in (BALL, HALFSPACE):
             raise DomainError("domain must be 'ball' or 'halfspace'")
         self.rational = rational
@@ -97,21 +95,20 @@ class SchurFunction:
         self.rows, self.cols = rational.shape
         self.J1 = J1 if J1 is not None else SignatureMatrix.identity(self.cols)
         self.J2 = J2 if J2 is not None else SignatureMatrix.identity(self.rows)
-        self.label = label
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_product(cls, product, J1=None, J2=None, label=""):
-        return cls(product.rational, product.domain, J1, J2, label or "blaschke-product")
+    def from_product(cls, product):
+        return cls(product.rational, product.domain)
 
     @classmethod
-    def constant(cls, value, domain=BALL, J1=None, J2=None, label="constant"):
+    def constant(cls, value, domain=BALL):
         value = value if isinstance(value, QMatrix) else QMatrix.scalar(value)
-        return cls(SliceRational.constant(value), domain, J1, J2, label)
+        return cls(SliceRational.constant(value), domain)
 
     @classmethod
-    def star_quotient(cls, left_scalar_rational, s0, label="star-quotient"):
+    def star_quotient(cls, left_scalar_rational, s0):
         """The star product f * S0 with a scalar left factor f.
 
         With real denominators the star product multiplies numerators by
@@ -121,13 +118,13 @@ class SchurFunction:
         if not left_scalar_rational.is_scalar():
             raise ShapeError("the left quotient factor must be scalar")
         left = left_scalar_rational.lift(s0.rows)
-        return cls(left.star(s0.rational), s0.domain, s0.J1, s0.J2, label)
+        return cls(left.star(s0.rational), s0.domain, s0.J1, s0.J2)
 
     @classmethod
-    def compose_real_mobius(cls, s, alpha, beta, gamma, delta, domain=None, label=""):
+    def compose_real_mobius(cls, s, alpha, beta, gamma, delta, domain=None):
         """S after the real Mobius map (alpha + beta p)(gamma + delta p)^{-1}."""
         rat = s.rational.compose_real_mobius(alpha, beta, gamma, delta)
-        return cls(rat, domain or s.domain, s.J1, s.J2, label or s.label)
+        return cls(rat, domain or s.domain, s.J1, s.J2)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -146,9 +143,7 @@ class SchurFunction:
         return self.rational.taylor(n).coeffs
 
     def __repr__(self):
-        return "SchurFunction(%s, %dx%d, %s)" % (
-            self.domain, self.rows, self.cols, self.label or "unlabeled",
-        )
+        return "SchurFunction(%s, %dx%d)" % (self.domain, self.rows, self.cols)
 
 
 # ---------------------------------------------------------------------------
@@ -199,13 +194,11 @@ def gram(s, points, vectors):
     """Gram matrix with entries c_l^* K_S(w_l, w_j) c_j, Hermitian up to
     rounding (herm_eigen_neg symmetrizes it).
 
-    vectors is an (B, r, 4) array (or list of r x 1 QMatrix columns).
+    points is an (B, 4) array and vectors an (B, r, 4) array, one column
+    c_l per point.
     """
     pts = as_points(points)
-    if isinstance(vectors, np.ndarray):
-        vecs = np.asarray(vectors, dtype=np.float64)
-    else:
-        vecs = np.array([v.data[:, 0, :] for v in vectors], dtype=np.float64)
+    vecs = np.asarray(vectors, dtype=np.float64)
     if vecs.shape[0] != pts.shape[0]:
         raise ShapeError("need one vector per point")
     if vecs.shape[1] != s.rows:
@@ -511,15 +504,7 @@ class KernelIdentityReport:
     vacuous: bool = False       # K_S - K_B is zero at this truncation
 
     def to_json(self):
-        return {
-            "status": self.status,
-            "max_coeff_dev": self.max_coeff_dev,
-            "min_gram_eig": self.min_gram_eig,
-            "hermitian_residual": self.hermitian_residual,
-            "trunc": self.trunc,
-            "tail_bound": self.tail_bound,
-            "vacuous": self.vacuous,
-        }
+        return asdict(self)
 
 
 def _min_pole_radius(rational):
@@ -557,8 +542,12 @@ def _identity_sides(s_taylor, b_taylor, s0_taylor, j1, trunc):
     return sides.reshape(3, t, r, t, r, 4).transpose(0, 1, 3, 2, 4, 5)
 
 
-def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
-                          seed=11, tail_tol=1e-9, dev_tol=1e-9):
+# bounds of kernel_identity_check on the weighted tail and the deviation
+IDENTITY_TAIL_TOL = 1e-9
+IDENTITY_DEV_TOL = 1e-9
+
+
+def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None, seed=11):
     """Check K_S - K_B = B(p) * (K_{S0}) *_r B(q)^* with B = B0^{-*}.
 
     S, B0 and S0 must live on the ball (transport half-space data first),
@@ -588,12 +577,14 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     The report carries the weighted coefficient deviation, the Hermitian
     symmetry residual, and the minimum Gram eigenvalue of the difference
     kernel (its positivity is the content of the factorization step).
-    If the truncation cannot bound the tail below tail_tol, or the tail
-    or the deviation is not finite, the status is 'inconclusive', never a
-    silent pass; with the tail bounded, a deviation above dev_tol is a
-    'fail'.  When every weighted coefficient of K_S - K_B is within
-    dev_tol of zero (S = B, for instance), the identity holds trivially
-    and the report says so with vacuous=True; the status is unaffected.
+    If the truncation cannot bound the tail below IDENTITY_TAIL_TOL, or
+    the tail or the deviation is not finite, the status is 'inconclusive',
+    never a silent pass, and min_gram_eig is NaN: the Gram would come from
+    overflowed coefficients.  With the tail bounded, a deviation above
+    IDENTITY_DEV_TOL is a 'fail'.  When every weighted coefficient of
+    K_S - K_B is within IDENTITY_DEV_TOL of zero (S = B, for instance), the
+    identity holds trivially and the report says so with vacuous=True;
+    the status is unaffected.
     """
     if not isinstance(b0, FactoredProduct):
         raise ShapeError("b0 must be a FactoredProduct")
@@ -619,21 +610,22 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
                     1e-300)
         ratio = min(band / inner, 0.97) if inner > 0 else 0.0
         tail_bound = band / max(1.0 - ratio, 0.03) ** 2
-    vacuous = float(np.max(lhs_norms)) <= dev_tol
+    vacuous = float(np.max(lhs_norms)) <= IDENTITY_DEV_TOL
     herm = max(float(resid[0]), float(resid[1]))
 
-    rng = np.random.default_rng(seed)
-    pts = sample_ball_points(rng, gram_points, gram_radius)
-    g = DoubleSeriesKernel(sides[0]).eval_gram(pts)
-    eigs, _ = herm_eigen_neg(g)
-    min_eig = float(np.min(eigs))
+    min_eig = float("nan")
+    if np.isfinite(tail_bound) and np.isfinite(dev):
+        rng = np.random.default_rng(seed)
+        pts = sample_ball_points(rng, gram_points, gram_radius)
+        eigs, _ = herm_eigen_neg(DoubleSeriesKernel(sides[0]).eval_gram(pts))
+        min_eig = float(np.min(eigs))
 
     # NaN and inf compare False, so a non-finite tail or deviation falls
     # to "inconclusive" rather than to "ok"
-    if not (tail_bound <= tail_tol and np.isfinite(dev)):
+    if not (tail_bound <= IDENTITY_TAIL_TOL and np.isfinite(dev)):
         status = "inconclusive"
     else:
-        status = "ok" if dev <= dev_tol else "fail"
+        status = "ok" if dev <= IDENTITY_DEV_TOL else "fail"
     return KernelIdentityReport(
         status=status,
         max_coeff_dev=dev,

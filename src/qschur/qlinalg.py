@@ -23,6 +23,8 @@ from .quat import Quaternion, as_quaternion
 
 # refuse inversion beyond this 1-norm condition estimate on chi(M)
 COND_LIMIT = 1e12
+# largest gap within a chi eigenvalue pair, relative to the spectral radius
+PAIRING_RTOL = 1e-9
 
 
 def qmatmul_arr(a, b):
@@ -278,10 +280,6 @@ class SignatureMatrix:
         sig._m = QMatrix.eye(n)
         return sig
 
-    @classmethod
-    def from_signs(cls, signs):
-        return cls(QMatrix.from_real(np.diag(np.asarray(signs, dtype=np.float64))))
-
     @property
     def matrix(self):
         return self._m
@@ -307,7 +305,7 @@ class SignatureMatrix:
 # spectral operations
 # ---------------------------------------------------------------------------
 
-def herm_eigen_neg(h, cutoff=1e-8, pairing_rtol=1e-9):
+def herm_eigen_neg(h, cutoff=1e-8):
     """Eigenvalues of a Hermitian quaternionic matrix and the negative count.
 
     Works on chi(H); its 2n real eigenvalues occur in exact pairs and the
@@ -338,7 +336,7 @@ def herm_eigen_neg(h, cutoff=1e-8, pairing_rtol=1e-9):
     rho = max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
     pairs = lam.reshape(-1, 2)
     gap = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]))) if pairs.size else 0.0
-    if gap > pairing_rtol * rho:
+    if gap > PAIRING_RTOL * rho:
         raise NumericError("chi eigenvalue pairing violated (gap %.3e)" % gap)
     reps = 0.5 * (pairs[:, 0] + pairs[:, 1])
     negatives = int(np.sum(reps < -cutoff * rho))
@@ -386,12 +384,11 @@ def qmatrix_inv(m):
     return QMatrix(qinv_arr(m.data))
 
 
-def check_colligation(m, j1, j2, mode="coisometry"):
-    """Residual of the signature identity for an operator matrix.
+def check_colligation(m, j1, j2):
+    """Coisometry residual of an operator matrix.
 
-    For an (n+r) x (n+s) block matrix M the coisometry residual is
-    || M diag(I_n, J1) M^* - diag(I_n, J2) ||; isometry transposes the
-    roles, unitary takes the max of both.  Zero means the defining
+    For an (n+r) x (n+s) block matrix M it is
+    || M diag(I_n, J1) M^* - diag(I_n, J2) ||; zero means the defining
     identity holds exactly.
     """
     j1m = j1.matrix if isinstance(j1, SignatureMatrix) else j1
@@ -405,18 +402,4 @@ def check_colligation(m, j1, j2, mode="coisometry"):
         )
     d1 = block_diag([QMatrix.eye(n), j1m]) if n else j1m
     d2 = block_diag([QMatrix.eye(n), j2m]) if n else j2m
-    if mode == "coisometry":
-        return (m @ d1 @ m.adjoint() - d2).norm()
-    if mode == "isometry":
-        return (m.adjoint() @ d2 @ m - d1).norm()
-    if mode == "unitary":
-        return max(
-            (m @ d1 @ m.adjoint() - d2).norm(),
-            (m.adjoint() @ d2 @ m - d1).norm(),
-        )
-    raise DomainError("mode must be coisometry, isometry, or unitary")
-
-
-def random_qmatrix(rng, rows, cols, scale=1.0):
-    """Dense matrix with components uniform in [-scale, scale]."""
-    return QMatrix(rng.uniform(-scale, scale, size=(rows, cols, 4)))
+    return (m @ d1 @ m.adjoint() - d2).norm()

@@ -26,7 +26,6 @@ from . import _accel
 from .blaschke import BALL, HALFSPACE
 from .errors import (
     DomainError,
-    ExpansionError,
     IllPosedError,
     NumericError,
     PoleError,
@@ -39,7 +38,6 @@ from .qlinalg import (
     check_colligation,
     complex_adjoint,
     from_complex_adjoint,
-    herm_eigen_neg,
     hstack,
     qinv_arr,
     qmatmul_arr,
@@ -123,8 +121,8 @@ class Colligation:
         bot = hstack([self.C, self.D])
         return vstack([top, bot])
 
-    def coisometry_residual(self, mode="coisometry"):
-        return check_colligation(self.operator_matrix(), self.J1, self.J2, mode)
+    def coisometry_residual(self):
+        return check_colligation(self.operator_matrix(), self.J1, self.J2)
 
     def to_json(self):
         out = {
@@ -216,16 +214,14 @@ def realize_eval(col, p):
     return QMatrix(realize_many(col, [p])[0])
 
 
-def colligation_from_blaschke_factor(a, domain=BALL):
-    """One-dimensional unitary colligation whose transfer function is B_a.
+def colligation_from_blaschke_factor(a):
+    """One-dimensional unitary ball colligation whose transfer function is B_a.
 
     Coefficients sit on the slice of a so the geometric series in
     A = conj(a) reproduces (1 - 2Re(a)p + |a|^2 p^2)^{-1}-type data; the
     classical disk formulas guide the ansatz and the result is verified
     numerically, with D = B_a(0) = |a|.
     """
-    if domain != BALL:
-        raise DomainError("factor colligations are built on the ball")
     a = as_quaternion(a)
     r = a.norm()
     if not 0.0 < r < 1.0:
@@ -239,7 +235,8 @@ def colligation_from_blaschke_factor(a, domain=BALL):
 
 
 def backward_shift_colligation(s, n):
-    """Matrix shadow of the backward-shift realization on Taylor data.
+    """Matrix shadow of the backward-shift realization on the Taylor data
+    of a SchurFunction.
 
     The state space is the truncated coefficient space of dimension n*r:
     A shifts coefficients down ((Af)_k = f_{k+1}, top row zero), B loads
@@ -249,11 +246,7 @@ def backward_shift_colligation(s, n):
     """
     if n < 1:
         raise DomainError("truncation must be at least 1")
-    try:
-        coeffs = s.taylor(n)
-    except AttributeError:
-        raise ExpansionError("source provides no Taylor data")
-    coeffs = np.asarray(coeffs if isinstance(coeffs, np.ndarray) else coeffs.coeffs)
+    coeffs = s.taylor(n)
     r, scols = coeffs.shape[1], coeffs.shape[2]
 
     adata = np.zeros((n * r, n * r, 4))
@@ -272,7 +265,11 @@ def backward_shift_colligation(s, n):
     )
 
 
-def solve_stein(a, c, residual_tol=1e-9):
+# relative residual above which solve_stein refuses its solution
+STEIN_RESIDUAL_TOL = 1e-9
+
+
+def solve_stein(a, c):
     """Unique Hermitian P with A^* P A = P - C^* C, negative semidefinite.
 
     Requires every eigenvalue of chi(A) strictly outside the closed unit
@@ -304,14 +301,7 @@ def solve_stein(a, c, residual_tol=1e-9):
     p = QMatrix(0.5 * (p.data + p.adjoint().data))
     resid = (a.adjoint() @ p @ a - p + c.adjoint() @ c).norm()
     scale = max(1.0, p.norm(), (c.adjoint() @ c).norm())
-    if resid > residual_tol * scale:
+    if resid > STEIN_RESIDUAL_TOL * scale:
         raise NumericError("Stein residual %.3e exceeds tolerance" % resid)
     return p
-
-
-def stein_is_negative(p, cutoff=1e-8):
-    """True when the Stein solution is negative semidefinite."""
-    eigs, _ = herm_eigen_neg(p, cutoff)
-    lam_max = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return bool(np.all(eigs <= cutoff * max(1.0, lam_max)))
 

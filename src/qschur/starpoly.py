@@ -47,6 +47,8 @@ from .quat import _NORMAL_MIN, I, ImaginaryUnit, Quaternion, as_quaternion, qdec
 REAL_COEFF_RTOL = 1e-13
 # default tolerance for root and divisibility decisions, relative to scale
 ROOT_RTOL = 1e-10
+# a denominator value at most this times its magnitude scale is a pole
+POLE_RTOL = 1e-12
 # the real coefficient vector of the denominator 1
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
@@ -229,10 +231,6 @@ class StarPoly:
         base = max(1.0, p.norm())
         mags = _coeff_moduli(self._c)
         return float(sum(m * base**n for n, m in enumerate(mags)) + 1e-300)
-
-    def eval_scales(self, points):
-        """eval_scale at every point of an (B, 4) array, as a (B,) array."""
-        return _magnitude_scales(_coeff_moduli(self._c), points)
 
     # -- JSON ---------------------------------------------------------------------
 
@@ -590,15 +588,11 @@ class SliceRational:
 
     # -- evaluation ------------------------------------------------------------
 
-    def eval_left(self, p, pole_rtol=1e-12):
-        """Value den(p)^{-1} num(p); raises PoleError on the denominator's zero spheres."""
-        return QMatrix(self.eval_many(as_quaternion(p).as_array()[None], pole_rtol)[0])
-
     def eval_scalar(self, p):
         """Value of a scalar function at one point, as a Quaternion: the
         splitting formula of eval_many on Python complex numbers, with each
         quaternion component of F(z) = num(z) / den(z) summed by Horner's
-        rule, and the pole test of eval_many at its default pole_rtol."""
+        rule, and the pole test of eval_many."""
         if not self.is_scalar():
             raise ShapeError("scalar evaluation needs a 1x1 function")
         p = as_quaternion(p)
@@ -610,7 +604,7 @@ class SliceRational:
         for d in reversed(self._dv.tolist()):
             den = den * z + d
             scale = scale * base + abs(d)
-        if abs(den) <= 1e-12 * (scale + 1e-300):
+        if abs(den) <= POLE_RTOL * (scale + 1e-300):
             rep = qdecompose(p)
             raise PoleError(rep.x, rep.y)
         f0 = f1 = f2 = f3 = 0j
@@ -625,16 +619,17 @@ class SliceRational:
         return (unit * Quaternion(f0.imag, f1.imag, f2.imag, f3.imag)
                 + Quaternion(f0.real, f1.real, f2.real, f3.real))
 
-    def eval_many(self, points, pole_rtol=1e-12):
+    def eval_many(self, points):
         """Batch values on an (B, 4) array: on the complex slice the real
         denominator is a complex number den(z) and S = Re F + I Im F with
-        F(z) = num(z) / den(z)."""
+        F(z) = num(z) / den(z); PoleError on the denominator's zero spheres,
+        where |den(z)| is at most POLE_RTOL times its magnitude scale."""
         pts = np.asarray(points, dtype=np.float64)
         dv = self._dv
         unit, z = slice_split(pts)
         powers = _powers(z, max(self._num.degree, dv.size - 1))
         den = powers[:, : dv.size] @ dv
-        bad = np.nonzero(np.abs(den) <= pole_rtol * _magnitude_scales(np.abs(dv), pts))[0]
+        bad = np.nonzero(np.abs(den) <= POLE_RTOL * _magnitude_scales(np.abs(dv), pts))[0]
         if bad.size:
             rep = qdecompose(Quaternion.from_array(pts[bad[0]]))
             raise PoleError(rep.x, rep.y)

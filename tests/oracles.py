@@ -49,11 +49,14 @@ Each one is a frozen copy of an earlier, more direct implementation:
   the reference for the factor-chain inverse of a Blaschke product.
 
 The test-only helpers below them build inputs for the tests and give
-independent evaluations: the pointwise-product law of a Blaschke chain,
-the degree of a zero set, right-quaternionic Gram-Schmidt and the random
-half-space colligation built on it, a QMatrix from Quaternion entries,
-the point of a sphere representation, and the cancellation of common
-real factors of a rational.
+independent evaluations: a random QMatrix, a signature matrix from
+signs, one-point and batch forms of SliceRational and StarPoly
+evaluations, the isometry residual of a colligation and the negative
+semidefinite test of a Stein solution, the pointwise-product law of a
+Blaschke chain, the degree of a zero set, right-quaternionic
+Gram-Schmidt and the random half-space colligation built on it, a
+QMatrix from Quaternion entries, the point of a sphere representation,
+and the cancellation of common real factors of a rational.
 """
 
 import json
@@ -66,11 +69,12 @@ from qschur.blaschke import BALL, HALFSPACE
 from qschur.errors import (DivergenceError, DomainError, ExpansionError, NumericError,
                            PoleError, PrecondError, ShapeError, SpectrumError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
-from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr,
-                            qmatrix_inv, random_qmatrix)
+from qschur.qlinalg import (QMatrix, SignatureMatrix, block_diag, complex_adjoint, herm_eigen_neg,
+                            qadjoint_arr, qmatmul_arr, qmatrix_inv)
 from qschur.quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
-from qschur.starpoly import REAL_COEFF_RTOL, SliceRational, StarPoly, divmod_real, mul_real_poly
+from qschur.starpoly import (REAL_COEFF_RTOL, SliceRational, StarPoly, _coeff_moduli,
+                              _magnitude_scales, divmod_real, mul_real_poly)
 
 
 def qnormsq(a):
@@ -99,7 +103,7 @@ def rational_values(rational, points, pole_rtol=1e-12):
     pts = np.ascontiguousarray(points, dtype=np.float64)
     dv = polyval_batch(rational.den.coeffs, pts)[:, 0, 0, :]
     dmag = np.sqrt(np.sum(dv * dv, axis=-1))
-    bad = np.nonzero(dmag <= pole_rtol * rational.den.eval_scales(pts))[0]
+    bad = np.nonzero(dmag <= pole_rtol * eval_scales(rational.den, pts))[0]
     if bad.size:
         rep = qdecompose(Quaternion.from_array(pts[bad[0]]))
         raise PoleError(rep.x, rep.y)
@@ -317,6 +321,41 @@ def dump_json_isinstance(obj, indent=0):
 # ---------------------------------------------------------------------------
 # test-only helpers
 # ---------------------------------------------------------------------------
+
+def random_qmatrix(rng, rows, cols, scale=1.0):
+    """Dense matrix with components uniform in [-scale, scale]."""
+    return QMatrix(rng.uniform(-scale, scale, size=(rows, cols, 4)))
+
+
+def signature_from_signs(signs):
+    """The diagonal signature matrix with the given real signs."""
+    return SignatureMatrix(QMatrix.from_real(np.diag(np.asarray(signs, dtype=np.float64))))
+
+
+def eval_left(rational, p):
+    """Value den(p)^{-1} num(p) of a SliceRational at one quaternion, as a QMatrix."""
+    return QMatrix(rational.eval_many(as_quaternion(p).as_array()[None])[0])
+
+
+def eval_scales(poly, points):
+    """StarPoly.eval_scale at every point of an (B, 4) array, as a (B,) array."""
+    return _magnitude_scales(_coeff_moduli(poly.coeffs), points)
+
+
+def isometry_residual(col):
+    """|| M^* diag(I_n, J2) M - diag(I_n, J1) || for the operator matrix M
+    of a colligation with state dimension n."""
+    m, n = col.operator_matrix(), col.state_dim
+    d1 = block_diag([QMatrix.eye(n), col.J1.matrix]) if n else col.J1.matrix
+    d2 = block_diag([QMatrix.eye(n), col.J2.matrix]) if n else col.J2.matrix
+    return (m.adjoint() @ d2 @ m - d1).norm()
+
+
+def stein_is_negative(p, cutoff=1e-8):
+    """True when a Stein solution is negative semidefinite: no eigenvalue
+    above cutoff times max(1, spectral radius)."""
+    eigs, _ = herm_eigen_neg(p, cutoff)
+    return bool(np.all(eigs <= cutoff * max(1.0, float(np.max(np.abs(eigs))))))
 
 def eval_pointwise_chain(product, p):
     """A scalar Blaschke product at p through the pointwise-product law:

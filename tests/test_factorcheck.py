@@ -183,6 +183,7 @@ def test_non_finite_identity_tail_is_inconclusive(wrong_s0):
     doc = json.loads(dump_json(rep.to_json()))
     assert doc["verdict"] == "INCONCLUSIVE"
     assert doc["identity_tail_bound"] is None
+    assert doc["min_gram_eig"] is None
 
 
 def test_fivefold_pole_near_the_origin_warns_nothing():

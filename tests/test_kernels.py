@@ -127,7 +127,7 @@ def test_gram_hermitian_and_positive(rng):
 
     zero = SchurFunction.constant(Quaternion())
     w = sample_ball_point(rng, 0.5)
-    g1 = gram(zero, [w], sample_gram_vectors(rng, 1, 1))
+    g1 = gram(zero, w.as_array()[None], sample_gram_vectors(rng, 1, 1))
     assert g1.entry(0, 0).re > 0.0
 
 
@@ -320,7 +320,7 @@ def test_from_schur_taylor_matches_loop(rng):
     trunc = 7
     for r, c, signs in ((1, 1, (1.0,)), (2, 2, (1.0, -1.0)), (2, 1, (-1.0,))):
         taylor = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4))
-        j1 = SignatureMatrix.from_signs(signs).matrix
+        j1 = oracles.signature_from_signs(signs).matrix
         j2 = SignatureMatrix.identity(r).matrix
         fast = DoubleSeriesKernel.from_schur_taylor(taylor, j1, j2, trunc).coeffs
         assert np.max(np.abs(fast - loop_from_schur_taylor(taylor, j1, j2, trunc))) < 1e-13
@@ -344,7 +344,7 @@ def test_identity_sides_match_the_kernel_composition(rng, r, signs):
     decay = 0.6 ** np.arange(trunc + 1)[:, None, None, None]
     s_tay, s0_tay = (rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4)) * decay for _ in "ab")
     b_tay = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, r, 4)) * decay
-    j1 = SignatureMatrix.from_signs(signs).matrix
+    j1 = oracles.signature_from_signs(signs).matrix
     eye_r, eye_c = QMatrix.eye(r), QMatrix.eye(c)
     lhs_ref = (DoubleSeriesKernel.from_schur_taylor(s_tay, eye_c, eye_r, trunc).coeffs
                - DoubleSeriesKernel.from_schur_taylor(b_tay, eye_r, eye_r, trunc).coeffs)
@@ -431,7 +431,7 @@ def test_stacked_identity_tables_match_the_oracles_on_random_taylor_data(r, sign
     c = len(signs)
     s_tay, s0_tay = (rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4)) for _ in "ab")
     b_tay = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, r, 4))
-    j1 = SignatureMatrix.from_signs(signs).matrix
+    j1 = oracles.signature_from_signs(signs).matrix
     assert_tables_match_the_oracles(kernels._identity_sides(s_tay, b_tay, s0_tay, j1, trunc),
                                     radius)
 
@@ -542,9 +542,9 @@ def matrix_schur_functions(draw, rows):
     tail = draw(st.lists(gram_comp, min_size=0, max_size=2))
     den = [1.0 + sum(abs(d) for d in tail)] + tail
     rat = SliceRational(StarPoly(num.reshape(deg + 1, rows, 2, 4)), StarPoly.scalar(den))
-    j2 = SignatureMatrix.from_signs([1.0] + [-1.0] * (rows - 1)) \
+    j2 = oracles.signature_from_signs([1.0] + [-1.0] * (rows - 1)) \
         if draw(st.booleans()) else SignatureMatrix.identity(rows)
-    return SchurFunction(rat, J1=SignatureMatrix.from_signs([1.0, -1.0]), J2=j2)
+    return SchurFunction(rat, J1=oracles.signature_from_signs([1.0, -1.0]), J2=j2)
 
 
 @st.composite
@@ -576,7 +576,7 @@ def gram_cases():
 ISOTROPIC = (
     SchurFunction(SliceRational(StarPoly(np.array([[[[0.0, 0, 1, 1], [0, 0, 0, 1]]]])),
                                 StarPoly.scalar([1.0])),
-                  J1=SignatureMatrix.from_signs([1.0, -1.0])),
+                  J1=oracles.signature_from_signs([1.0, -1.0])),
     (np.zeros((1, 4)), np.array([[[0.0, 0, 0, 0.26027020417757674]]])),
 )
 
@@ -645,7 +645,7 @@ def signature_function():
     num[0, 0, 0], num[0, 0, 1] = (0.6, 0, 0.1, 0), (0, 0.2, 0, 0)
     num[1, 0, 0], num[1, 0, 1] = (0, 0, 0.3, 0), (0.4, 0, 0, 0.1)
     rat = SliceRational(StarPoly(num), StarPoly.scalar([1.0, 0.5]))
-    return SchurFunction(rat, J1=SignatureMatrix.from_signs([1.0, -1.0]))
+    return SchurFunction(rat, J1=oracles.signature_from_signs([1.0, -1.0]))
 
 
 ESTIMATOR_CASES = {

@@ -12,11 +12,11 @@ from qschur.qlinalg import (
     qadjoint_arr,
     qinv_arr,
     qmatrix_inv,
-    random_qmatrix,
 )
 from qschur.quat import I, J, Quaternion
 
-from oracles import herm_eigen_neg_chi, orthonormalize_columns, qmatrix_from_entries
+from oracles import (herm_eigen_neg_chi, orthonormalize_columns, qmatrix_from_entries,
+                     random_qmatrix, signature_from_signs)
 
 
 def test_complex_adjoint_examples():
@@ -177,7 +177,7 @@ def test_check_colligation_examples():
 
 
 def test_signature_matrix_validation():
-    SignatureMatrix.from_signs([1.0, -1.0]).index() == 1
+    signature_from_signs([1.0, -1.0]).index() == 1
     with pytest.raises(PrecondError):
         SignatureMatrix(QMatrix.scalar(0.5))
     with pytest.raises(PrecondError):

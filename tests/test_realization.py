@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from qschur.blaschke import blaschke_factor
 from qschur.errors import DomainError, IllPosedError, PoleError, QSchurError, ShapeError, SpectrumError
 from qschur.kernels import SchurFunction
-from qschur.qlinalg import (QMatrix, SignatureMatrix, complex_adjoint, herm_eigen_neg, qmatrix_inv,
-                            random_qmatrix)
+from qschur.qlinalg import QMatrix, SignatureMatrix, complex_adjoint, herm_eigen_neg, qmatrix_inv
 from qschur.quat import I, J, Quaternion, sample_ball_point, sample_halfspace_point, sample_imaginary_unit
 from qschur.realization import (
     Colligation,
@@ -16,11 +15,11 @@ from qschur.realization import (
     realize_eval,
     realize_many,
     solve_stein,
-    stein_is_negative,
 )
 from qschur.starpoly import SliceRational, StarPoly, extend_from_slice
 
-from oracles import random_halfspace_colligation, realize_eval_pointwise, resolvent_inverse
+from oracles import (isometry_residual, random_halfspace_colligation, random_qmatrix,
+                     realize_eval_pointwise, resolvent_inverse, stein_is_negative)
 
 
 def test_realize_degenerate_state():
@@ -52,8 +51,8 @@ def test_blaschke_factor_colligation(rng):
         if a.norm() < 0.05:
             continue
         col = colligation_from_blaschke_factor(a)
-        assert col.coisometry_residual("coisometry") < 1e-12
-        assert col.coisometry_residual("isometry") < 1e-12
+        assert col.coisometry_residual() < 1e-12
+        assert isometry_residual(col) < 1e-12
         assert col.D.as_quaternion().isclose(Quaternion.from_real(a.norm()))
         fac = blaschke_factor("ball", "point", a)
         for _ in range(6):
