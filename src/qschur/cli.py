@@ -379,8 +379,7 @@ def _run_realize(cfg):
 
 def _run_stein(cfg):
     a, c = cfg.objects["A"], cfg.objects["C"]
-    p = solve_stein(a, c)
-    residual = (a.adjoint() @ p @ a - p + c.adjoint() @ c).norm()
+    p, residual = solve_stein(a, c)
     eigs, _ = herm_eigen_neg(p)
     # negative semidefinite: no eigenvalue above 1e-8 times max(1, spectral radius)
     cutoff = 1e-8 * max(1.0, float(np.max(np.abs(eigs))))

@@ -2,7 +2,7 @@
 
 The generalized Schur kernel on the unit ball is the power series
 
-    K_S(p, q) = sum_n p^n (J2 - S(p) J1 S(q)^*) conj(q)^n,
+    K_S(p, q) = sum_n p^n (I - S(p) S(q)^*) conj(q)^n,
 
 which gram evaluates in closed form, without truncation, on the complex
 slices of p and q.  Write p = x + I y and q = u + J v
@@ -16,17 +16,17 @@ E = (1 - z w)^{-1} and F = (1 - z conj(w))^{-1}, for any matrix M,
 
 The Gram entries c_l^* K_S(p_l, p_j) c_j are therefore four real
 weight matrices applied entrywise to the blocks of one quaternion
-product Z^* diag(J2, -J1) Z, whose columns are [c; S^* c] and
-[I c; S^* I c] for every point, since J2 - S_l J1 S_j^* has rank at
-most r + s in (l, j).
+product Z^* diag(I_r, -I_s) Z, whose columns are [c; S^* c] and
+[I c; S^* I c] for every point, since I - S_l S_j^* has rank at most
+r + s in (l, j).
 
 gram runs in two stages: _gram_columns evaluates S once at all the
 points and builds their columns, and _gram_slice sums the kernel for one
 set of points.  estimate_neg_squares runs the first once per block of
-TRIAL_BLOCK trials and the second once per trial, with the complex
-adjoint of diag(J2, -J1) built once per call, so its per-point arrays
-are O(TRIAL_BLOCK batch) for any number of trials.  schur_kernel_eval
-reads one value K_S(p, q) off the Gram at p and q with identity columns.
+TRIAL_BLOCK trials and the second once per trial, so its per-point
+arrays are O(TRIAL_BLOCK batch) for any number of trials.
+schur_kernel_eval reads one value K_S(p, q) off the Gram at p and q with
+identity columns.
 
 Gram matrices built from kernel sections drive two estimators:
 
@@ -53,15 +53,8 @@ import numpy as np
 
 from . import _accel
 from .blaschke import BALL, HALFSPACE, FactoredProduct
-from .errors import (
-    DivergenceError,
-    DomainError,
-    PoleError,
-    PrecondError,
-    ShapeError,
-)
-from .qlinalg import (QMatrix, SignatureMatrix, complex_adjoint, herm_eigen_neg,
-                      qadjoint_arr, qmatmul_arr)
+from .errors import DivergenceError, DomainError, PoleError, ShapeError
+from .qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr
 from .quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from .starpoly import SliceRational, slice_split
 
@@ -79,22 +72,19 @@ def as_points(points):
 # ---------------------------------------------------------------------------
 
 class SchurFunction:
-    """A slice-rational matrix function with signature data.
+    """A slice-rational matrix function on the ball or the half-space.
 
-    The record is (rational, domain, J1, J2): rational is the one
-    value source, so eval_many is its batch evaluation and taylor(n) its
-    Taylor coefficients at 0; J1 and J2 are the signature matrices of the
-    kernel J2 - S(p) J1 S(q)^*, and domain is the ball or the half-space.
+    The record is (rational, domain): rational is the one value source,
+    so eval_many is its batch evaluation and taylor(n) its Taylor
+    coefficients at 0, and its kernel is I - S(p) S(q)^*.
     """
 
-    def __init__(self, rational, domain=BALL, J1=None, J2=None):
+    def __init__(self, rational, domain=BALL):
         if domain not in (BALL, HALFSPACE):
             raise DomainError("domain must be 'ball' or 'halfspace'")
         self.rational = rational
         self.domain = domain
         self.rows, self.cols = rational.shape
-        self.J1 = J1 if J1 is not None else SignatureMatrix.identity(self.cols)
-        self.J2 = J2 if J2 is not None else SignatureMatrix.identity(self.rows)
 
     # -- constructors ---------------------------------------------------------
 
@@ -118,13 +108,13 @@ class SchurFunction:
         if not left_scalar_rational.is_scalar():
             raise ShapeError("the left quotient factor must be scalar")
         left = left_scalar_rational.lift(s0.rows)
-        return cls(left.star(s0.rational), s0.domain, s0.J1, s0.J2)
+        return cls(left.star(s0.rational), s0.domain)
 
     @classmethod
     def compose_real_mobius(cls, s, alpha, beta, gamma, delta, domain=None):
         """S after the real Mobius map (alpha + beta p)(gamma + delta p)^{-1}."""
         rat = s.rational.compose_real_mobius(alpha, beta, gamma, delta)
-        return cls(rat, domain or s.domain, s.J1, s.J2)
+        return cls(rat, domain or s.domain)
 
     # -- evaluation -------------------------------------------------------------
 
@@ -203,7 +193,7 @@ def gram(s, points, vectors):
         raise ShapeError("need one vector per point")
     if vecs.shape[1] != s.rows:
         raise ShapeError("vectors must have length %d" % s.rows)
-    return _gram_slice(_chi_signature(s), *_gram_columns(s, pts, vecs))
+    return _gram_slice(s.rows, *_gram_columns(s, pts, vecs))
 
 
 def _gram_columns(s, pts, vecs):
@@ -214,26 +204,21 @@ def _gram_columns(s, pts, vecs):
     return z, np.concatenate([x, qmatmul_arr(qadjoint_arr(s.eval_many(pts)), x)], axis=1)
 
 
-def _chi_signature(s):
-    """chi(diag(J2, -J1)), the middle factor of the Gram product Z^* sig Z."""
-    r, k = s.rows, s.rows + s.cols
-    sig = np.zeros((k, k, 4))
-    sig[:r, :r], sig[r:, r:] = s.J2.matrix.data, -s.J1.matrix.data
-    return complex_adjoint(sig)
-
-
-def _gram_slice(chi_sig, z, cols):
-    """Per-slice stage of gram: the raw Gram from _gram_columns' output and
-    _chi_signature of S."""
+def _gram_slice(r, z, cols):
+    """Per-slice stage of gram: the raw Gram from _gram_columns' output for
+    an S with r rows."""
     b_count, k = z.shape[0], cols.shape[1]
     half_sum, half_diff = _szego_halves(z, z)
     # Z is the (r + s) x 2B matrix of all the columns, the I columns last
     zmat = cols.transpose(1, 2, 0, 3).reshape(k, 2 * b_count, 4)
     # chi(Z) with the two complex columns of each quaternion column side by
     # side: the top rows of chi(Z)^* chi(sig) chi(Z) then hold the pairs of
-    # P = Z^* sig Z, entry by entry
+    # P = Z^* sig Z, entry by entry.  chi(sig) = chi(diag(I_r, -I_s)) negates
+    # the S^* c rows of each half of chi(Z), rows r..k and k+r..2k.
     chi = complex_adjoint(zmat).reshape(2 * k, 2, -1).swapaxes(1, 2)
-    prod = chi[:, :, 0].conj().T @ (chi_sig @ chi.reshape(2 * k, -1))
+    sig_chi = chi.reshape(2, k, -1).copy()
+    np.negative(sig_chi[:, r:], out=sig_chi[:, r:])
+    prod = chi[:, :, 0].conj().T @ sig_chi.reshape(2 * k, -1)
     prod = prod.view(np.float64).reshape(2, b_count, 2, b_count, 4)
     # c^* I = -(I c)^*, so the weights of the I rows change sign
     weights = np.array([[half_sum.real, -half_diff.imag], [-half_sum.imag, -half_diff.real]])
@@ -299,7 +284,7 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
         raise DomainError("sampling radius rho must lie in (0, 1)")
     if not 0.0 < cutoff < np.inf:
         raise DomainError("cutoff must be a finite positive number")
-    best, witness, chi_sig = -1, None, _chi_signature(s)
+    best, witness = -1, None
     for start in range(0, trials, TRIAL_BLOCK):
         draws = []
         for t in range(start, min(start + TRIAL_BLOCK, trials)):
@@ -310,7 +295,7 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
         for i, (pts, vecs) in enumerate(draws):
             part = slice(i * batch, (i + 1) * batch)
             # herm_eigen_neg symmetrizes, so the raw Gram gives the same bits
-            eigs, neg = herm_eigen_neg(_gram_slice(chi_sig, z[part], cols[part]), cutoff)
+            eigs, neg = herm_eigen_neg(_gram_slice(s.rows, z[part], cols[part]), cutoff)
             if neg > best:
                 best, witness = neg, (pts, vecs, eigs)
     pts, vecs, eigs = witness
@@ -320,9 +305,9 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
         batch=int(batch),
         cutoff=float(cutoff),
         seed=int(seed),
-        witness_points=[list(map(float, row)) for row in pts],
-        witness_vectors=[[list(map(float, q)) for q in vec] for vec in vecs],
-        witness_eigenvalues=[float(x) for x in eigs],
+        witness_points=pts.tolist(),
+        witness_vectors=vecs.tolist(),
+        witness_eigenvalues=eigs.tolist(),
     )
 
 
@@ -404,15 +389,15 @@ class DoubleSeriesKernel:
         return (self.coeffs.shape[2], self.coeffs.shape[3])
 
     @classmethod
-    def from_schur_taylor(cls, taylor, j1, j2, trunc):
-        """Kernel coefficients C_{NM} = J2 delta_{NM} - sum_c s_{N-c} J1 s_{M-c}^*,
-        the blocks of J2 (x) I - T_{S J1} T_S^*; with sandwich, the tests'
-        reference composition of the identity leg."""
+    def from_schur_taylor(cls, taylor, trunc):
+        """Kernel coefficients C_{NM} = I delta_{NM} - sum_c s_{N-c} s_{M-c}^*,
+        the blocks of I - T_S T_S^*; with sandwich, the tests' reference
+        composition of the identity leg."""
         s = np.asarray(taylor, dtype=np.float64)
         t, r = trunc + 1, s.shape[1]
-        sj = qmatmul_arr(s, np.broadcast_to(j1.data, s.shape[:1] + j1.data.shape))
-        c = _roll(-_qmatmul_rows(_toeplitz(sj, t), qadjoint_arr(_toeplitz(s, t)), r), t, r, r)
-        c[np.arange(t), np.arange(t)] += j2.data
+        t_s = _toeplitz(s, t)
+        c = _roll(-_qmatmul_rows(t_s, qadjoint_arr(t_s), r), t, r, r)
+        c[np.arange(t), np.arange(t)] += QMatrix.eye(r).data
         return cls(c)
 
     def sandwich(self, left_taylor):
@@ -519,21 +504,16 @@ def _min_pole_radius(rational):
     return float(np.min(mags)) if mags.size else np.inf
 
 
-def _identity_sides(s_taylor, b_taylor, s0_taylor, j1, trunc):
+def _identity_sides(s_taylor, b_taylor, s0_taylor, trunc):
     """Coefficients of K_S - K_B, of B * K_{S0} *_r B^* and of their
     difference, stacked in that order as one (3, t, t, r, r, 4) block
-    array, t = trunc + 1, from the Taylor data of S, B and S0 and S0's
-    signature J1."""
-    t, r, c0 = trunc + 1, s_taylor.shape[1], s0_taylor.shape[2]
+    array, t = trunc + 1, from the Taylor data of S, B and S0."""
+    t, r = trunc + 1, s_taylor.shape[1]
     t_s, t_b = _toeplitz(s_taylor, t), _toeplitz(b_taylor, t)
     p_s = _qmatmul_rows(t_s, qadjoint_arr(t_s), r)
     p_b = _qmatmul_rows(t_b, qadjoint_arr(t_b), r)
     m = _qmatmul_rows(t_b, _toeplitz(s0_taylor, t), r)
-    m_j = m
-    if not np.array_equal(j1.data, QMatrix.eye(c0).data):
-        # T_{S0 J1} = T_{S0} (I (x) J1): J1 acts on each block column
-        m_j = qmatmul_arr(m.reshape(t * r, t, c0, 4), j1.data).reshape(m.shape)
-    q = _qmatmul_rows(m_j, qadjoint_arr(m), r)
+    q = _qmatmul_rows(m, qadjoint_arr(m), r)
     sides = np.empty((3,) + p_s.shape)
     np.subtract(p_b, p_s, out=sides[0])
     np.subtract(p_b, q, out=sides[1])
@@ -550,18 +530,17 @@ IDENTITY_DEV_TOL = 1e-9
 def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None, seed=11):
     """Check K_S - K_B = B(p) * (K_{S0}) *_r B(q)^* with B = B0^{-*}.
 
-    S, B0 and S0 must live on the ball (transport half-space data first),
-    and S must carry identity signatures.  B0^{-*} is b0.inverse(), the
-    one cached inverse that synthesize_generalized_schur (or, for a
-    half-space case, transport_case_to_ball) builds S from, of degree
-    2 deg B0; a scalar B0 acts on an r-row S0 as B0^{-*} I_r.
+    S, B0 and S0 must live on the ball (transport half-space data first).
+    B0^{-*} is b0.inverse(), the one cached inverse that
+    synthesize_generalized_schur (or, for a half-space case,
+    transport_case_to_ball) builds S from, of degree 2 deg B0; a scalar
+    B0 acts on an r-row S0 as B0^{-*} I_r.
 
     At the given truncation both sides are products of block Toeplitz
-    matrices of Taylor coefficients, in which the J2 terms cancel:
+    matrices of Taylor coefficients, in which the identity terms cancel:
         K_S - K_B = T_B T_B^* - T_S T_S^*,
-        B * K_{S0} *_r B^* = T_B T_B^* - M_J M^*,
-    with M = T_B T_{S0} and M_J = M (I (x) J1), so the deviation is
-    M_J M^* - T_S T_S^*.
+        B * K_{S0} *_r B^* = T_B T_B^* - M M^*,
+    with M = T_B T_{S0}, so the deviation is M M^* - T_S T_S^*.
 
     B0^{-*} has poles exactly at the zeros of B0, inside the ball, so its
     Taylor coefficients grow like (pole radius)^(-n).  The comparison and
@@ -590,17 +569,13 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
         raise ShapeError("b0 must be a FactoredProduct")
     if any(f.domain != BALL for f in (s, b0, s0)):
         raise DomainError("the identity expansion runs on the ball; transport first")
-    eye_r, eye_s = QMatrix.eye(s.rows), QMatrix.eye(s.cols)
-    if (s.J1.matrix - eye_s).norm() > 1e-12 or (s.J2.matrix - eye_r).norm() > 1e-12:
-        raise PrecondError("the factorization identity applies to identity signatures")
 
     binv = b0.inverse().rational.lift(s.rows)
     if gram_radius is None:
         pole = _min_pole_radius(binv)
         gram_radius = 0.6 if not np.isfinite(pole) else min(0.6, 0.45 * pole)
 
-    sides = _identity_sides(s.taylor(trunc), binv.taylor(trunc).coeffs, s0.taylor(trunc),
-                            s0.J1.matrix, trunc)
+    sides = _identity_sides(s.taylor(trunc), binv.taylor(trunc).coeffs, s0.taylor(trunc), trunc)
     with np.errstate(over="ignore", invalid="ignore"):
         norms, resid = _weighted_tables(sides, gram_radius)
         lhs_norms, rhs_norms = norms[0], norms[1]

@@ -270,7 +270,9 @@ STEIN_RESIDUAL_TOL = 1e-9
 
 
 def solve_stein(a, c):
-    """Unique Hermitian P with A^* P A = P - C^* C, negative semidefinite.
+    """Unique Hermitian P with A^* P A = P - C^* C, negative semidefinite,
+    and the residual ||A^* P A - P + C^* C|| of its tolerance test, as
+    (P, residual).
 
     Requires every eigenvalue of chi(A) strictly outside the closed unit
     disk; solved by vectorizing the equation over the complex adjoint.
@@ -303,5 +305,5 @@ def solve_stein(a, c):
     scale = max(1.0, p.norm(), (c.adjoint() @ c).norm())
     if resid > STEIN_RESIDUAL_TOL * scale:
         raise NumericError("Stein residual %.3e exceeds tolerance" % resid)
-    return p
+    return p, resid
 

@@ -9,7 +9,7 @@ Each one is a frozen copy of an earlier, more direct implementation:
   pole test as SliceRational.eval_many;
 * kernel_sum and mid_matrices: the Schur kernel block by block as
   (1 - 2 Re(q) p + |q|^2 p^2)^{-1} (M - p M q) on a dense array of
-  M[l, j] = J2 - S_l J1 S_j^*, the reference for the split Gram;
+  M[l, j] = I - S_l S_j^*, the reference for the split Gram;
 * gram and estimate_neg_squares: the Gram and the estimator built from
   those pieces;
 * estimate_neg_squares_per_trial: the estimator one trial at a time,
@@ -127,18 +127,16 @@ def kernel_sum(left, mid, right):
     return _accel.qmul(qinv(den)[:, :, None, None, :], num)
 
 
-def mid_matrices(svals, j1, j2):
-    """M[l, j] = J2 - S_l J1 S_j^* from batched values svals (B, r, s, 4)."""
-    t = qmatmul_arr(svals, np.broadcast_to(j1.data, svals.shape[:1] + j1.data.shape))
-    sadj = qadjoint_arr(svals)
-    mid = qmatmul_arr(t[:, None], sadj[None, :])
-    return j2.data[None, None] - mid
+def mid_matrices(svals):
+    """M[l, j] = I - S_l S_j^* from batched values svals (B, r, s, 4)."""
+    mid = qmatmul_arr(svals[:, None], qadjoint_arr(svals)[None, :])
+    return QMatrix.eye(svals.shape[1]).data[None, None] - mid
 
 
 def gram(s, pts, vecs):
     """Raw Gram c_l^* K_S(p_l, p_j) c_j as a (B, B, 4) array, from Horner
     values of S and the dense kernel blocks."""
-    mid = mid_matrices(rational_values(s.rational, pts), s.J1.matrix, s.J2.matrix)
+    mid = mid_matrices(rational_values(s.rational, pts))
     kmat = kernel_sum(pts, mid, pts)
     cadj = qadjoint_arr(vecs[:, :, None, :])
     cvec = vecs[:, :, None, :]

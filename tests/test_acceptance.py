@@ -292,7 +292,7 @@ def test_criterion_8_realizations():
 
 def test_criterion_9_stein_equation():
     rng = np.random.default_rng(0x5C05 + 9)
-    p = solve_stein(QMatrix.scalar(2.0), QMatrix.scalar(1.0))
+    p, _ = solve_stein(QMatrix.scalar(2.0), QMatrix.scalar(1.0))
     assert abs(p.entry(0, 0).re + 1.0 / 3.0) < 1e-14
     count = 0
     while count < 20:
@@ -301,7 +301,7 @@ def test_criterion_9_stein_equation():
         d[np.arange(n), np.arange(n), 0] = rng.uniform(1.6, 3.0)
         a = QMatrix(d + rng.uniform(-0.15, 0.15, size=(n, n, 4)))
         c = random_qmatrix(rng, int(rng.integers(1, 4)), n)
-        sol = solve_stein(a, c)
+        sol, _ = solve_stein(a, c)
         resid = (a.adjoint() @ sol @ a - sol + c.adjoint() @ c).norm()
         assert resid < 1e-9 * max(1.0, sol.norm())
         assert stein_is_negative(sol)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qschur import _accel, kernels
@@ -22,7 +22,6 @@ from qschur.kernels import (
 )
 from qschur.qlinalg import (
     QMatrix,
-    SignatureMatrix,
     herm_eigen_neg,
     qadjoint_arr,
     qmatmul_arr,
@@ -288,17 +287,16 @@ def test_kernel_identity_matrix_potapov_b0():
     assert kernel_identity_check(s, b, wrong, trunc=40).status == "fail"
 
 
-def loop_from_schur_taylor(s, j1, j2, trunc):
-    """C_{NM} = J2 delta_{NM} - sum_k s_{N-k} J1 s_{M-k}^*, one term at a time."""
+def loop_from_schur_taylor(s, trunc):
+    """C_{NM} = I delta_{NM} - sum_k s_{N-k} s_{M-k}^*, one term at a time."""
     r, t = s.shape[1], trunc + 1
-    sj = qmatmul_arr(s, np.broadcast_to(j1.data, s.shape[:1] + j1.data.shape))
     sadj = qadjoint_arr(s)
     c = np.zeros((t, t, r, r, 4))
     for nn in range(t):
-        c[nn, nn] += j2.data
+        c[nn, nn] += QMatrix.eye(r).data
         for mm in range(t):
             for k in range(min(nn, mm) + 1):
-                c[nn, mm] -= qmatmul_arr(sj[nn - k], sadj[mm - k])
+                c[nn, mm] -= qmatmul_arr(s[nn - k], sadj[mm - k])
     return c
 
 
@@ -318,12 +316,10 @@ def loop_sandwich(coeffs, b):
 
 def test_from_schur_taylor_matches_loop(rng):
     trunc = 7
-    for r, c, signs in ((1, 1, (1.0,)), (2, 2, (1.0, -1.0)), (2, 1, (-1.0,))):
+    for r, c in ((1, 1), (2, 2), (2, 1)):
         taylor = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4))
-        j1 = oracles.signature_from_signs(signs).matrix
-        j2 = SignatureMatrix.identity(r).matrix
-        fast = DoubleSeriesKernel.from_schur_taylor(taylor, j1, j2, trunc).coeffs
-        assert np.max(np.abs(fast - loop_from_schur_taylor(taylor, j1, j2, trunc))) < 1e-13
+        fast = DoubleSeriesKernel.from_schur_taylor(taylor, trunc).coeffs
+        assert np.max(np.abs(fast - loop_from_schur_taylor(taylor, trunc))) < 1e-13
 
 
 def test_sandwich_matches_loop(rng):
@@ -335,21 +331,18 @@ def test_sandwich_matches_loop(rng):
         assert np.max(np.abs(fast - loop_sandwich(coeffs, b))) < 1e-12
 
 
-@pytest.mark.parametrize("r, signs", [(1, (1.0,)), (2, (1.0,)), (1, (1.0, -1.0)),
-                                       (2, (1.0, -1.0))])
-def test_identity_sides_match_the_kernel_composition(rng, r, signs):
+@pytest.mark.parametrize("r, c", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_identity_sides_match_the_kernel_composition(rng, r, c):
     # K_S - K_B and T_B K_{S0} T_B^* as differences of from_schur_taylor
     # kernels and a sandwich, against the four products of the identity leg
-    trunc, c = 7, len(signs)
+    trunc = 7
     decay = 0.6 ** np.arange(trunc + 1)[:, None, None, None]
     s_tay, s0_tay = (rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4)) * decay for _ in "ab")
     b_tay = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, r, 4)) * decay
-    j1 = oracles.signature_from_signs(signs).matrix
-    eye_r, eye_c = QMatrix.eye(r), QMatrix.eye(c)
-    lhs_ref = (DoubleSeriesKernel.from_schur_taylor(s_tay, eye_c, eye_r, trunc).coeffs
-               - DoubleSeriesKernel.from_schur_taylor(b_tay, eye_r, eye_r, trunc).coeffs)
-    rhs_ref = DoubleSeriesKernel.from_schur_taylor(s0_tay, j1, eye_r, trunc).sandwich(b_tay).coeffs
-    lhs, rhs, diff = kernels._identity_sides(s_tay, b_tay, s0_tay, j1, trunc)
+    lhs_ref = (DoubleSeriesKernel.from_schur_taylor(s_tay, trunc).coeffs
+               - DoubleSeriesKernel.from_schur_taylor(b_tay, trunc).coeffs)
+    rhs_ref = DoubleSeriesKernel.from_schur_taylor(s0_tay, trunc).sandwich(b_tay).coeffs
+    lhs, rhs, diff = kernels._identity_sides(s_tay, b_tay, s0_tay, trunc)
     for fast, ref in ((lhs, lhs_ref), (rhs, rhs_ref), (diff, lhs_ref - rhs_ref)):
         assert fast.shape == (trunc + 1, trunc + 1, r, r, 4)
         assert np.max(np.abs(fast - ref)) <= 1e-13
@@ -416,23 +409,21 @@ def test_stacked_identity_tables_match_the_oracles_on_the_kl_cases(label, trunc)
     radius = kl_gram_radius(case)
     binv = case.b0.inverse().rational.lift(case.s.rows)
     sides = kernels._identity_sides(case.s.taylor(trunc), binv.taylor(trunc).coeffs,
-                                    case.s0.taylor(trunc), case.s0.J1.matrix, trunc)
+                                    case.s0.taylor(trunc), trunc)
     dev, herm = assert_tables_match_the_oracles(sides, radius)
     rep = kernel_identity_check(case.s, case.b0, case.s0, trunc=trunc, gram_radius=radius)
     assert same_bits(rep.max_coeff_dev, dev) and same_bits(rep.hermitian_residual, herm)
 
 
-@given(r=st.sampled_from([1, 2]), signs=st.sampled_from([(-1.0,), (1.0, -1.0)]),
-       trunc=st.integers(1, 9), radius=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+@given(r=st.sampled_from([1, 2]), c=st.sampled_from([1, 2]), trunc=st.integers(1, 9),
+       radius=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
-def test_stacked_identity_tables_match_the_oracles_on_random_taylor_data(r, signs, trunc,
+def test_stacked_identity_tables_match_the_oracles_on_random_taylor_data(r, c, trunc,
                                                                        radius, seed):
     rng = np.random.default_rng(seed)
-    c = len(signs)
     s_tay, s0_tay = (rng.uniform(-1.0, 1.0, size=(trunc + 1, r, c, 4)) for _ in "ab")
     b_tay = rng.uniform(-1.0, 1.0, size=(trunc + 1, r, r, 4))
-    j1 = oracles.signature_from_signs(signs).matrix
-    assert_tables_match_the_oracles(kernels._identity_sides(s_tay, b_tay, s0_tay, j1, trunc),
+    assert_tables_match_the_oracles(kernels._identity_sides(s_tay, b_tay, s0_tay, trunc),
                                     radius)
 
 
@@ -469,8 +460,7 @@ def test_eval_gram_matches_double_series(rng):
 
 def test_double_series_kernel_hermitian():
     s = SchurFunction(blaschke_factor("ball", "point", Quaternion(0, 0.5, 0, 0)))
-    one = SignatureMatrix.identity(1)
-    k = DoubleSeriesKernel.from_schur_taylor(s.taylor(12), one.matrix, one.matrix, 12)
+    k = DoubleSeriesKernel.from_schur_taylor(s.taylor(12), 12)
     assert oracles.hermitian_residual(k.coeffs) < 1e-12
 
 
@@ -534,17 +524,14 @@ gram_comp = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False, allow_infi
 
 @st.composite
 def matrix_schur_functions(draw, rows):
-    """An r x 2 slice-rational S with J1 = diag(1, -1) and a pole-free
-    denominator on the ball; J2 is the identity or diag(1, -1, ...)."""
+    """An r x 2 slice-rational S with a pole-free denominator on the ball."""
     deg = draw(st.integers(0, 4))
     size = (deg + 1) * rows * 2 * 4
     num = np.array(draw(st.lists(gram_comp, min_size=size, max_size=size)))
     tail = draw(st.lists(gram_comp, min_size=0, max_size=2))
     den = [1.0 + sum(abs(d) for d in tail)] + tail
-    rat = SliceRational(StarPoly(num.reshape(deg + 1, rows, 2, 4)), StarPoly.scalar(den))
-    j2 = oracles.signature_from_signs([1.0] + [-1.0] * (rows - 1)) \
-        if draw(st.booleans()) else SignatureMatrix.identity(rows)
-    return SchurFunction(rat, J1=oracles.signature_from_signs([1.0, -1.0]), J2=j2)
+    return SchurFunction(SliceRational(StarPoly(num.reshape(deg + 1, rows, 2, 4)),
+                                       StarPoly.scalar(den)))
 
 
 @st.composite
@@ -571,29 +558,18 @@ def gram_cases():
         lambda rows: st.tuples(matrix_schur_functions(rows), ball_sections(rows)))
 
 
-# S = [j + k, k] with J1 = diag(1, -1) has S J1 S^* = 1 = J2, so its
-# kernel vanishes: the dense Gram is exactly 0 and the split one is 2e-18
-ISOTROPIC = (
-    SchurFunction(SliceRational(StarPoly(np.array([[[[0.0, 0, 1, 1], [0, 0, 0, 1]]]])),
-                                StarPoly.scalar([1.0])),
-                  J1=oracles.signature_from_signs([1.0, -1.0])),
-    (np.zeros((1, 4)), np.array([[[0.0, 0, 0, 0.26027020417757674]]])),
-)
-
-
 @settings(max_examples=120, deadline=None)
 @given(gram_cases())
-@example(ISOTROPIC)
 def test_split_gram_matches_dense_kernel_gram(case):
     s, (pts, vecs) = case
     fast = gram(s, pts, vecs).data
     slow = dense_gram(s, pts, vecs)
-    # the split Gram cancels terms of the size |c_l||c_j| (||J2|| + ||S_l|| ||S_j||)
+    # the split Gram cancels terms of the size |c_l||c_j| (||I|| + ||S_l|| ||S_j||)
     # / (1 - |p_l||p_j|) in another order than the dense one, so it may miss
     # an exact 0 by a rounding of that size
     cnorm, snorm, pnorm = norms(vecs), norms(s.eval_many(pts)), norms(pts)
     terms = (np.multiply.outer(cnorm, cnorm)
-             * (norms(s.J2.matrix.data[None])[0] + np.multiply.outer(snorm, snorm))
+             * (np.sqrt(s.rows) + np.multiply.outer(snorm, snorm))
              / (1.0 - np.multiply.outer(pnorm, pnorm)))
     assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(slow)) + 1e-15 * np.max(terms)
 
@@ -639,20 +615,10 @@ def ball_form(domain, points, s0):
     return transport_case_to_ball(synthesize_generalized_schur(zeros, s0)).s
 
 
-def signature_function():
-    """A 1 x 2 S of degree 1 over a real denominator, with J1 = diag(1, -1)."""
-    num = np.zeros((2, 1, 2, 4))
-    num[0, 0, 0], num[0, 0, 1] = (0.6, 0, 0.1, 0), (0, 0.2, 0, 0)
-    num[1, 0, 0], num[1, 0, 1] = (0, 0, 0.3, 0), (0.4, 0, 0, 0.1)
-    rat = SliceRational(StarPoly(num), StarPoly.scalar([1.0, 0.5]))
-    return SchurFunction(rat, J1=oracles.signature_from_signs([1.0, -1.0]))
-
-
 ESTIMATOR_CASES = {
     "kappa3": lambda: ball_form("ball", [((.2, .5, 0, 0), 2), ((-.3, 0, .4, 0), 1)], 0.8),
     "two-rows": lambda: ball_form("ball", [((0, .5, 0, 0), 1)], SchurFunction.constant(
         QMatrix(np.array([[[0.6, 0, 0, 0]], [[0, 0.3, 0.2, 0]]])))),
-    "signature": signature_function,
     "halfspace": lambda: ball_form("halfspace", [((.6, .5, 0, 0), 1), ((1.0, 0, .6, 0), 1)], 0.7),
 }
 

@@ -177,7 +177,7 @@ def test_check_colligation_examples():
 
 
 def test_signature_matrix_validation():
-    signature_from_signs([1.0, -1.0]).index() == 1
+    assert signature_from_signs([1.0, -1.0]).index() == 1
     with pytest.raises(PrecondError):
         SignatureMatrix(QMatrix.scalar(0.5))
     with pytest.raises(PrecondError):

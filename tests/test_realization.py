@@ -158,15 +158,16 @@ def test_slice_extension_consistency(rng):
 
 
 def test_stein_scalar_exact():
-    p = solve_stein(QMatrix.scalar(2.0), QMatrix.scalar(1.0))
+    p, resid = solve_stein(QMatrix.scalar(2.0), QMatrix.scalar(1.0))
     assert abs(p.entry(0, 0).re + 1.0 / 3.0) < 1e-14
     assert p.entry(0, 0).imag_modulus() < 1e-15
     assert stein_is_negative(p)
+    assert resid < 1e-14
 
 
 def test_stein_zero_observation():
-    p = solve_stein(QMatrix.scalar(2.0), QMatrix.zeros(1, 1))
-    assert p.norm() < 1e-13
+    p, resid = solve_stein(QMatrix.scalar(2.0), QMatrix.zeros(1, 1))
+    assert p.norm() < 1e-13 and resid < 1e-13
 
 
 def test_stein_random_instances(rng):
@@ -176,9 +177,10 @@ def test_stein_random_instances(rng):
             d[np.arange(n), np.arange(n), 0] = rng.uniform(1.7, 3.0)
             a = QMatrix(d + rng.uniform(-0.15, 0.15, size=(n, n, 4)))
             c = random_qmatrix(rng, 2, n)
-            p = solve_stein(a, c)
+            p, resid = solve_stein(a, c)
             assert p.herm_residual() < 1e-12 * max(1.0, p.norm())
-            resid = (a.adjoint() @ p @ a - p + c.adjoint() @ c).norm()
+            # the returned residual is the Stein residual of the returned P
+            assert resid == (a.adjoint() @ p @ a - p + c.adjoint() @ c).norm()
             assert resid < 1e-9 * max(1.0, p.norm())
             assert stein_is_negative(p)
 
