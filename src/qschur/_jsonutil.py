@@ -4,10 +4,16 @@ Reports must be byte-identical across runs with the same seed, so keys
 are emitted sorted and every float is rendered with 17 significant
 digits.  Validation walks raw parsed JSON and collects violations as
 (JSON pointer, message) pairs instead of failing on the first problem.
+The library's readers, from_json(v, obj, path) on ZeroSet, QMatrix,
+SignatureMatrix, StarPoly and Colligation, take a Validator and record
+into it: unknown fields are rejected at every depth, nested objects
+included.
 """
 
 import math
 from json.encoder import encode_basestring_ascii
+
+from .errors import QSchurError
 
 
 def format_float(x):
@@ -78,6 +84,14 @@ class Validator:
 
     def ok(self):
         return not self.violations
+
+    def build(self, path, make, *args):
+        """make(*args), or None with a violation at path if it raises a library error."""
+        try:
+            return make(*args)
+        except QSchurError as exc:
+            self.fail(path, str(exc))
+            return None
 
     def check_object(self, obj, path, known_keys):
         if not isinstance(obj, dict):

@@ -53,6 +53,15 @@ def _check_domain(domain):
         raise DomainError("domain must be 'ball' or 'halfspace'")
 
 
+# the message for an entry outside the domain, formatted with (what, at)
+_OUTSIDE = {BALL: "ball %s need |%s| < 1", HALFSPACE: "half-space %s need Re(%s) > 0"}
+
+
+def inside(domain, q):
+    """True when q lies in the domain: |q| < 1 on the ball, Re(q) > 0 on the half-space."""
+    return q.norm() < 1.0 if domain == BALL else q.re > 0.0
+
+
 def _point_rational(domain, a):
     """Point-factor rational with no domain validation (inverse factors
     legitimately sit outside the ball / half-space).  Its real denominator
@@ -90,22 +99,15 @@ def blaschke_factor(domain, kind, a):
     """
     _check_domain(domain)
     a = as_quaternion(a)
+    if kind not in ("point", "sphere"):
+        raise DomainError("kind must be 'point' or 'sphere'")
+    if kind == "sphere" and qdecompose(a).axis is None:
+        raise DomainError("sphere factor needs a nonreal representative")
+    if not inside(domain, a):
+        raise DomainError(_OUTSIDE[domain] % (kind + " factors", "a"))
     if kind == "point":
-        if domain == BALL:
-            if not a.norm() < 1.0:
-                raise DomainError("ball point factor needs |a| < 1")
-        elif a.re <= 0.0:
-            raise DomainError("half-space point factor needs Re(a) > 0")
         return _point_rational(domain, a)
-    if kind == "sphere":
-        if qdecompose(a).axis is None:
-            raise DomainError("sphere factor needs a nonreal representative")
-        if domain == BALL and not a.norm() < 1.0:
-            raise DomainError("ball sphere factor needs |a| < 1")
-        if domain == HALFSPACE and a.re <= 0.0:
-            raise DomainError("half-space sphere factor needs Re(a) > 0")
-        return _sphere_rational(domain, a)
-    raise DomainError("kind must be 'point' or 'sphere'")
+    return _sphere_rational(domain, a)
 
 
 # ---------------------------------------------------------------------------
@@ -292,37 +294,43 @@ class ZeroSet:
     points: list = field(default_factory=list)
     spheres: list = field(default_factory=list)
 
+    def violations(self):
+        """The zero-set rules as (JSON pointer, message) pairs.
+
+        Each entry lies in the domain, a sphere representative is nonreal,
+        multiplicities are positive integers, and no entry shares a sphere
+        with an earlier entry that kept the other rules.  Entries with
+        point None (from_json could not read them) are skipped.
+        """
+        out = [] if self.domain in _DOMAINS else [("/domain", "must be one of ball|halfspace")]
+        kept = []       # (entry, SphereRep) of the entries that kept every other rule
+        for key, at, mult, noun, entries in (("points", "a", "n", "zeros", self.points),
+                                             ("spheres", "c", "m", "spheres", self.spheres)):
+            for idx, (q, count) in enumerate(entries):
+                if q is None:
+                    continue
+                entry, q, found = "%s/%d" % (key, idx), as_quaternion(q), []
+                rep = qdecompose(q)
+                if count < 1 or int(count) != count:
+                    found.append(("/%s/%s" % (entry, mult), "must be a positive integer"))
+                if self.domain in _DOMAINS and not inside(self.domain, q):
+                    found.append(("/%s/%s" % (entry, at), _OUTSIDE[self.domain] % (noun, at)))
+                elif key == "spheres" and rep.axis is None:
+                    found.append(("/%s/%s" % (entry, at), "sphere representatives must be nonreal"))
+                if not found:
+                    other = next((e for e, r in kept if r.same_sphere(rep)), None)
+                    if other is None:
+                        kept.append((entry, rep))
+                    else:
+                        found.append(("/%s/%s" % (entry, at), "shares a sphere with " + other))
+                out += found
+        return out
+
     def validate(self):
-        _check_domain(self.domain)
-        reps = []
-        for a, n in self.points:
-            a = as_quaternion(a)
-            if n < 1 or int(n) != n:
-                raise DomainError("point multiplicities are positive integers")
-            if self.domain == BALL and not a.norm() < 1.0:
-                raise DomainError("ball zeros need |a| < 1 (got %.4f)" % a.norm())
-            if self.domain == HALFSPACE and not a.re > 0.0:
-                raise DomainError("half-space zeros need Re(a) > 0")
-            reps.append(qdecompose(a))
-        sreps = []
-        for c, m in self.spheres:
-            c = as_quaternion(c)
-            if m < 1 or int(m) != m:
-                raise DomainError("sphere multiplicities are positive integers")
-            if qdecompose(c).axis is None:
-                raise DomainError("sphere representatives must be nonreal")
-            if self.domain == BALL and not c.norm() < 1.0:
-                raise DomainError("ball spheres need |c| < 1")
-            if self.domain == HALFSPACE and not c.re > 0.0:
-                raise DomainError("half-space spheres need Re(c) > 0")
-            sreps.append(qdecompose(c))
-        allreps = reps + sreps
-        for i in range(len(allreps)):
-            for j in range(i + 1, len(allreps)):
-                if allreps[i].same_sphere(allreps[j]):
-                    raise DomainError(
-                        "prescribed zeros %d and %d share a sphere" % (i, j)
-                    )
+        """self, or DomainError naming the first violation's pointer."""
+        out = self.violations()
+        if out:
+            raise DomainError("%s: %s" % out[0])
         return self
 
     def to_json(self):
@@ -333,21 +341,33 @@ class ZeroSet:
         }
 
     @classmethod
-    def from_json(cls, obj):
+    def from_json(cls, v, obj, path):
+        """The zero set at path of a config, or None with the violations
+        recorded in v; a multiplicity defaults to 1."""
         if not isinstance(obj, dict):
-            raise DomainError("ZeroSet JSON must be an object")
+            v.fail(path, "expected a ZeroSet object")
+            return None
+        before = len(v.violations)
+        v.check_object(obj, path, ("domain", "points", "spheres"))
         parts = {}
         for key, at, mult in (("points", "a", "n"), ("spheres", "c", "m")):
-            entries = obj.get(key, [])
-            if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-                raise DomainError("ZeroSet %s must be an array of objects" % key)
-            parts[key] = []
-            for e in entries:
-                count = e.get(mult)
-                if isinstance(count, bool) or not isinstance(count, int):
-                    raise DomainError("ZeroSet %s need an integer %r" % (key, mult))
-                parts[key].append((Quaternion.from_json(e.get(at)), count))
-        return cls(obj.get("domain"), parts["points"], parts["spheres"]).validate()
+            entries, parts[key] = obj.get(key, []), []
+            if not isinstance(entries, list):
+                v.fail("%s/%s" % (path, key), "expected an array")
+                entries = []
+            for idx, entry in enumerate(entries):
+                epath = "%s/%s/%d" % (path, key, idx)
+                comps = count = None
+                if v.check_object(entry, epath, (at, mult)):
+                    comps = v.quaternion(entry.get(at), "%s/%s" % (epath, at))
+                    count = v.integer(entry.get(mult, 1), "%s/%s" % (epath, mult), minimum=1)
+                # an entry that could not be read keeps its place, so later pointers hold
+                q = None if comps is None or count is None else Quaternion(*comps)
+                parts[key].append((q, count))
+        zeros = cls(obj.get("domain"), parts["points"], parts["spheres"])
+        for pointer, message in zeros.violations():
+            v.fail(path + pointer, message)
+        return zeros if len(v.violations) == before else None
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 One command per pipeline, named by the first argument; configs are
-strict JSON (unknown fields are rejected with JSON-pointer paths) and
-every report embeds the effective configuration so runs are auditable
-and byte-identical under a fixed seed.  Exit codes: 0 PASS/success,
-1 FAIL, 2 INCONCLUSIVE, 3 usage or config error, 4 I/O error.
+strict JSON (unknown fields are rejected with JSON-pointer paths, in
+nested objects too) and every report embeds the effective configuration
+so runs are auditable and byte-identical under a fixed seed.  Exit
+codes: 0 PASS/success, 1 FAIL, 2 INCONCLUSIVE, 3 usage or config error,
+4 I/O error.
 """
 
 import argparse
@@ -53,51 +54,6 @@ class RunConfig:
 # config parsing
 # ---------------------------------------------------------------------------
 
-def _parse_zero_set(v, obj, path):
-    if not isinstance(obj, dict):
-        v.fail(path, "expected a ZeroSet object")
-        return None
-    v.check_object(obj, path, ("domain", "points", "spheres"))
-    domain = v.string(obj.get("domain"), "%s/domain" % path, choices=(BALL, HALFSPACE))
-    entries = {}
-    for key in ("points", "spheres"):
-        entries[key] = obj.get(key, [])
-        if not isinstance(entries[key], list):
-            v.fail("%s/%s" % (path, key), "expected an array")
-            entries[key] = []
-    zeros = {"points": [], "spheres": []}
-    for key, at, mult, noun in (("points", "a", "n", "zeros"), ("spheres", "c", "m", "spheres")):
-        for idx, entry in enumerate(entries[key]):
-            epath = "%s/%s/%d" % (path, key, idx)
-            if not v.check_object(entry, epath, (at, mult)):
-                continue
-            comps = v.quaternion(entry.get(at), "%s/%s" % (epath, at))
-            count = v.integer(entry.get(mult, 1), "%s/%s" % (epath, mult), minimum=1)
-            if comps is None or count is None:
-                continue
-            q = Quaternion(*comps)
-            if domain == BALL and not q.norm() < 1.0:
-                v.fail("%s/%s" % (epath, at), "ball %s need |%s| < 1" % (noun, at))
-            elif domain == HALFSPACE and not q.re > 0.0:
-                v.fail("%s/%s" % (epath, at), "half-space %s need Re(%s) > 0" % (noun, at))
-            elif key == "spheres" and q.imag_modulus() < 1e-13 * max(1.0, q.norm()):
-                v.fail("%s/%s" % (epath, at), "sphere representatives must be nonreal")
-            else:
-                zeros[key].append((q, count))
-    if domain is None or not v.ok():
-        return None
-    return _build(v, path, lambda: ZeroSet(domain, zeros["points"], zeros["spheres"]).validate())
-
-
-def _build(v, path, make, *args):
-    """make(*args), or None with a violation at path if it raises a library error."""
-    try:
-        return make(*args)
-    except QSchurError as exc:
-        v.fail(path, str(exc))
-        return None
-
-
 _SPEC_FIELDS = {
     "blaschke": ("zeros",),
     "quotient": ("b0", "s0"),
@@ -115,32 +71,30 @@ def _parse_schur_spec(v, obj, path):
         return None
     v.check_object(obj, path, ("kind",) + _SPEC_FIELDS[kind])
     if kind == "blaschke":
-        zs = _parse_zero_set(v, obj.get("zeros"), "%s/zeros" % path)
-        product = None if zs is None else _build(v, "%s/zeros" % path, build_product, zs)
+        zs = ZeroSet.from_json(v, obj.get("zeros"), "%s/zeros" % path)
+        product = None if zs is None else v.build("%s/zeros" % path, build_product, zs)
         return None if product is None else SchurFunction.from_product(product)
     if kind == "quotient":
-        zs = _parse_zero_set(v, obj.get("b0"), "%s/b0" % path)
+        zs = ZeroSet.from_json(v, obj.get("b0"), "%s/b0" % path)
         s0 = None
         if obj.get("s0") is not None:
             s0 = _parse_schur_spec(v, obj.get("s0"), "%s/s0" % path)
         if zs is None or not v.ok():
             return None
-        case = _build(v, path, synthesize_generalized_schur, zs, s0)
+        case = v.build(path, synthesize_generalized_schur, zs, s0)
         return None if case is None else case.s
+    domain = v.string(obj.get("domain", BALL), "%s/domain" % path, choices=(BALL, HALFSPACE))
     if kind == "constant":
         comps = v.quaternion(obj.get("value"), "%s/value" % path)
-        domain = v.string(obj.get("domain", BALL), "%s/domain" % path,
-                          choices=(BALL, HALFSPACE))
         if comps is None or domain is None:
             return None
         return SchurFunction.constant(Quaternion(*comps), domain=domain)
-    domain = v.string(obj.get("domain", BALL), "%s/domain" % path,
-                      choices=(BALL, HALFSPACE))
-    rat = _build(v, path, lambda: SliceRational(StarPoly.from_json(obj.get("num")),
-                                                StarPoly.from_json(obj.get("den"))))
-    if rat is None or domain is None:
+    num = StarPoly.from_json(v, obj.get("num"), "%s/num" % path)
+    den = StarPoly.from_json(v, obj.get("den"), "%s/den" % path)
+    if num is None or den is None or domain is None:
         return None
-    return SchurFunction(rat, domain=domain)
+    rat = v.build(path, SliceRational, num, den)
+    return None if rat is None else SchurFunction(rat, domain=domain)
 
 
 def _quaternions(message):
@@ -165,10 +119,6 @@ def _positive(v, value, path, below=None):
 _radius = functools.partial(_positive, below=1.0)
 
 
-def _qmatrix(v, value, path):
-    return _build(v, path, QMatrix.from_json, value)
-
-
 def _int(minimum):
     return functools.partial(Validator.integer, minimum=minimum)
 
@@ -191,7 +141,7 @@ _BUDGET = Budget()
 _COMMON = {"seed": (_int(0), _BUDGET.seed), "out": (_out_path, None), "csv": (_out_path, None)}
 _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
     "blaschke-build": {
-        "zeros": (_parse_zero_set, _Required("expected a ZeroSet object")),
+        "zeros": (ZeroSet.from_json, _Required("expected a ZeroSet object")),
     },
     "negsq": {
         "schur": (_parse_schur_spec, _MISSING),
@@ -201,7 +151,7 @@ _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
         "cutoff": (_positive, _BUDGET.cutoff),
     },
     "dim-hb": {
-        "zeros": (_parse_zero_set, _Required("expected a ZeroSet object")),
+        "zeros": (ZeroSet.from_json, _Required("expected a ZeroSet object")),
         "points": (_int(1), 0),
         "cutoff": (_positive, 1e-8),
         "radius": (_radius, 0.75),
@@ -212,11 +162,11 @@ _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
         "blaschke_a": (None, None),
     },
     "stein": {
-        "A": (_qmatrix, _MISSING),
-        "C": (_qmatrix, _MISSING),
+        "A": (QMatrix.from_json, _MISSING),
+        "C": (QMatrix.from_json, _MISSING),
     },
     "kl-check": {
-        "b0": (_parse_zero_set, _MISSING),
+        "b0": (ZeroSet.from_json, _MISSING),
         "s0": (_parse_schur_spec, None),
         "expected_kappa": (_int(0), None),
         "trials": (_int(1), _BUDGET.trials),
@@ -249,12 +199,9 @@ def _realize_colligation(v, raw, objects, effective):
             if not 0.0 < q.norm() < 1.0:
                 v.fail("/blaschke_a", "need 0 < |a| < 1")
             else:
-                objects["colligation"] = _build(v, "/blaschke_a", colligation_from_blaschke_factor, q)
+                objects["colligation"] = v.build("/blaschke_a", colligation_from_blaschke_factor, q)
     else:
-        try:
-            objects["colligation"] = Colligation.from_json(raw["colligation"])
-        except (QSchurError, KeyError, TypeError) as exc:
-            v.fail("/colligation", "invalid colligation: %s" % exc)
+        objects["colligation"] = Colligation.from_json(v, raw["colligation"], "/colligation")
 
 
 def _kl_domains(v, raw, objects, effective):

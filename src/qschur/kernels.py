@@ -52,7 +52,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _accel
-from .blaschke import BALL, HALFSPACE, FactoredProduct
+from .blaschke import BALL, HALFSPACE, FactoredProduct, inside
 from .errors import DivergenceError, DomainError, PoleError, ShapeError
 from .qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr
 from .quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
@@ -338,10 +338,8 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
         if kind in (2, 3) or getattr(f, "inverted", False):
             raise DomainError("dim H(B) needs a genuine Blaschke product")
         center = getattr(f, "a", None) or getattr(f, "c", None)
-        if center is not None:
-            inside = center.norm() < 1.0 if b.domain == BALL else center.re > 0.0
-            if not inside:
-                raise DomainError("dim H(B) needs zeros inside the domain")
+        if center is not None and not inside(b.domain, center):
+            raise DomainError("dim H(B) needs zeros inside the domain")
     if not 0.0 < cutoff < np.inf:
         raise DomainError("cutoff must be a finite positive number")
     deg = b.degree()

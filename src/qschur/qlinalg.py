@@ -18,7 +18,7 @@ pair is reported.
 import numpy as np
 
 from . import _accel
-from .errors import DomainError, NumericError, PrecondError, ShapeError
+from .errors import NumericError, PrecondError, ShapeError
 from .quat import Quaternion, as_quaternion
 
 # refuse inversion beyond this 1-norm condition estimate on chi(M)
@@ -180,22 +180,25 @@ class QMatrix:
         return {"rows": self.rows, "cols": self.cols, "entries": entries}
 
     @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise DomainError("QMatrix JSON must be an object")
-        try:
-            rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-        except (KeyError, TypeError):
-            raise DomainError("QMatrix JSON needs rows, cols, entries")
-        if any(type(n) is not int or n < 1 for n in (rows, cols)):
-            raise DomainError("rows and cols must be positive integers")
+    def from_json(cls, v, obj, path):
+        """The matrix at path of a config, or None with the violations recorded in v."""
+        if not v.check_object(obj, path, ("rows", "cols", "entries")):
+            return None
+        rows = v.integer(obj.get("rows"), path + "/rows", minimum=1)
+        cols = v.integer(obj.get("cols"), path + "/cols", minimum=1)
+        entries = obj.get("entries")
         if not isinstance(entries, list):
-            raise DomainError("QMatrix JSON entries must be an array")
+            v.fail(path + "/entries", "expected an array")
+            return None
+        if rows is None or cols is None:
+            return None
         if len(entries) != rows * cols:
-            raise DomainError("expected %d entries, got %d" % (rows * cols, len(entries)))
-        quats = [Quaternion.from_json(e) for e in entries]
-        d = np.array([q.as_array() for q in quats]).reshape(rows, cols, 4)
-        return cls(d)
+            v.fail(path + "/entries", "expected %d entries, got %d" % (rows * cols, len(entries)))
+            return None
+        comps = [v.quaternion(e, "%s/entries/%d" % (path, idx)) for idx, e in enumerate(entries)]
+        if None in comps:
+            return None
+        return cls(np.array(comps).reshape(rows, cols, 4))
 
 
 def hstack(mats):
@@ -288,17 +291,14 @@ class SignatureMatrix:
     def n(self):
         return self._m.rows
 
-    def index(self, cutoff=1e-8):
-        """Number of strictly negative eigenvalues of J."""
-        _, neg = herm_eigen_neg(self._m, cutoff)
-        return neg
-
     def to_json(self):
         return self._m.to_json()
 
     @classmethod
-    def from_json(cls, obj):
-        return cls(QMatrix.from_json(obj))
+    def from_json(cls, v, obj, path):
+        """As QMatrix.from_json, with J checked self-adjoint and unitary."""
+        m = QMatrix.from_json(v, obj, path)
+        return None if m is None else v.build(path, cls, m)
 
 
 # ---------------------------------------------------------------------------

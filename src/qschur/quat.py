@@ -164,22 +164,8 @@ class Quaternion:
     # -- JSON ---------------------------------------------------------------
 
     def to_json(self):
-        """Array encoding [x0, x1, x2, x3] of finite doubles."""
+        """Array encoding [x0, x1, x2, x3] of finite doubles, read by Validator.quaternion."""
         return [self._x0, self._x1, self._x2, self._x3]
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, (list, tuple)) or len(obj) != 4:
-            raise DomainError("quaternion JSON must be a 4-element array")
-        vals = []
-        for v in obj:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DomainError("quaternion components must be numbers")
-            f = float(v)
-            if not math.isfinite(f):
-                raise DomainError("quaternion components must be finite")
-            vals.append(f)
-        return cls(*vals)
 
 
 def _coerce(v):

@@ -139,19 +139,19 @@ class Colligation:
         return out
 
     @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict):
-            raise DomainError("Colligation JSON must be an object")
-        return cls(
-            A=QMatrix.from_json(obj["A"]),
-            B=QMatrix.from_json(obj["B"]),
-            C=QMatrix.from_json(obj["C"]),
-            D=QMatrix.from_json(obj["D"]),
-            J1=SignatureMatrix.from_json(obj["J1"]) if "J1" in obj else None,
-            J2=SignatureMatrix.from_json(obj["J2"]) if "J2" in obj else None,
-            domain=obj.get("domain", BALL),
-            x0=obj.get("x0"),
-        )
+    def from_json(cls, v, obj, path):
+        """The colligation at path of a config, or None with the violations
+        recorded in v; J1 and J2 default to identities."""
+        if not v.check_object(obj, path, ("A", "B", "C", "D", "J1", "J2", "domain", "x0")):
+            return None
+        blocks = {key: QMatrix.from_json(v, obj.get(key), "%s/%s" % (path, key)) for key in "ABCD"}
+        for key in ("J1", "J2"):
+            if key in obj:
+                blocks[key] = SignatureMatrix.from_json(v, obj[key], "%s/%s" % (path, key))
+        if None in blocks.values():
+            return None
+        return v.build(path, lambda: cls(**blocks, domain=obj.get("domain", BALL),
+                                         x0=obj.get("x0")))
 
 
 def _stack(quats):

@@ -241,19 +241,26 @@ class StarPoly:
         }
 
     @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or "shape" not in obj or "coeffs" not in obj:
-            raise DomainError("StarPoly JSON needs shape and coeffs")
-        shape, coeffs = obj["shape"], obj["coeffs"]
+    def from_json(cls, v, obj, path):
+        """The polynomial at path of a config, or None with the violations recorded in v."""
+        if not v.check_object(obj, path, ("shape", "coeffs")):
+            return None
+        shape, coeffs = obj.get("shape"), obj.get("coeffs")
         if not isinstance(shape, list) or len(shape) != 2:
-            raise DomainError("StarPoly JSON shape must be an array [rows, cols]")
+            v.fail(path + "/shape", "expected an array [rows, cols]")
+            shape = None
         if not isinstance(coeffs, list) or not coeffs:
-            raise DomainError("StarPoly JSON needs a non-empty coeffs array")
-        blocks = [QMatrix.from_json(c) for c in coeffs]
-        r, s = shape
-        for b in blocks:
-            if b.shape != (r, s):
-                raise DomainError("coefficient shape disagrees with declared shape")
+            v.fail(path + "/coeffs", "expected a non-empty array")
+            return None
+        blocks = [QMatrix.from_json(v, c, "%s/coeffs/%d" % (path, idx))
+                  for idx, c in enumerate(coeffs)]
+        if shape is None or None in blocks:
+            return None
+        for idx, b in enumerate(blocks):
+            if b.shape != tuple(shape):
+                v.fail("%s/coeffs/%d" % (path, idx),
+                       "coefficient shape disagrees with declared shape")
+                return None
         return cls(blocks)
 
     def __repr__(self):
@@ -728,12 +735,6 @@ class SliceRational:
 
     def to_json(self):
         return {"num": self._num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, obj):
-        if not isinstance(obj, dict) or "num" not in obj or "den" not in obj:
-            raise DomainError("SliceRational JSON needs num and den")
-        return cls(StarPoly.from_json(obj["num"]), StarPoly.from_json(obj["den"]))
 
     def __repr__(self):
         return "SliceRational(shape=%dx%d, deg %d/%d)" % (

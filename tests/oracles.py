@@ -56,7 +56,8 @@ semidefinite test of a Stein solution, the pointwise-product law of a
 Blaschke chain, the degree of a zero set, right-quaternionic
 Gram-Schmidt and the random half-space colligation built on it, a
 QMatrix from Quaternion entries, the point of a sphere representation,
-and the cancellation of common real factors of a rational.
+the cancellation of common real factors of a rational, and read_json,
+which runs a from_json reader on a fresh Validator.
 """
 
 import json
@@ -64,10 +65,10 @@ import json
 import numpy as np
 
 from qschur import _accel, kernels
-from qschur._jsonutil import format_float
+from qschur._jsonutil import Validator, format_float
 from qschur.blaschke import BALL, HALFSPACE
-from qschur.errors import (DivergenceError, DomainError, ExpansionError, NumericError,
-                           PoleError, PrecondError, ShapeError, SpectrumError)
+from qschur.errors import (ConfigError, DivergenceError, DomainError, ExpansionError,
+                           NumericError, PoleError, PrecondError, ShapeError, SpectrumError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
 from qschur.qlinalg import (QMatrix, SignatureMatrix, block_diag, complex_adjoint, herm_eigen_neg,
                             qadjoint_arr, qmatmul_arr, qmatrix_inv)
@@ -319,6 +320,16 @@ def dump_json_isinstance(obj, indent=0):
 # ---------------------------------------------------------------------------
 # test-only helpers
 # ---------------------------------------------------------------------------
+
+def read_json(reader, obj):
+    """reader(v, obj, "") on a fresh Validator v; ConfigError with v's violations
+    if it recorded any."""
+    v = Validator()
+    out = reader(v, obj, "")
+    if not v.ok():
+        raise ConfigError(v.violations)
+    return out
+
 
 def random_qmatrix(rng, rows, cols, scale=1.0):
     """Dense matrix with components uniform in [-scale, scale]."""

@@ -9,7 +9,7 @@ from qschur.blaschke import (
     build_product,
     potapov_factor,
 )
-from qschur.errors import ConstructionError, DomainError
+from qschur.errors import ConfigError, ConstructionError, DomainError
 from qschur.qlinalg import QMatrix
 from qschur.quat import (
     ONE,
@@ -22,7 +22,7 @@ from qschur.quat import (
 )
 from qschur.starpoly import zero_multiplicity
 
-from oracles import eval_left, eval_pointwise_chain, total_degree
+from oracles import eval_left, eval_pointwise_chain, read_json, total_degree
 
 
 def sphere_points(c, rng, count=8):
@@ -340,25 +340,65 @@ def test_zeroset_json_roundtrip():
         points=[(Quaternion(0, 0.5, 0, 0), 2)],
         spheres=[(Quaternion(0.3, 0, 0.4, 0), 1)],
     )
-    back = ZeroSet.from_json(zs.to_json())
+    back = read_json(ZeroSet.from_json, zs.to_json())
     assert back.domain == "ball"
     assert back.points[0][1] == 2 and back.points[0][0].isclose(Quaternion(0, 0.5, 0, 0))
-    with pytest.raises(DomainError):
-        ZeroSet.from_json({"domain": "ball", "points": [{"a": [1.5, 0, 0, 0], "n": 1}]})
+    with pytest.raises(ConfigError) as err:
+        read_json(ZeroSet.from_json, {"domain": "ball", "points": [{"a": [1.5, 0, 0, 0], "n": 1}]})
+    assert err.value.violations == [("/points/0/a", "ball zeros need |a| < 1")]
+    # an absent multiplicity reads as 1
+    back = read_json(ZeroSet.from_json, {"domain": "ball", "spheres": [{"c": [0, 0.5, 0, 0]}]})
+    assert back.spheres[0][1] == 1
 
 
-@pytest.mark.parametrize("obj", [
-    {"domain": "ball", "points": [{"n": 1}]},
-    {"domain": "ball", "points": [5]},
-    {"domain": "ball", "points": 5},
-    {"domain": "ball", "spheres": "ab"},
-    {"domain": "ball", "points": [{"a": [0, 0.5, 0, 0], "n": "x"}]},
-    {"domain": "ball", "points": [{"a": [0, 0.5, 0, 0], "n": 1.5}]},
-    {"domain": "ball", "spheres": [{"c": [0, 0.5, 0, 0]}]},
+@pytest.mark.parametrize("obj, violations", [
+    ({"domain": "ball", "points": [{"n": 1}]},
+     [("/points/0/a", "expected a 4-element array [x0,x1,x2,x3]")]),
+    ({"domain": "ball", "points": [5]}, [("/points/0", "expected an object")]),
+    ({"domain": "ball", "points": 5}, [("/points", "expected an array")]),
+    ({"domain": "ball", "spheres": "ab"}, [("/spheres", "expected an array")]),
+    ({"domain": "ball", "points": [{"a": [0, 0.5, 0, 0], "n": "x"}]},
+     [("/points/0/n", "expected an integer")]),
+    ({"domain": "ball", "points": [{"a": [0, 0.5, 0, 0], "n": 1.5}]},
+     [("/points/0/n", "expected an integer")]),
+    ({"domain": "ball", "spheres": [{"c": [0, 0.5, 0, 0], "m": 0}]},
+     [("/spheres/0/m", "must be >= 1")]),
+], ids=["obj%d" % k for k in range(7)])
+def test_zeroset_from_json_rejects_malformed_entries(obj, violations):
+    with pytest.raises(ConfigError) as err:
+        read_json(ZeroSet.from_json, obj)
+    assert err.value.violations == violations
+
+
+def test_zeroset_reports_every_bad_entry_and_the_later_of_two_on_one_sphere():
+    obj = {"domain": "ball",
+           "points": [{"a": [1.5, 0, 0, 0]}, {"a": [0, 0.5, 0, 0], "n": 0},
+                      {"a": [0, 0.5, 0, 0], "zzz": 1}, {"a": [0, 0, 0.5, 0]}],
+           "spheres": [{"c": [0.3, 0, 0, 0]}, {"c": [0, 0, 0, 0.5]}]}
+    with pytest.raises(ConfigError) as err:
+        read_json(ZeroSet.from_json, obj)
+    # what the reader finds comes first, then the zero-set rules
+    assert err.value.violations == [
+        ("/points/1/n", "must be >= 1"),
+        ("/points/2/zzz", "unknown field"),
+        ("/points/0/a", "ball zeros need |a| < 1"),
+        ("/points/3/a", "shares a sphere with points/2"),
+        ("/spheres/0/c", "sphere representatives must be nonreal"),
+        ("/spheres/1/c", "shares a sphere with points/2"),
+    ]
+
+
+@pytest.mark.parametrize("zeros, message", [
+    (ZeroSet("ball", [(Quaternion(2, 0, 0, 0), 1)]), "/points/0/a: ball zeros need |a| < 1"),
+    (ZeroSet("halfspace", spheres=[(Quaternion(-1, 1, 0, 0), 1)]),
+     "/spheres/0/c: half-space spheres need Re(c) > 0"),
+    (ZeroSet("ball", [(Quaternion(0, 0.5, 0, 0), 0)]), "/points/0/n: must be a positive integer"),
+    (ZeroSet("disk", [(Quaternion(0, 0.5, 0, 0), 1)]), "/domain: must be one of ball|halfspace"),
 ])
-def test_zeroset_from_json_rejects_malformed_entries(obj):
-    with pytest.raises(DomainError):
-        ZeroSet.from_json(obj)
+def test_zeroset_validate_names_the_first_violation(zeros, message):
+    with pytest.raises(DomainError) as err:
+        zeros.validate()
+    assert str(err.value) == message
 
 
 def test_cached_rational_matches_factor_chain(rng):

@@ -342,11 +342,11 @@ HALFSPACE_COLLIGATION = {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "domain": "ha
                        "domain": "halfspace"}}},
      "/schur"),
     ({"command": "negsq", "schur": dict(RATIONAL, num={"shape": 5, "coeffs": [HALF]})},
-     "/schur"),
+     "/schur/num/shape"),
     ({"command": "negsq", "schur": dict(RATIONAL, num={"shape": [1, 1], "coeffs": 5})},
-     "/schur"),
+     "/schur/num/coeffs"),
     ({"command": "stein", "A": {"rows": 1, "cols": 1, "entries": 5}, "C": ONE},
-     "/A"),
+     "/A/entries"),
     ({"command": "kl-check", "b0": BALL_ZEROS,
       "s0": {"kind": "constant", "value": [0.5, 0, 0, 0], "domain": "halfspace"}},
      "/s0"),
@@ -365,6 +365,24 @@ HALFSPACE_COLLIGATION = {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "domain": "ha
     pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
                   "colligation": dict(HALFSPACE_COLLIGATION, domain="ball", x0="abc")},
                  "/colligation", id="realize-ball-x0-string"),
+    # unknown or missing fields inside nested objects
+    pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+                  "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "j2": ONE}},
+                 "/colligation/j2", id="realize-colligation-j2-misspelled"),
+    pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+                  "colligation": {"B": ONE, "C": ONE, "D": HALF}},
+                 "/colligation/A", id="realize-colligation-without-a"),
+    pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
+                  "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "J1": None}},
+                 "/colligation/J1", id="realize-colligation-j1-null"),
+    pytest.param({"command": "stein", "A": dict(HALF, extra=1), "C": ONE},
+                 "/A/extra", id="stein-a-extra-key"),
+    pytest.param({"command": "negsq", "schur": dict(RATIONAL, num=dict(RATIONAL["num"], zzz=0))},
+                 "/schur/num/zzz", id="negsq-rational-num-extra-key"),
+    pytest.param({"command": "blaschke-build",
+                  "zeros": {"domain": "ball", "points": [{"a": [0.1, 0.5, 0, 0]},
+                                                         {"a": [0.1, 0, 0, 0.5]}]}},
+                 "/zeros/points/1/a", id="blaschke-build-two-zeros-on-one-sphere"),
 ])
 def test_hostile_config_exit_3_with_pointer(tmp_path, capsys, payload, pointer):
     cfg = write_config(tmp_path, "hostile.json", payload)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qschur.errors import NumericError, PrecondError, ShapeError
+from qschur.errors import ConfigError, NumericError, PrecondError, ShapeError
 from qschur.qlinalg import (
     QMatrix,
     SignatureMatrix,
@@ -16,7 +16,7 @@ from qschur.qlinalg import (
 from qschur.quat import I, J, Quaternion
 
 from oracles import (herm_eigen_neg_chi, orthonormalize_columns, qmatrix_from_entries,
-                     random_qmatrix, signature_from_signs)
+                     random_qmatrix, read_json, signature_from_signs)
 
 
 def test_complex_adjoint_examples():
@@ -161,7 +161,7 @@ def test_identity_signature_equals_the_checked_construction():
     for n in range(1, 5):
         fast, checked = SignatureMatrix.identity(n), SignatureMatrix(QMatrix.eye(n))
         assert np.array_equal(fast.matrix.data, checked.matrix.data)
-        assert fast.n == n and fast.index() == 0
+        assert fast.n == n and herm_eigen_neg(fast.matrix)[1] == 0
     with pytest.raises(PrecondError, match="unitary"):
         SignatureMatrix(QMatrix.diag([1.0, 2.0]))
     with pytest.raises(PrecondError, match="self-adjoint"):
@@ -177,7 +177,7 @@ def test_check_colligation_examples():
 
 
 def test_signature_matrix_validation():
-    assert signature_from_signs([1.0, -1.0]).index() == 1
+    assert herm_eigen_neg(signature_from_signs([1.0, -1.0]).matrix)[1] == 1
     with pytest.raises(PrecondError):
         SignatureMatrix(QMatrix.scalar(0.5))
     with pytest.raises(PrecondError):
@@ -186,8 +186,36 @@ def test_signature_matrix_validation():
 
 def test_qmatrix_json_roundtrip(rng):
     m = random_qmatrix(rng, 2, 3)
-    back = QMatrix.from_json(m.to_json())
+    back = read_json(QMatrix.from_json, m.to_json())
     assert (back - m).norm() == 0.0
+    sig = signature_from_signs([1.0, -1.0])
+    back = read_json(SignatureMatrix.from_json, sig.to_json())
+    assert np.array_equal(back.matrix.data, sig.matrix.data)
+
+
+@pytest.mark.parametrize("obj, violations", [
+    ({"rows": 1, "cols": 1, "entries": [[1, 0, 0, 0]], "extra": 1},
+     [("/extra", "unknown field")]),
+    ({"rows": 0, "cols": 1, "entries": []}, [("/rows", "must be >= 1")]),
+    ({"rows": 1, "cols": 2, "entries": [[1, 0, 0, 0]]},
+     [("/entries", "expected 2 entries, got 1")]),
+    ({"rows": 1, "cols": 2, "entries": [[1, 0, 0], [0, 0, 0, "x"]]},
+     [("/entries/0", "expected a 4-element array [x0,x1,x2,x3]"),
+      ("/entries/1/3", "expected a number")]),
+    ({"cols": 1, "entries": 5},
+     [("/rows", "expected an integer"), ("/entries", "expected an array")]),
+    ([1, 0, 0, 0], [("/", "expected an object")]),
+])
+def test_qmatrix_json_reader_names_every_violation(obj, violations):
+    with pytest.raises(ConfigError) as err:
+        read_json(QMatrix.from_json, obj)
+    assert err.value.violations == violations
+
+
+def test_signature_json_reader_records_a_nonunitary_j_at_its_pointer():
+    with pytest.raises(ConfigError) as err:
+        read_json(SignatureMatrix.from_json, QMatrix.scalar(0.5).to_json())
+    assert err.value.violations == [("", "signature matrix must be unitary (J^2 = I)")]
 
 
 def test_adjoint_involution(rng):

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qschur import _accel
-from qschur.errors import DomainError
+from qschur._jsonutil import Validator
+from qschur.errors import ConfigError, DomainError
 from qschur.quat import (
     I,
     J,
@@ -23,7 +24,7 @@ from qschur.quat import (
     sample_imaginary_unit,
 )
 
-from oracles import qinv, qnormsq, reconstruct, sample_ball_points_loop
+from oracles import qinv, qnormsq, read_json, reconstruct, sample_ball_points_loop
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False, allow_infinity=False)
 quats = st.builds(Quaternion, finite, finite, finite, finite)
@@ -199,11 +200,11 @@ def test_sample_ball_points_repeat_the_loop_on_trial_generators(count):
 
 def test_json_roundtrip():
     p = Quaternion(0.5, -1.25, 3.0, -0.0625)
-    assert Quaternion.from_json(p.to_json()).isclose(p, 0.0)
-    with pytest.raises(DomainError):
-        Quaternion.from_json([1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        Quaternion.from_json([1.0, float("nan"), 0.0, 0.0])
+    assert Quaternion(*read_json(Validator.quaternion, p.to_json())).isclose(p, 0.0)
+    with pytest.raises(ConfigError):
+        read_json(Validator.quaternion, [1.0, 2.0, 3.0])
+    with pytest.raises(ConfigError):
+        read_json(Validator.quaternion, [1.0, float("nan"), 0.0, 0.0])
 
 
 # the float closed forms against the array kernels: every difference is
@@ -276,17 +277,19 @@ def test_from_array_errors_are_unchanged(arr, message):
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize("obj, message", [
-    ([1.0, 2.0, 3.0], "quaternion JSON must be a 4-element array"),
-    ("1234", "quaternion JSON must be a 4-element array"),
-    ({"x0": 1.0}, "quaternion JSON must be a 4-element array"),
-    ([1.0, True, 0.0, 0.0], "quaternion components must be numbers"),
-    ([1.0, "2", 0.0, 0.0], "quaternion components must be numbers"),
-    ([1.0, None, 0.0, 0.0], "quaternion components must be numbers"),
-    ([1.0, float("inf"), 0.0, 0.0], "quaternion components must be finite"),
-    ([float("nan"), 0.0, 0.0, 0.0], "quaternion components must be finite"),
+# a quaternion in JSON is read by Validator.quaternion: one violation, at the
+# array for a bad shape and at the first bad component otherwise
+@pytest.mark.parametrize("obj, pointer, message", [
+    pytest.param([1.0, 2.0, 3.0], "", "expected a 4-element array [x0,x1,x2,x3]", id="short"),
+    pytest.param("1234", "", "expected a 4-element array [x0,x1,x2,x3]", id="string"),
+    pytest.param({"x0": 1.0}, "", "expected a 4-element array [x0,x1,x2,x3]", id="object"),
+    pytest.param([1.0, True, 0.0, 0.0], "/1", "expected a number", id="bool-component"),
+    pytest.param([1.0, "2", 0.0, 0.0], "/1", "expected a number", id="string-component"),
+    pytest.param([1.0, None, 0.0, 0.0], "/1", "expected a number", id="null-component"),
+    pytest.param([1.0, float("inf"), 0.0, 0.0], "/1", "non-finite number", id="inf-component"),
+    pytest.param([float("nan"), 0.0, 0.0, 0.0], "/0", "non-finite number", id="nan-component"),
 ])
-def test_from_json_errors_are_unchanged(obj, message):
-    with pytest.raises(DomainError) as err:
-        Quaternion.from_json(obj)
-    assert str(err.value) == message
+def test_quaternion_json_errors_name_pointer_and_message(obj, pointer, message):
+    with pytest.raises(ConfigError) as err:
+        read_json(Validator.quaternion, obj)
+    assert err.value.violations == [(pointer, message)]

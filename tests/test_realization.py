@@ -19,7 +19,7 @@ from qschur.realization import (
 from qschur.starpoly import SliceRational, StarPoly, extend_from_slice
 
 from oracles import (isometry_residual, random_halfspace_colligation, random_qmatrix,
-                     realize_eval_pointwise, resolvent_inverse, stein_is_negative)
+                     read_json, realize_eval_pointwise, resolvent_inverse, stein_is_negative)
 
 
 def test_realize_degenerate_state():
@@ -237,12 +237,12 @@ def test_colligation_validation():
 
 def test_colligation_json_roundtrip(rng):
     col = random_halfspace_colligation(rng, 2, 2, 2, 1.25)
-    back = Colligation.from_json(col.to_json())
+    back = read_json(Colligation.from_json, col.to_json())
     assert (back.A - col.A).norm() == 0.0
     assert (back.B - col.B).norm() == 0.0
     assert back.domain == "halfspace" and back.x0 == 1.25
     ball = colligation_from_blaschke_factor(Quaternion(0, 0.5, 0, 0))
-    back = Colligation.from_json(ball.to_json())
+    back = read_json(Colligation.from_json, ball.to_json())
     assert (back.D - ball.D).norm() == 0.0
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from qschur._jsonutil import dump_json
 from qschur.blaschke import _point_rational, _sphere_rational
-from qschur.errors import DomainError, ExpansionError, NotARootError, PoleError, ShapeError
+from qschur.errors import (ConfigError, DomainError, ExpansionError, NotARootError, PoleError,
+                           ShapeError)
 from qschur.qlinalg import qmatmul_arr
 from qschur.quat import I, J, K, ONE, ImaginaryUnit, Quaternion, qdecompose, sample_ball_point
 from qschur.starpoly import (
@@ -26,7 +27,7 @@ from qschur.starpoly import (
 )
 
 from oracles import (eval_left, eval_scales, normalize, point_rational_checked, polyval_batch,
-                     rational_values, realified, scalar_poly_per_coeff, sphere_rational_checked,
+                     rational_values, read_json, realified, scalar_poly_per_coeff, sphere_rational_checked,
                      star_conj_sym, star_inv_scalar, star_inverse, taylor_recursive)
 
 comp = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False, allow_infinity=False)
@@ -145,7 +146,10 @@ def test_to_json_bytes_on_the_kl_cases(monkeypatch):
             assert text == dump_json({"num": rat.num.to_json(), "den": realified(rat.den).to_json()})
             for block in rat.to_json()["den"]["coeffs"]:
                 assert [dump_json(x) for x in block["entries"][0][1:]] == ["0", "0", "0"]
-            assert dump_json(SliceRational.from_json(json.loads(text)).to_json()) == text
+            obj = json.loads(text)
+            back = SliceRational(read_json(StarPoly.from_json, obj["num"]),
+                                 read_json(StarPoly.from_json, obj["den"]))
+            assert dump_json(back.to_json()) == text
 
 
 def compose_real_mobius_loop(rat, alpha, beta, gamma, delta):
@@ -530,12 +534,31 @@ def test_normalize_reduces_common_factor():
 
 def test_json_roundtrip():
     f = StarPoly.scalar([ONE, I, -J])
-    back = StarPoly.from_json(f.to_json())
+    back = read_json(StarPoly.from_json, f.to_json())
     assert np.max(np.abs(back.coeffs - f.coeffs)) == 0.0
     r = SliceRational(f, StarPoly.scalar([1.0, 0.0, 0.25]))
-    back = SliceRational.from_json(r.to_json())
+    obj = r.to_json()
+    back = SliceRational(read_json(StarPoly.from_json, obj["num"]),
+                         read_json(StarPoly.from_json, obj["den"]))
     assert np.max(np.abs(back.num.coeffs - r.num.coeffs)) == 0.0
     assert np.max(np.abs(back.den.coeffs - r.den.coeffs)) == 0.0
+
+
+HALF = {"rows": 1, "cols": 1, "entries": [[0.5, 0, 0, 0]]}
+
+
+@pytest.mark.parametrize("obj, violations", [
+    ({"shape": [1, 1], "coeffs": [HALF], "zzz": 0}, [("/zzz", "unknown field")]),
+    ({"shape": 5, "coeffs": [HALF]}, [("/shape", "expected an array [rows, cols]")]),
+    ({"shape": [1, 1], "coeffs": []}, [("/coeffs", "expected a non-empty array")]),
+    ({"shape": [1, 1], "coeffs": [HALF, dict(HALF, rows=0)]}, [("/coeffs/1/rows", "must be >= 1")]),
+    ({"shape": [1, 2], "coeffs": [HALF]},
+     [("/coeffs/0", "coefficient shape disagrees with declared shape")]),
+])
+def test_starpoly_json_reader_names_every_violation(obj, violations):
+    with pytest.raises(ConfigError) as err:
+        read_json(StarPoly.from_json, obj)
+    assert err.value.violations == violations
 
 
 # -- split evaluation against quaternion Horner --------------------------------
