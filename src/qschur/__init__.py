@@ -16,12 +16,10 @@ from .blaschke import (
     HALFSPACE,
     FactoredProduct,
     PointFactor,
-    PotapovFactor,
     SphereFactor,
     ZeroSet,
     blaschke_factor,
     build_product,
-    potapov_factor,
 )
 from .errors import (
     ConfigError,

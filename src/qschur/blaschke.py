@@ -31,14 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .qlinalg import QMatrix, herm_eigen_neg, complex_adjoint
 from .quat import Quaternion, as_quaternion, qdecompose, same_sphere
-from .starpoly import (
-    SliceRational,
-    StarPoly,
-    left_root_extract,
-    scalar_poly_times_matrix,
-)
+from .starpoly import SliceRational, StarPoly, left_root_extract
 
 BALL = "ball"
 HALFSPACE = "halfspace"
@@ -162,126 +156,6 @@ class SphereFactor:
         return {"type": "sphere", "c": self.c.to_json()}
 
 
-@dataclass(frozen=True)
-class PotapovFactor:
-    """Matrix Blaschke-Potapov factor.
-
-    kind 1 / 2:  I_r + (B_a(p) - 1) P   with P^2 = P, J P >= 0, |a| < 1
-                 for the first kind and |a| > 1 for the second.
-    kind 3 ball: I_r - k u (p + w0) * (p - w0)^{-*} u^* J, |w0| = 1,
-                 u an r x 1 column with u^* J u = 0 and gain k > 0.
-    kind 3 half-space: I_r - k u (p + w0)^{-*} u^* J with Re(w0) = 0.
-    """
-
-    kind: int
-    J: QMatrix
-    a: Quaternion = None
-    P: QMatrix = None
-    u: QMatrix = None
-    k: float = 0.0
-    w0: Quaternion = None
-    inverted: bool = False
-
-    @property
-    def size(self):
-        return self.J.rows
-
-    def rational(self, domain):
-        n = self.size
-        eye = QMatrix.eye(n)
-        if self.kind in (1, 2):
-            fac = _point_rational(domain, self.a)
-            den = fac.den
-            diff = fac.num - scalar_poly_times_matrix(den, QMatrix.scalar(1.0))
-            num = scalar_poly_times_matrix(den, eye) + scalar_poly_times_matrix(diff, self.P)
-            return SliceRational(num, den)
-        gain = -self.k if self.inverted else self.k
-        if domain == BALL:
-            # f = (p + w0) * (p - w0)^{-*}; |w0| = 1 makes sym(p - w0) real
-            w = self.w0
-            den = StarPoly.scalar([w.normsq(), -2.0 * w.re, 1.0])
-            numf = StarPoly.scalar([-(w * w.conj()), w - w.conj(), 1.0])
-        else:
-            w = self.w0
-            den = StarPoly.scalar([w.normsq(), 2.0 * w.re, 1.0])
-            numf = StarPoly.scalar([w.conj(), 1.0])
-        core = self.u @ self.u.adjoint() @ self.J
-        num = scalar_poly_times_matrix(den, eye) - scalar_poly_times_matrix(numf, core).scale(gain)
-        return SliceRational(num, den)
-
-    def inverse(self, domain):
-        if self.kind == 1:
-            return PotapovFactor(kind=2, J=self.J, a=self.a.conj().inverse(), P=self.P)
-        if self.kind == 2:
-            return PotapovFactor(kind=1, J=self.J, a=self.a.conj().inverse(), P=self.P)
-        return PotapovFactor(
-            kind=3, J=self.J, u=self.u, k=self.k, w0=self.w0, inverted=not self.inverted
-        )
-
-    def degree_contribution(self):
-        if self.kind in (1, 2):
-            sv = np.linalg.svd(complex_adjoint(self.P), compute_uv=False)
-            return int(round(np.sum(sv > 1e-8 * max(1.0, sv[0])) / 2.0))
-        return 1
-
-    def to_json(self):
-        out = {"type": "potapov", "kind": self.kind, "J": self.J.to_json()}
-        if self.kind in (1, 2):
-            out["a"] = self.a.to_json()
-            out["P"] = self.P.to_json()
-        else:
-            out["u"] = self.u.to_json()
-            out["k"] = self.k
-            out["w0"] = self.w0.to_json()
-            out["inverted"] = self.inverted
-        return out
-
-
-def potapov_factor(domain, kind, *, a=None, P=None, J=None, u=None, k=None, w0=None):
-    """Validated single Blaschke-Potapov factor wrapped as a product."""
-    _check_domain(domain)
-    if J is None:
-        raise DomainError("potapov factor needs a signature matrix J")
-    n = J.rows
-    scale = max(1.0, J.norm())
-    if J.herm_residual() > 1e-12 * scale or (J @ J - QMatrix.eye(n)).norm() > 1e-12 * scale:
-        raise DomainError("J must be a signature matrix")
-    if kind in (1, 2):
-        a = as_quaternion(a)
-        if P is None or P.shape != (n, n):
-            raise DomainError("kinds 1 and 2 need a projection P of matching size")
-        if (P @ P - P).norm() > 1e-10 * max(1.0, P.norm()):
-            raise DomainError("projection violated: P^2 != P")
-        jp = J @ P
-        if jp.herm_residual() > 1e-10 * max(1.0, jp.norm()):
-            raise DomainError("positivity violated: JP is not Hermitian")
-        _, neg = herm_eigen_neg(QMatrix(0.5 * (jp.data + jp.adjoint().data)))
-        if neg:
-            raise DomainError("positivity violated: JP has negative eigenvalues")
-        if kind == 1 and not a.norm() < 1.0:
-            raise DomainError("first kind needs |a| < 1")
-        if kind == 2 and not a.norm() > 1.0:
-            raise DomainError("second kind needs |a| > 1")
-        factor = PotapovFactor(kind=kind, J=J, a=a, P=P)
-    elif kind == 3:
-        w0 = as_quaternion(w0)
-        if u is None or u.shape != (n, 1):
-            raise DomainError("third kind needs a column vector u of length r")
-        neutral = (u.adjoint() @ J @ u).as_quaternion()
-        if neutral.norm() > 1e-10 * max(1.0, u.norm() ** 2):
-            raise DomainError("neutrality violated: u^* J u != 0")
-        if k is None or not k > 0.0:
-            raise DomainError("gain violated: k must be positive")
-        if domain == BALL and abs(w0.norm() - 1.0) > 1e-12:
-            raise DomainError("ball third kind needs |w0| = 1")
-        if domain == HALFSPACE and abs(w0.re) > 1e-12 * max(1.0, w0.norm()):
-            raise DomainError("half-space third kind needs Re(w0) = 0")
-        factor = PotapovFactor(kind=3, J=J, u=u, k=float(k), w0=w0)
-    else:
-        raise DomainError("potapov kind must be 1, 2, or 3")
-    return FactoredProduct(domain, [factor], size=n)
-
-
 # ---------------------------------------------------------------------------
 # zero sets
 # ---------------------------------------------------------------------------
@@ -375,55 +249,38 @@ class ZeroSet:
 # ---------------------------------------------------------------------------
 
 class FactoredProduct:
-    """Ordered Blaschke/Potapov factors with a cached rational form and
+    """Ordered scalar Blaschke factors with a cached rational form and
     star inverse."""
 
-    def __init__(self, domain, factors, size=1, rational=None):
+    def __init__(self, domain, factors, rational=None):
         _check_domain(domain)
         self.domain = domain
         self.factors = tuple(factors)
-        self.size = size
         self._rational = rational
         self._inverse = None
 
     @classmethod
-    def identity(cls, domain, size=1):
-        return cls(domain, [], size=size, rational=SliceRational.one(size))
+    def identity(cls, domain):
+        return cls(domain, [], rational=SliceRational.one())
 
     @property
     def rational(self):
         if self._rational is None:
-            acc = SliceRational.one(self.size)
+            acc = SliceRational.one()
             for f in self.factors:
-                fr = f.rational(self.domain)
-                if fr.shape == (1, 1) and self.size > 1:
-                    fr = SliceRational(
-                        scalar_poly_times_matrix(fr.num, QMatrix.eye(self.size)), fr.den
-                    )
-                acc = acc.star(fr)
+                acc = acc.star(f.rational(self.domain))
             self._rational = acc
         return self._rational
-
-    def eval_many(self, points):
-        return self.rational.eval_many(points)
 
     def inverse(self):
         """The reversed chain of factor inverses, built on the first call."""
         if self._inverse is None:
             inv = [f.inverse(self.domain) for f in reversed(self.factors)]
-            self._inverse = FactoredProduct(self.domain, inv, size=self.size)
+            self._inverse = FactoredProduct(self.domain, inv)
         return self._inverse
 
     def degree(self):
         return sum(f.degree_contribution() for f in self.factors)
-
-    def to_json(self):
-        return {
-            "domain": self.domain,
-            "size": self.size,
-            "factors": [f.to_json() for f in self.factors],
-            "rational": self.rational.to_json(),
-        }
 
 
 def build_product(zeros):
@@ -437,7 +294,7 @@ def build_product(zeros):
     zeros.validate()
     domain = zeros.domain
     factors = []
-    acc = SliceRational.one(1)
+    acc = SliceRational.one()
 
     for c, m in zeros.spheres:
         c = as_quaternion(c)
@@ -466,7 +323,7 @@ def build_product(zeros):
             # the residual keeps its own denominator, checked when it was built
             h = SliceRational._over(left_root_extract(h.num, a, 1e-8), h._dv)
 
-    prod = FactoredProduct(domain, factors, size=1, rational=acc)
+    prod = FactoredProduct(domain, factors, rational=acc)
     for a, n in zeros.points:
         a = as_quaternion(a)
         val = prod.rational.eval_scalar(a)

@@ -45,6 +45,7 @@ class Budget:
     kernel_tol: float = 1e-9
     identity_trunc: int = 48
     identity_points: int = 12
+    # relative to max(1, max |eigenvalue|) of the difference-kernel Gram
     min_eig_tol: float = 1e-8
 
     def to_json(self):
@@ -151,19 +152,29 @@ class VerdictReport:
 
 
 def krein_langer_check(case, budget=Budget(), expected_kappa=None):
-    """Estimate ind S, compare with deg B0, and verify the kernel identity.
+    """Estimate ind S, compare it with the target, and verify the kernel identity.
 
-    expected_kappa overrides the case target (negative controls inject a
-    wrong value and must flip the verdict to FAIL).  An insufficient
-    identity truncation or a non-finite identity tail yields INCONCLUSIVE,
-    never a silent pass; a kernel identity that deviates beyond a
-    certified tail is a FAIL.  The identity leg runs first, and an
-    identity expansion that fails (B0 vanishing at the origin) ends the
-    check INCONCLUSIVE with kappa_hat None, without sampling.  A sampling
-    leg stopped by a pole sphere or a numeric failure leaves kappa_hat
-    None and, unless the identity leg fails, the verdict INCONCLUSIVE; when
-    both legs are inconclusive the reason names both.  A PASS with a
-    vacuous identity leg says so in its reason.
+    The target is the case's expected index unless expected_kappa
+    overrides it (negative controls inject a wrong value and must flip
+    the verdict to FAIL).  The identity leg runs first; the sampling leg
+    then gives kappa_hat, a lower bound on ind S, or None when a pole
+    sphere or a numeric failure stopped it.  The verdict is that of the
+    first row that applies:
+
+      1. the identity expansion failed (B0 vanishing at the origin):
+         INCONCLUSIVE, with kappa_hat None and no sampling;
+      2. the identity deviates beyond a certified tail: FAIL;
+      3. kappa_hat exceeds the target: FAIL, whatever the identity leg
+         says, since a lower bound on ind S is already above it;
+      4. the identity leg is inconclusive (truncation insufficient, or a
+         tail or deviation that is not finite): INCONCLUSIVE, the reason
+         also naming a failed sampling leg;
+      5. the sampling leg failed: INCONCLUSIVE;
+      6. kappa_hat differs from the target: FAIL;
+      7. the Gram of the difference kernel has an eigenvalue below
+         -min_eig_tol max(1, max |eigenvalue|), the relative rule of
+         herm_eigen_neg: FAIL;
+      8. otherwise PASS, whose reason notes a vacuous identity leg.
     """
     if case.domain == HALFSPACE:
         case = transport_case_to_ball(case)
@@ -201,7 +212,14 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
         negsq, sampling_error = None, exc
     kappa_hat = None if negsq is None else negsq.kappa_hat
 
-    if ident.status == "inconclusive":
+    if ident.status == "fail":
+        verdict = "FAIL"
+        reason = "identity deviation %.3e with certified tail %.3e" % (
+            ident.max_coeff_dev, ident.tail_bound)
+    elif kappa_hat is not None and kappa_hat > target:
+        verdict = "FAIL"
+        reason = "kappa-hat %d exceeds target %d" % (kappa_hat, target)
+    elif ident.status == "inconclusive":
         verdict = "INCONCLUSIVE"
         if not math.isfinite(ident.tail_bound):
             reason = "identity tail bound is not finite"
@@ -211,17 +229,13 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
             reason = "identity truncation insufficient (tail %.3e)" % ident.tail_bound
         if negsq is None:
             reason += "; sampling leg failed: %s" % sampling_error
-    elif ident.status == "fail":
-        verdict = "FAIL"
-        reason = "identity deviation %.3e with certified tail %.3e" % (
-            ident.max_coeff_dev, ident.tail_bound)
     elif negsq is None:
         verdict = "INCONCLUSIVE"
         reason = "sampling leg failed: %s" % sampling_error
     elif kappa_hat != target:
         verdict = "FAIL"
         reason = "kappa-hat %d differs from target %d" % (kappa_hat, target)
-    elif ident.min_gram_eig < -budget.min_eig_tol:
+    elif ident.min_gram_eig < -budget.min_eig_tol * max(1.0, ident.max_abs_gram_eig):
         verdict = "FAIL"
         reason = "difference kernel not positive (min eig %.3e)" % ident.min_gram_eig
     else:
@@ -295,9 +309,9 @@ class TransportedProduct(FactoredProduct):
     """
 
     def __init__(self, rational, degree, inverse):
-        super().__init__(BALL, [], size=1, rational=rational)
+        super().__init__(BALL, [], rational=rational)
         self._degree = int(degree)
-        self._inverse = FactoredProduct(BALL, [], size=1, rational=inverse)
+        self._inverse = FactoredProduct(BALL, [], rational=inverse)
 
     def degree(self):
         return self._degree

@@ -327,15 +327,13 @@ class DimHBReport:
 def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
     """Numerical rank of the Gram of K_B; equals deg B for Blaschke products.
 
-    Needs a genuine product (kind-2/3 Potapov factors would put poles
-    inside the ball).  A half-space product is first carried to the ball
-    by the Cayley map w -> (1 + w)(1 - w)^{-1}, which keeps its degree;
-    points are ball points either way.  With fewer than 3 deg(B) points
-    the result carries an instability warning.
+    Needs a genuine product.  A half-space product is first carried to
+    the ball by the Cayley map w -> (1 + w)(1 - w)^{-1}, which keeps its
+    degree; points are ball points either way.  With fewer than 3 deg(B)
+    points the result carries an instability warning.
     """
     for f in b.factors:
-        kind = getattr(f, "kind", None)
-        if kind in (2, 3) or getattr(f, "inverted", False):
+        if getattr(f, "inverted", False):
             raise DomainError("dim H(B) needs a genuine Blaschke product")
         center = getattr(f, "a", None) or getattr(f, "c", None)
         if center is not None and not inside(b.domain, center):
@@ -481,6 +479,7 @@ class KernelIdentityReport:
     status: str                 # "ok", "fail" or "inconclusive"
     max_coeff_dev: float
     min_gram_eig: float
+    max_abs_gram_eig: float     # the scale of the relative positivity rule
     hermitian_residual: float
     trunc: int
     tail_bound: float
@@ -552,12 +551,13 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     'inconclusive'.
 
     The report carries the weighted coefficient deviation, the Hermitian
-    symmetry residual, and the minimum Gram eigenvalue of the difference
-    kernel (its positivity is the content of the factorization step).
-    If the truncation cannot bound the tail below IDENTITY_TAIL_TOL, or
-    the tail or the deviation is not finite, the status is 'inconclusive',
-    never a silent pass, and min_gram_eig is NaN: the Gram would come from
-    overflowed coefficients.  With the tail bounded, a deviation above
+    symmetry residual, and the minimum and largest absolute Gram
+    eigenvalues of the difference kernel (its positivity is the content
+    of the factorization step).  If the truncation cannot bound the tail
+    below IDENTITY_TAIL_TOL, or the tail or the deviation is not finite,
+    the status is 'inconclusive', never a silent pass, and both Gram
+    eigenvalues are NaN: the Gram would come from overflowed
+    coefficients.  With the tail bounded, a deviation above
     IDENTITY_DEV_TOL is a 'fail'.  When every weighted coefficient of
     K_S - K_B is within IDENTITY_DEV_TOL of zero (S = B, for instance), the
     identity holds trivially and the report says so with vacuous=True;
@@ -586,12 +586,12 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     vacuous = float(np.max(lhs_norms)) <= IDENTITY_DEV_TOL
     herm = max(float(resid[0]), float(resid[1]))
 
-    min_eig = float("nan")
+    min_eig = max_eig = float("nan")
     if np.isfinite(tail_bound) and np.isfinite(dev):
         rng = np.random.default_rng(seed)
         pts = sample_ball_points(rng, gram_points, gram_radius)
         eigs, _ = herm_eigen_neg(DoubleSeriesKernel(sides[0]).eval_gram(pts))
-        min_eig = float(np.min(eigs))
+        min_eig, max_eig = float(np.min(eigs)), float(np.max(np.abs(eigs)))
 
     # NaN and inf compare False, so a non-finite tail or deviation falls
     # to "inconclusive" rather than to "ok"
@@ -603,6 +603,7 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
         status=status,
         max_coeff_dev=dev,
         min_gram_eig=min_eig,
+        max_abs_gram_eig=max_eig,
         hermitian_residual=herm,
         trunc=trunc,
         tail_bound=float(tail_bound),

@@ -166,18 +166,8 @@ class StarPoly:
         d = max(self.degree, other.degree)
         return StarPoly(self._padded(d) + other._padded(d))
 
-    def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ShapeError("polynomial shapes differ")
-        d = max(self.degree, other.degree)
-        return StarPoly(self._padded(d) - other._padded(d))
-
     def __neg__(self):
         return StarPoly(-self._c)
-
-    def scale(self, x):
-        """Multiply by a real number."""
-        return StarPoly(self._c * float(x))
 
     def scale_left(self, q):
         q = as_quaternion(q)
@@ -571,8 +561,8 @@ class SliceRational:
         return cls._over(p, _ONE)
 
     @classmethod
-    def one(cls, n=1):
-        return cls._over(StarPoly.one(n), _ONE)
+    def one(cls):
+        return cls._over(StarPoly.one(), _ONE)
 
     @classmethod
     def constant(cls, block):
@@ -657,9 +647,6 @@ class SliceRational:
             other = SliceRational.from_poly(other)
         num = self._num.star(other._num)
         return SliceRational._over(num, _real_den(_real_star(self._dv, other._dv)))
-
-    def scale(self, x):
-        return SliceRational._over(self._num.scale(x), self._dv)
 
     def __add__(self, other):
         if isinstance(other, StarPoly):

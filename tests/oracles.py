@@ -369,8 +369,6 @@ def stein_is_negative(p, cutoff=1e-8):
 def eval_pointwise_chain(product, p):
     """A scalar Blaschke product at p through the pointwise-product law:
     f(p) g(f(p)^{-1} p f(p)) ... factor by factor."""
-    if product.size != 1:
-        raise ShapeError("pointwise chain evaluation needs scalar factors")
     p = p if isinstance(p, Quaternion) else Quaternion.from_real(p)
     acc = Quaternion.from_real(1.0)
     q = p

@@ -7,10 +7,8 @@ from qschur.blaschke import (
     ZeroSet,
     blaschke_factor,
     build_product,
-    potapov_factor,
 )
 from qschur.errors import ConfigError, ConstructionError, DomainError
-from qschur.qlinalg import QMatrix
 from qschur.quat import (
     ONE,
     Quaternion,
@@ -274,66 +272,6 @@ def test_halfspace_build_and_inverse(rng):
         assert both.eval_scalar(p).isclose(ONE, 1e-9)
 
 
-def test_potapov_factor_kinds(rng):
-    a = Quaternion(0, 0.5, 0, 0)
-    jm = QMatrix.eye(2)
-    proj = QMatrix.from_real(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-    full = potapov_factor("ball", 1, a=a, P=QMatrix.eye(2), J=jm)
-    b = blaschke_factor("ball", "point", a)
-    p = Quaternion(0.2, 0.1, 0, 0.05)
-    val = eval_left(full.rational, p)
-    bval = b.eval_scalar(p)
-    for idx in range(2):
-        assert val.entry(idx, idx).isclose(bval, 1e-12)
-
-    none = potapov_factor("ball", 1, a=a, P=QMatrix.zeros(2, 2), J=jm)
-    assert (eval_left(none.rational, p) - QMatrix.eye(2)).norm() < 1e-13
-
-    fac = potapov_factor("ball", 1, a=a, P=proj, J=jm)
-    inv = fac.inverse()
-    assert inv.factors[0].kind == 2
-    both = fac.rational.star(inv.rational)
-    for _ in range(5):
-        w = sample_ball_point(rng, 0.6)
-        assert (eval_left(both, w) - QMatrix.eye(2)).norm() < 1e-9
-    assert fac.degree() == 1
-
-
-def test_potapov_third_kind(rng):
-    jm = QMatrix.from_real(np.diag([1.0, -1.0]))
-    u = QMatrix(np.array([[[1.0, 0, 0, 0]], [[1.0, 0, 0, 0]]]))  # (1,1)^T is J-neutral
-    w0 = Quaternion(0, 1.0, 0, 0)
-    fac = potapov_factor("ball", 3, u=u, k=0.5, w0=w0, J=jm)
-    inv = fac.inverse()
-    both = fac.rational.star(inv.rational)
-    for _ in range(5):
-        p = sample_ball_point(rng, 0.5)
-        assert (eval_left(both, p) - QMatrix.eye(2)).norm() < 1e-10
-    assert fac.degree() == 1
-
-    hs = potapov_factor("halfspace", 3, u=u, k=1.0, w0=w0, J=jm)
-    assert hs.factors[0].kind == 3
-
-
-def test_potapov_payload_validation():
-    jm = QMatrix.eye(2)
-    bad_proj = QMatrix.from_real(np.array([[1.0, 0.0], [0.0, 2.0]]))
-    with pytest.raises(DomainError, match="projection"):
-        potapov_factor("ball", 1, a=Quaternion(0, 0.5, 0, 0), P=bad_proj, J=jm)
-    with pytest.raises(DomainError, match="first kind"):
-        potapov_factor("ball", 1, a=Quaternion.from_real(2.0), P=QMatrix.eye(2), J=jm)
-    u_bad = QMatrix(np.array([[[1.0, 0, 0, 0]], [[0.0, 0, 0, 0]]]))
-    with pytest.raises(DomainError, match="neutrality"):
-        potapov_factor("ball", 3, u=u_bad, k=1.0, w0=Quaternion(0, 1, 0, 0), J=jm)
-    u = QMatrix(np.array([[[1.0, 0, 0, 0]], [[1.0, 0, 0, 0]]]))
-    jm2 = QMatrix.from_real(np.diag([1.0, -1.0]))
-    with pytest.raises(DomainError, match="gain"):
-        potapov_factor("ball", 3, u=u, k=-1.0, w0=Quaternion(0, 1, 0, 0), J=jm2)
-    with pytest.raises(DomainError, match="w0"):
-        potapov_factor("ball", 3, u=u, k=1.0, w0=Quaternion(0, 0.5, 0, 0), J=jm2)
-
-
 def test_zeroset_json_roundtrip():
     zs = ZeroSet(
         "ball",
@@ -405,7 +343,7 @@ def test_cached_rational_matches_factor_chain(rng):
     zs = ZeroSet("ball", points=[(Quaternion(0.1, 0.6, 0, 0), 1),
                                  (Quaternion(-0.2, 0, 0.45, 0), 2)])
     prod = build_product(zs)
-    rebuilt = FactoredProduct(prod.domain, prod.factors, size=1)
+    rebuilt = FactoredProduct(prod.domain, prod.factors)
     for _ in range(20):
         p = sample_ball_point(rng, 0.75)
         assert eval_left(prod.rational, p).as_quaternion().isclose(

@@ -108,6 +108,26 @@ def test_kl_check_negative_control_exit_1(tmp_path):
     assert json.loads(open(out).read())["verdict"] == "FAIL"
 
 
+def test_kl_check_verdict_rules_through_the_cli(tmp_path):
+    # three small zeros: a Gram minimum near -3e-8 against a largest
+    # eigenvalue near 2e8 is rounding, so PASS; 0.02 i with target 0: the
+    # sampled kappa-hat 1 exceeds it although the identity leg is inconclusive
+    small = {"domain": "ball", "points": [
+        {"a": [-0.0204, -0.0257, 0.0094, 0.0362]},
+        {"a": [0.0285, -0.0805, -0.0436, -0.0473]},
+        {"a": [-0.0025, 0.0325, 0.0160, 0.0004]}]}
+    pole = {"domain": "ball", "points": [{"a": [0.0, 0.02, 0.0, 0.0]}]}
+    s0 = {"kind": "constant", "value": [0.7, 0.0, 0.0, 0.0]}
+    for name, extra, code, verdict, kappa in (
+            ("small", {"b0": small}, EXIT_OK, "PASS", 3),
+            ("pole", {"b0": pole, "expected_kappa": 0}, EXIT_FAIL, "FAIL", 1)):
+        cfg = write_config(tmp_path, name + ".json", {"command": "kl-check", "s0": s0, **extra})
+        out = str(tmp_path / (name + "-r.json"))
+        assert main(["kl-check", "--config", cfg, "--out", out]) == code
+        doc = json.loads(open(out).read())
+        assert (doc["verdict"], doc["kappa_hat"]) == (verdict, kappa)
+
+
 def test_kl_check_inconclusive_exit_2(tmp_path):
     cfg = write_config(
         tmp_path, "klinc.json",

@@ -17,7 +17,7 @@ from qschur.factorcheck import (
     synthesize_generalized_schur,
     transport_case_to_ball,
 )
-from qschur.kernels import SchurFunction, estimate_neg_squares
+from qschur.kernels import SchurFunction, estimate_neg_squares, kernel_identity_check
 from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
 
 from oracles import qinv, star_inverse
@@ -120,6 +120,51 @@ def test_krein_langer_negative_control():
     rep = krein_langer_check(case, SMALL, expected_kappa=2)
     assert rep.verdict == "FAIL"
     assert "kappa" in rep.reason
+
+
+# three zeros of modulus 0.036 to 0.10: the Gram of K_S - K_B reaches
+# about 2e8, so its minimum eigenvalue near -3e-8 is rounding
+THREE_SMALL_ZEROS = ZeroSet("ball", points=[
+    (Quaternion(-0.0204, -0.0257, 0.0094, 0.0362), 1),
+    (Quaternion(0.0285, -0.0805, -0.0436, -0.0473), 1),
+    (Quaternion(-0.0025, 0.0325, 0.0160, 0.0004), 1),
+])
+
+
+@pytest.mark.parametrize("seed", [0x5C05, 1, 2, 3])
+def test_positivity_is_judged_relative_to_the_gram_scale(seed):
+    case = synthesize_generalized_schur(THREE_SMALL_ZEROS, 0.7)
+    rep = krein_langer_check(case, Budget(seed=seed))
+    assert (rep.verdict, rep.kappa_hat, rep.reason) == ("PASS", 3, "")
+    assert rep.identity.status == "ok"
+    assert rep.min_gram_eig < -Budget().min_eig_tol
+    assert rep.identity.max_abs_gram_eig > 1e7
+
+
+@pytest.mark.parametrize("c", [1.3, 1.01, 1.001])
+@pytest.mark.parametrize("zeros", [
+    ZeroSet("ball", points=[(A_I, 1)]),
+    ZeroSet("ball", points=[(Quaternion(0.2, 0.3, 0, 0), 2)]),
+], ids=["0.5i", "(0.2+0.3i)^2"])
+def test_non_schur_s0_breaks_the_relative_positivity_rule(zeros, c):
+    # S = B0^{-*} * c with c > 1 satisfies the identity, but K_{S0} = (1 - c^2)
+    # times the base kernel is negative, and so is K_S - K_B
+    s0 = SchurFunction.constant(Quaternion.from_real(c))
+    case = synthesize_generalized_schur(zeros, s0)
+    rep = kernel_identity_check(case.s, case.b0, case.s0)
+    assert rep.status == "ok"
+    assert rep.min_gram_eig < -Budget().min_eig_tol * max(1.0, rep.max_abs_gram_eig)
+
+
+def test_kappa_hat_above_the_target_fails_when_the_identity_is_inconclusive():
+    # the pole of B0^{-*} at 0.02 i overflows the identity leg, but the
+    # sampled kappa-hat 1 is a lower bound on ind S, already above 0
+    case = synthesize_generalized_schur(
+        ZeroSet("ball", points=[(Quaternion(0, 0.02, 0, 0), 1)]), 0.7)
+    rep = krein_langer_check(case, Budget(trials=20), expected_kappa=0)
+    assert rep.identity.status == "inconclusive"
+    assert (rep.verdict, rep.kappa_hat) == ("FAIL", 1)
+    assert rep.reason == "kappa-hat 1 exceeds target 0"
 
 
 def test_krein_langer_identity_negative_control():

@@ -272,19 +272,21 @@ def test_kernel_identity_needs_ball_input():
                                  gram_radius=0.09).status == "ok"
 
 
-def test_kernel_identity_matrix_potapov_b0():
-    # a 2 x 2 first-kind Potapov B0 has no scalar rational: its inverse
-    # comes from the factor chain
-    from qschur.blaschke import potapov_factor
+def test_kernel_identity_scalar_b0_on_two_rows():
+    # B0 I_2 with a point and a sphere: deg B0 = 3, so ind S = 2 x 3
+    from qschur.factorcheck import Budget, krein_langer_check
 
-    proj = QMatrix.from_real(np.diag([1.0, 0.0]))
-    b = potapov_factor("ball", 1, a=Quaternion(0, 0.5, 0, 0), P=proj, J=QMatrix.eye(2))
+    zeros = ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)],
+                    spheres=[(Quaternion(0.2, 0, 0.5, 0), 1)])
     s0 = SchurFunction.constant(QMatrix.eye(2).scale_left(Quaternion.from_real(0.6)))
-    s = SchurFunction(b.inverse().rational.star(s0.rational))
-    rep = kernel_identity_check(s, b, s0, trunc=40)
-    assert rep.status == "ok" and rep.max_coeff_dev < 1e-9
+    case = synthesize_generalized_schur(zeros, s0)
+    assert case.expected_kappa == 6
+    assert kernel_identity_check(case.s, case.b0, case.s0, trunc=40).status == "ok"
     wrong = SchurFunction.constant(QMatrix.eye(2).scale_left(Quaternion.from_real(0.5)))
-    assert kernel_identity_check(s, b, wrong, trunc=40).status == "fail"
+    assert kernel_identity_check(case.s, case.b0, wrong, trunc=40).status == "fail"
+    rep = krein_langer_check(case, Budget(trials=20))
+    assert (rep.verdict, rep.kappa_hat) == ("PASS", 6)
+    assert krein_langer_check(case, Budget(trials=20), expected_kappa=5).verdict == "FAIL"
 
 
 def loop_from_schur_taylor(s, trunc):
@@ -430,11 +432,11 @@ def test_stacked_identity_tables_match_the_oracles_on_random_taylor_data(r, c, t
 @pytest.mark.parametrize("label", sorted(KL_CASES))
 def test_identity_leg_inverts_no_factor_after_synthesis(label, monkeypatch):
     # the B0^{-*} that S was built from is the one the identity leg expands
-    from qschur.blaschke import PointFactor, PotapovFactor, SphereFactor
+    from qschur.blaschke import PointFactor, SphereFactor
 
     case = synthesized_kl_case(label)
     calls = []
-    for cls in (PointFactor, SphereFactor, PotapovFactor):
+    for cls in (PointFactor, SphereFactor):
         def counted(self, domain, _inverse=cls.inverse):
             calls.append(type(self).__name__)
             return _inverse(self, domain)
