@@ -59,8 +59,6 @@ from .kernels import (
 )
 from .qlinalg import (
     QMatrix,
-    SignatureMatrix,
-    check_colligation,
     complex_adjoint,
     from_complex_adjoint,
     herm_eigen_neg,

@@ -5,9 +5,8 @@ are emitted sorted and every float is rendered with 17 significant
 digits.  Validation walks raw parsed JSON and collects violations as
 (JSON pointer, message) pairs instead of failing on the first problem.
 The library's readers, from_json(v, obj, path) on ZeroSet, QMatrix,
-SignatureMatrix, StarPoly and Colligation, take a Validator and record
-into it: unknown fields are rejected at every depth, nested objects
-included.
+StarPoly and Colligation, take a Validator and record into it: unknown
+fields are rejected at every depth, nested objects included.
 """
 
 import math

@@ -163,7 +163,8 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
 
       1. the identity expansion failed (B0 vanishing at the origin):
          INCONCLUSIVE, with kappa_hat None and no sampling;
-      2. the identity deviates beyond a certified tail: FAIL;
+      2. the identity deviates, relative to the scale of its sides,
+         beyond a certified tail: FAIL;
       3. kappa_hat exceeds the target: FAIL, whatever the identity leg
          says, since a lower bound on ind S is already above it;
       4. the identity leg is inconclusive (truncation insufficient, or a
@@ -325,7 +326,9 @@ def transport_case_to_ball(case, x0=1.0):
     """Move a half-space FactorizationCase to the ball for verification.
 
     B0^{-*} on the ball is the Cayley image of the half-space factor-chain
-    inverse, of degree 2 deg B0 like the image of B0 itself.
+    inverse, of degree 2 deg B0 like the image of B0 itself.  S and S0
+    are the Cayley images of the case's own S and S0, so the ball check
+    reads the S it was given.
     """
     if case.domain != HALFSPACE:
         return case
@@ -333,7 +336,7 @@ def transport_case_to_ball(case, x0=1.0):
         case.b0.rational.compose_real_mobius(x0, x0, 1.0, -1.0), case.b0.degree(),
         case.b0.inverse().rational.compose_real_mobius(x0, x0, 1.0, -1.0))
     s0_ball = cayley_transport(case.s0, x0, "halfspace_to_ball")
-    s_ball = SchurFunction.star_quotient(b0_ball.inverse().rational, s0_ball)
+    s_ball = cayley_transport(case.s, x0, "halfspace_to_ball")
     return FactorizationCase(
         b0=b0_ball, s0=s0_ball, s=s_ball,
         expected_kappa=case.expected_kappa, domain=BALL,

@@ -118,10 +118,6 @@ class SchurFunction:
 
     # -- evaluation -------------------------------------------------------------
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
     def eval_many(self, points):
         return self.rational.eval_many(as_points(points))
 
@@ -558,10 +554,12 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     the status is 'inconclusive', never a silent pass, and both Gram
     eigenvalues are NaN: the Gram would come from overflowed
     coefficients.  With the tail bounded, a deviation above
-    IDENTITY_DEV_TOL is a 'fail'.  When every weighted coefficient of
-    K_S - K_B is within IDENTITY_DEV_TOL of zero (S = B, for instance), the
-    identity holds trivially and the report says so with vacuous=True;
-    the status is unaffected.
+    IDENTITY_DEV_TOL max(1, largest weighted coefficient norm of the two
+    sides) is a 'fail': the deviation is judged relative to the scale of
+    the sides, whose rounding it carries.  When every weighted
+    coefficient of K_S - K_B is within IDENTITY_DEV_TOL of zero (S = B,
+    for instance), the identity holds trivially and the report says so
+    with vacuous=True; the status is unaffected.
     """
     if not isinstance(b0, FactoredProduct):
         raise ShapeError("b0 must be a FactoredProduct")
@@ -598,7 +596,8 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     if not (tail_bound <= IDENTITY_TAIL_TOL and np.isfinite(dev)):
         status = "inconclusive"
     else:
-        status = "ok" if dev <= IDENTITY_DEV_TOL else "fail"
+        scale = max(1.0, float(np.max(norms[:2])))
+        status = "ok" if dev <= IDENTITY_DEV_TOL * scale else "fail"
     return KernelIdentityReport(
         status=status,
         max_coeff_dev=dev,

@@ -162,10 +162,6 @@ class QMatrix:
     def herm_residual(self):
         return (self - self.adjoint()).norm()
 
-    def isclose(self, other, tol=1e-12):
-        scale = max(1.0, self.norm(), other.norm())
-        return (self - other).norm() <= tol * scale
-
     def __repr__(self):
         return "QMatrix(shape=%dx%d)" % self.shape
 
@@ -209,18 +205,6 @@ def vstack(mats):
     return QMatrix(np.concatenate([m.data for m in mats], axis=0))
 
 
-def block_diag(mats):
-    rows = sum(m.rows for m in mats)
-    cols = sum(m.cols for m in mats)
-    d = np.zeros((rows, cols, 4))
-    r = c = 0
-    for m in mats:
-        d[r : r + m.rows, c : c + m.cols] = m.data
-        r += m.rows
-        c += m.cols
-    return QMatrix(d)
-
-
 # ---------------------------------------------------------------------------
 # complex adjoint
 # ---------------------------------------------------------------------------
@@ -258,47 +242,6 @@ def from_complex_adjoint(z):
     if z.ndim != 2 or z.shape[0] % 2 or z.shape[1] % 2:
         raise ShapeError("complex adjoint must be 2r x 2c")
     return QMatrix(_from_chi_arr(z))
-
-
-class SignatureMatrix:
-    """Self-adjoint unitary quaternionic matrix (a signature matrix)."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, matrix, tol=1e-12):
-        m = matrix if isinstance(matrix, QMatrix) else QMatrix(matrix)
-        if m.rows != m.cols:
-            raise ShapeError("signature matrix must be square")
-        scale = max(1.0, m.norm())
-        if m.herm_residual() > tol * scale:
-            raise PrecondError("signature matrix must be self-adjoint")
-        if (m @ m - QMatrix.eye(m.rows)).norm() > tol * scale:
-            raise PrecondError("signature matrix must be unitary (J^2 = I)")
-        self._m = m
-
-    @classmethod
-    def identity(cls, n):
-        """I_n, self-adjoint and unitary by construction, so left unchecked."""
-        sig = cls.__new__(cls)
-        sig._m = QMatrix.eye(n)
-        return sig
-
-    @property
-    def matrix(self):
-        return self._m
-
-    @property
-    def n(self):
-        return self._m.rows
-
-    def to_json(self):
-        return self._m.to_json()
-
-    @classmethod
-    def from_json(cls, v, obj, path):
-        """As QMatrix.from_json, with J checked self-adjoint and unitary."""
-        m = QMatrix.from_json(v, obj, path)
-        return None if m is None else v.build(path, cls, m)
 
 
 # ---------------------------------------------------------------------------
@@ -383,23 +326,3 @@ def qmatrix_inv(m):
         raise ShapeError("inversion needs a square matrix")
     return QMatrix(qinv_arr(m.data))
 
-
-def check_colligation(m, j1, j2):
-    """Coisometry residual of an operator matrix.
-
-    For an (n+r) x (n+s) block matrix M it is
-    || M diag(I_n, J1) M^* - diag(I_n, J2) ||; zero means the defining
-    identity holds exactly.
-    """
-    j1m = j1.matrix if isinstance(j1, SignatureMatrix) else j1
-    j2m = j2.matrix if isinstance(j2, SignatureMatrix) else j2
-    s, r = j1m.rows, j2m.rows
-    n = m.rows - r
-    if n < 0 or m.cols - s != n:
-        raise ShapeError(
-            "operator matrix %sx%s incompatible with J1 (%d) and J2 (%d)"
-            % (m.rows, m.cols, s, r)
-        )
-    d1 = block_diag([QMatrix.eye(n), j1m]) if n else j1m
-    d2 = block_diag([QMatrix.eye(n), j2m]) if n else j2m
-    return (m @ d1 @ m.adjoint() - d2).norm()

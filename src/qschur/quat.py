@@ -205,15 +205,6 @@ class ImaginaryUnit:
     def q(self):
         return self._q
 
-    def as_array(self):
-        return self._q.as_array()
-
-    def __mul__(self, other):
-        return self._q * other
-
-    def __neg__(self):
-        return ImaginaryUnit(-self._q)
-
     def __repr__(self):
         return "ImaginaryUnit(%r)" % (self._q,)
 

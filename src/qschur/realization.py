@@ -6,8 +6,8 @@ The slice extension of C(I - xA)^{-1} off the real axis is
 
 so ball evaluation needs the resolvent I - 2Re(p)A + |p|^2 A^2 to be
 invertible (p outside the S-spectrum spheres of A).  Half-space
-colligations carry blocks (F, G, H) with the derived block
-B = -(I + x0 A) making up the coisometric operator matrix.
+colligations store the paper's blocks (A, F, G, H) as (A, B, C, D); the
+derived block -(I + x0 A) completes the coisometric operator matrix.
 realize_many evaluates a whole list of points in one batched pass: the
 resolvents of all points form one stack with one inversion, and an
 error is reported for the first failing point in point order.
@@ -34,8 +34,6 @@ from .errors import (
 )
 from .qlinalg import (
     QMatrix,
-    SignatureMatrix,
-    check_colligation,
     complex_adjoint,
     from_complex_adjoint,
     hstack,
@@ -48,19 +46,17 @@ from .quat import Quaternion, as_quaternion, qdecompose
 
 @dataclass
 class Colligation:
-    """Operator matrix (A, B, C, D) with signature data.
+    """Operator matrix (A, B, C, D) on Hilbert coefficient spaces.
 
     Ball: the operator matrix is [[A, B], [C, D]].  Half-space: the
-    stored blocks are read as (A, F, G, H) with positive x0, and the
-    operator matrix is [[-(I + x0 A), F], [G, H]].
+    paper's (A, F, G, H) are stored as (A, B, C, D) with positive x0,
+    and the operator matrix is [[-(I + x0 A), B], [C, D]].
     """
 
     A: QMatrix
     B: QMatrix
     C: QMatrix
     D: QMatrix
-    J1: SignatureMatrix = None
-    J2: SignatureMatrix = None
     domain: str = BALL
     x0: float = None
 
@@ -72,12 +68,6 @@ class Colligation:
             raise ShapeError("B and C must match the state dimension")
         if self.D.shape != (self.C.rows, self.B.cols):
             raise ShapeError("D must be C.rows x B.cols")
-        if self.J1 is None:
-            self.J1 = SignatureMatrix.identity(self.B.cols)
-        if self.J2 is None:
-            self.J2 = SignatureMatrix.identity(self.C.rows)
-        if self.J1.n != self.B.cols or self.J2.n != self.C.rows:
-            raise ShapeError("J1 must be B.cols square and J2 C.rows square")
         if self.domain not in (BALL, HALFSPACE):
             raise DomainError("domain must be 'ball' or 'halfspace'")
         if self.x0 is not None:
@@ -88,19 +78,6 @@ class Colligation:
         if self.domain == HALFSPACE:
             if self.x0 is None or not self.x0 > 0.0:
                 raise DomainError("half-space colligations need x0 > 0")
-
-    # half-space aliases: stored B, C, D blocks play the roles F, G, H
-    @property
-    def F(self):
-        return self.B
-
-    @property
-    def G(self):
-        return self.C
-
-    @property
-    def H(self):
-        return self.D
 
     @property
     def state_dim(self):
@@ -117,12 +94,14 @@ class Colligation:
         if self.domain == BALL:
             top = hstack([self.A, self.B])
         else:
-            top = hstack([self.b_block(), self.F])
+            top = hstack([self.b_block(), self.B])
         bot = hstack([self.C, self.D])
         return vstack([top, bot])
 
     def coisometry_residual(self):
-        return check_colligation(self.operator_matrix(), self.J1, self.J2)
+        """||M M^* - I|| for the operator matrix M; zero for a coisometry."""
+        m = self.operator_matrix()
+        return (m @ m.adjoint() - QMatrix.eye(m.rows)).norm()
 
     def to_json(self):
         out = {
@@ -130,8 +109,6 @@ class Colligation:
             "B": self.B.to_json(),
             "C": self.C.to_json(),
             "D": self.D.to_json(),
-            "J1": self.J1.to_json(),
-            "J2": self.J2.to_json(),
             "domain": self.domain,
         }
         if self.x0 is not None:
@@ -141,13 +118,10 @@ class Colligation:
     @classmethod
     def from_json(cls, v, obj, path):
         """The colligation at path of a config, or None with the violations
-        recorded in v; J1 and J2 default to identities."""
-        if not v.check_object(obj, path, ("A", "B", "C", "D", "J1", "J2", "domain", "x0")):
+        recorded in v."""
+        if not v.check_object(obj, path, ("A", "B", "C", "D", "domain", "x0")):
             return None
         blocks = {key: QMatrix.from_json(v, obj.get(key), "%s/%s" % (path, key)) for key in "ABCD"}
-        for key in ("J1", "J2"):
-            if key in obj:
-                blocks[key] = SignatureMatrix.from_json(v, obj[key], "%s/%s" % (path, key))
         if None in blocks.values():
             return None
         return v.build(path, lambda: cls(**blocks, domain=obj.get("domain", BALL),
@@ -165,9 +139,9 @@ def realize_many(col, points):
 
     Ball:  D + p (C - conj(p) C A)(I - 2Re(p)A + |p|^2 A^2)^{-1} B,
     which reduces to D + x C (I - xA)^{-1} B at real x.  Half-space:
-    H - (p - x0)(G - phib G A)(|phi|^2 A^2 - 2Re(phi) A + I)^{-1} F with
+    D - (p - x0)(C - phib C A)(|phi|^2 A^2 - 2Re(phi) A + I)^{-1} B with
     phi = (p - x0)(p + x0)^{-1} and phib its conjugate; the (p - x0)
-    prefactor annihilates the second term at p = x0, so S(x0) = H.
+    prefactor annihilates the second term at p = x0, so S(x0) = D.
 
     The resolvents of all points are inverted as one stack.  The error
     is that of the first failing point: PoleError at p = -x0, or

@@ -169,14 +169,6 @@ class StarPoly:
     def __neg__(self):
         return StarPoly(-self._c)
 
-    def scale_left(self, q):
-        q = as_quaternion(q)
-        return StarPoly(_accel.qmul(q.as_array(), self._c))
-
-    def scale_right(self, q):
-        q = as_quaternion(q)
-        return StarPoly(_accel.qmul(self._c, q.as_array()))
-
     def star(self, other):
         """Star product by coefficient convolution; degrees add."""
         if isinstance(other, SliceRational):

@@ -70,8 +70,8 @@ from qschur.blaschke import BALL, HALFSPACE
 from qschur.errors import (ConfigError, DivergenceError, DomainError, ExpansionError,
                            NumericError, PoleError, PrecondError, ShapeError, SpectrumError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
-from qschur.qlinalg import (QMatrix, SignatureMatrix, block_diag, complex_adjoint, herm_eigen_neg,
-                            qadjoint_arr, qmatmul_arr, qmatrix_inv)
+from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr,
+                            qmatrix_inv)
 from qschur.quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from qschur.realization import Colligation
 from qschur.starpoly import (REAL_COEFF_RTOL, SliceRational, StarPoly, _coeff_moduli,
@@ -336,11 +336,6 @@ def random_qmatrix(rng, rows, cols, scale=1.0):
     return QMatrix(rng.uniform(-scale, scale, size=(rows, cols, 4)))
 
 
-def signature_from_signs(signs):
-    """The diagonal signature matrix with the given real signs."""
-    return SignatureMatrix(QMatrix.from_real(np.diag(np.asarray(signs, dtype=np.float64))))
-
-
 def eval_left(rational, p):
     """Value den(p)^{-1} num(p) of a SliceRational at one quaternion, as a QMatrix."""
     return QMatrix(rational.eval_many(as_quaternion(p).as_array()[None])[0])
@@ -352,12 +347,9 @@ def eval_scales(poly, points):
 
 
 def isometry_residual(col):
-    """|| M^* diag(I_n, J2) M - diag(I_n, J1) || for the operator matrix M
-    of a colligation with state dimension n."""
-    m, n = col.operator_matrix(), col.state_dim
-    d1 = block_diag([QMatrix.eye(n), col.J1.matrix]) if n else col.J1.matrix
-    d2 = block_diag([QMatrix.eye(n), col.J2.matrix]) if n else col.J2.matrix
-    return (m.adjoint() @ d2 @ m - d1).norm()
+    """|| M^* M - I || for the operator matrix M of a colligation."""
+    m = col.operator_matrix()
+    return (m.adjoint() @ m - QMatrix.eye(m.cols)).norm()
 
 
 def stein_is_negative(p, cutoff=1e-8):
@@ -530,10 +522,10 @@ def realize_eval_pointwise(col, p):
         raise PoleError(rep.x, rep.y, "half-space evaluation at p = -x0")
     phi = (p - Quaternion.from_real(x0)) * shift.inverse()
     rinv = resolvent_inverse(col.A, phi)
-    ga = col.G @ col.A
-    left = col.G - ga.scale_left(phi.conj())
-    term = (left @ rinv @ col.F).scale_left(p - Quaternion.from_real(x0))
-    return col.H - term
+    ca = col.C @ col.A
+    left = col.C - ca.scale_left(phi.conj())
+    term = (left @ rinv @ col.B).scale_left(p - Quaternion.from_real(x0))
+    return col.D - term
 
 
 def weighted_norms(coeffs, radius):

@@ -117,10 +117,21 @@ def test_kl_check_verdict_rules_through_the_cli(tmp_path):
         {"a": [0.0285, -0.0805, -0.0436, -0.0473]},
         {"a": [-0.0025, 0.0325, 0.0160, 0.0004]}]}
     pole = {"domain": "ball", "points": [{"a": [0.0, 0.02, 0.0, 0.0]}]}
+    # three half-space zeros with Cayley images of modulus 0.036 to 0.107: an
+    # identity deviation near 1e-7 against sides near 1.4e7 is rounding
+    halfspace = {"domain": "halfspace", "points": [
+        {"a": [0.9561142596215043, -0.049277289018561654, 0.018040750863483106,
+               0.06948504159444965]},
+        {"a": [1.0356839852191448, -0.16864191496456307, -0.09139239096736215,
+               -0.09915834757829947]},
+        {"a": [0.9924091876116958, 0.06451500490196532, 0.03174174542721127,
+               0.0007835453795362731]}]}
     s0 = {"kind": "constant", "value": [0.7, 0.0, 0.0, 0.0]}
     for name, extra, code, verdict, kappa in (
             ("small", {"b0": small}, EXIT_OK, "PASS", 3),
-            ("pole", {"b0": pole, "expected_kappa": 0}, EXIT_FAIL, "FAIL", 1)):
+            ("pole", {"b0": pole, "expected_kappa": 0}, EXIT_FAIL, "FAIL", 1),
+            ("halfspace", {"b0": halfspace, "s0": dict(s0, domain="halfspace")},
+             EXIT_OK, "PASS", 3)):
         cfg = write_config(tmp_path, name + ".json", {"command": "kl-check", "s0": s0, **extra})
         out = str(tmp_path / (name + "-r.json"))
         assert main(["kl-check", "--config", cfg, "--out", out]) == code
@@ -375,7 +386,7 @@ HALFSPACE_COLLIGATION = {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "domain": "ha
                  "/s0/value", id="kl-check-s0-norm-2"),
     pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
                   "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "J1": EYE2}},
-                 "/colligation", id="realize-j1-2x2-beside-1-column-b"),
+                 "/colligation/J1", id="realize-j1-2x2-beside-1-column-b"),
     pytest.param({"command": "realize", "points": [[0.2, 0.1, 0, 0]],
                   "colligation": dict(HALFSPACE_COLLIGATION, x0=float("inf"))},
                  "/colligation", id="realize-halfspace-x0-inf"),
@@ -420,8 +431,7 @@ CHEAP_CONFIGS = (
      "seed": 3},
     {"command": "realize", "blaschke_a": [0.0, 0.5, 0.0, 0.0], "points": [[0.2, 0.1, 0, 0]]},
     {"command": "realize", "points": [[0.2, 0.1, 0, 0]],
-     "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "J1": ONE, "J2": ONE,
-                     "domain": "ball"}},
+     "colligation": {"A": HALF, "B": ONE, "C": ONE, "D": HALF, "domain": "ball"}},
     {"command": "stein", "A": HALF, "C": ONE},
     {"command": "transport", "x0": 1.0, "direction": "halfspace_to_ball",
      "points": [[1.0, 0.0, 0.0, 0.0]], "negsq": False,

@@ -17,8 +17,9 @@ from qschur.factorcheck import (
     synthesize_generalized_schur,
     transport_case_to_ball,
 )
-from qschur.kernels import SchurFunction, estimate_neg_squares, kernel_identity_check
-from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
+from qschur.kernels import (IDENTITY_DEV_TOL, SchurFunction, estimate_neg_squares,
+                            kernel_identity_check)
+from qschur.quat import Quaternion, same_sphere, sample_ball_point, sample_halfspace_point
 
 from oracles import qinv, star_inverse
 
@@ -177,6 +178,107 @@ def test_krein_langer_identity_negative_control():
     assert rep.identity.tail_bound <= 1e-9 < rep.identity.max_coeff_dev
     assert rep.verdict == "FAIL"
     assert "deviation" in rep.reason and "tail" in rep.reason
+
+
+# three simple half-space zeros whose Cayley images have moduli 0.036 to
+# 0.107: the weighted sides of the identity reach about 1.4e7, so an
+# absolute deviation near 1e-7 is rounding
+HALFSPACE_SMALL_ZEROS = ZeroSet("halfspace", points=[
+    (Quaternion(0.9561142596215043, -0.049277289018561654, 0.018040750863483106,
+                0.06948504159444965), 1),
+    (Quaternion(1.0356839852191448, -0.16864191496456307, -0.09139239096736215,
+                -0.09915834757829947), 1),
+    (Quaternion(0.9924091876116958, 0.06451500490196532, 0.03174174542721127,
+                0.0007835453795362731), 1),
+])
+
+
+@pytest.mark.parametrize("seed", [0x5C05, 1, 2])
+def test_identity_deviation_is_judged_relative_to_the_side_scale(seed):
+    case = synthesize_generalized_schur(HALFSPACE_SMALL_ZEROS, 0.7)
+    rep = krein_langer_check(case, Budget(seed=seed))
+    assert (rep.verdict, rep.kappa_hat, rep.reason) == ("PASS", 3, "")
+    assert rep.identity.status == "ok"
+    assert rep.identity_residual > IDENTITY_DEV_TOL
+
+
+def test_halfspace_case_checks_the_s_it_is_given():
+    # the perfbench half-space case with the S0 = 0.5 factor swapped in: its
+    # S still comes from S0 = 0.7, so the identity fails
+    zeros = ZeroSet("halfspace", points=[(Quaternion(0.6, 0.5, 0, 0), 1),
+                                         (Quaternion(1.0, 0, 0.6, 0), 1)])
+    case = synthesize_generalized_schur(zeros, 0.7)
+    rep = krein_langer_check(case)
+    assert (rep.verdict, rep.kappa_hat) == ("PASS", 2)
+    assert rep.identity_residual < 1e-13
+    wrong = dataclasses.replace(case, s0=synthesize_generalized_schur(zeros, 0.5).s0)
+    rep = krein_langer_check(wrong)
+    assert rep.identity.status == "fail" and rep.verdict == "FAIL"
+
+
+def _corpus_entry(rng, m=None):
+    """A ball point of radius log-uniform in [0.02, 0.95] along a random
+    direction, with multiplicity m, or one drawn from 1..4."""
+    r = np.exp(rng.uniform(np.log(0.02), np.log(0.95)))
+    v = rng.normal(size=4)
+    return Quaternion(*(r * v / np.linalg.norm(v))), (int(rng.integers(1, 5)) if m is None else m)
+
+
+def corpus_zero_sets(rng, domain, count):
+    """Seeded zero sets of 1-3 points and, with probability 0.3, one
+    sphere of multiplicity 1, no two entries on one sphere; half-space
+    sets are the Cayley preimages (1 + w)(1 - w)^{-1} of ball draws."""
+    one = Quaternion.from_real(1.0)
+    out = []
+    for _ in range(count):
+        entries = []
+
+        def draw(m=None):
+            while True:
+                w, mult = _corpus_entry(rng, m)
+                if not any(same_sphere(w, e) for e, _ in entries):
+                    entries.append((w, mult))
+                    return
+
+        for _ in range(rng.integers(1, 4)):
+            draw()
+        npoints = len(entries)
+        if rng.uniform() < 0.3:
+            draw(1)
+        if domain == "halfspace":
+            entries = [((one + w) * (one - w).inverse(), m) for w, m in entries]
+        out.append(ZeroSet(domain, points=entries[:npoints], spheres=entries[npoints:]))
+    return out
+
+
+def test_verdict_coverage_corpus():
+    # every verdict of the corpus obeys the decision table; PASS counts may
+    # only rise
+    rng = np.random.default_rng(2026)
+    sets = corpus_zero_sets(rng, "ball", 24) + corpus_zero_sets(rng, "halfspace", 8)
+    budget = Budget(trials=20)
+    passes = 0
+    for zeros in sets:
+        case = synthesize_generalized_schur(zeros, 0.7)
+        kappa = case.expected_kappa
+        true = krein_langer_check(case, budget)
+        assert true.verdict in ("PASS", "INCONCLUSIVE"), (zeros, true.reason)
+        passes += true.verdict == "PASS"
+
+        wrong = dataclasses.replace(case, s0=synthesize_generalized_schur(zeros, 0.5).s0)
+        rep = krein_langer_check(wrong, budget)
+        assert rep.verdict != "PASS", zeros
+        if rep.identity is not None and rep.identity.status != "inconclusive":
+            assert rep.verdict == "FAIL", (zeros, rep.reason)
+
+        low = krein_langer_check(case, budget, expected_kappa=kappa - 1)
+        if low.negsq is not None:
+            assert low.verdict == "FAIL", (zeros, low.reason)
+
+        high = krein_langer_check(case, budget, expected_kappa=kappa + 1)
+        ok = high.identity is not None and high.identity.status == "ok"
+        assert high.verdict == ("FAIL" if ok else "INCONCLUSIVE"), (zeros, high.reason)
+    assert passes >= 10
 
 
 def test_vacuous_identity_leg_is_flagged():

@@ -4,8 +4,6 @@ import pytest
 from qschur.errors import ConfigError, NumericError, PrecondError, ShapeError
 from qschur.qlinalg import (
     QMatrix,
-    SignatureMatrix,
-    check_colligation,
     complex_adjoint,
     from_complex_adjoint,
     herm_eigen_neg,
@@ -16,7 +14,7 @@ from qschur.qlinalg import (
 from qschur.quat import I, J, Quaternion
 
 from oracles import (herm_eigen_neg_chi, orthonormalize_columns, qmatrix_from_entries,
-                     random_qmatrix, read_json, signature_from_signs)
+                     random_qmatrix, read_json)
 
 
 def test_complex_adjoint_examples():
@@ -157,40 +155,10 @@ def test_stacked_inverse_names_the_first_failing_matrix():
         qinv_arr(np.zeros((2, 3, 4)))
 
 
-def test_identity_signature_equals_the_checked_construction():
-    for n in range(1, 5):
-        fast, checked = SignatureMatrix.identity(n), SignatureMatrix(QMatrix.eye(n))
-        assert np.array_equal(fast.matrix.data, checked.matrix.data)
-        assert fast.n == n and herm_eigen_neg(fast.matrix)[1] == 0
-    with pytest.raises(PrecondError, match="unitary"):
-        SignatureMatrix(QMatrix.diag([1.0, 2.0]))
-    with pytest.raises(PrecondError, match="self-adjoint"):
-        SignatureMatrix(QMatrix.scalar(I))
-
-
-def test_check_colligation_examples():
-    one = SignatureMatrix.identity(1)
-    assert check_colligation(QMatrix.scalar(I), one, one) < 1e-15
-    assert abs(check_colligation(QMatrix.scalar(0.5), one, one) - 0.75) < 1e-15
-    with pytest.raises(ShapeError):
-        check_colligation(QMatrix.zeros(2, 3), SignatureMatrix.identity(3), one)
-
-
-def test_signature_matrix_validation():
-    assert herm_eigen_neg(signature_from_signs([1.0, -1.0]).matrix)[1] == 1
-    with pytest.raises(PrecondError):
-        SignatureMatrix(QMatrix.scalar(0.5))
-    with pytest.raises(PrecondError):
-        SignatureMatrix(QMatrix.scalar(I))
-
-
 def test_qmatrix_json_roundtrip(rng):
     m = random_qmatrix(rng, 2, 3)
     back = read_json(QMatrix.from_json, m.to_json())
     assert (back - m).norm() == 0.0
-    sig = signature_from_signs([1.0, -1.0])
-    back = read_json(SignatureMatrix.from_json, sig.to_json())
-    assert np.array_equal(back.matrix.data, sig.matrix.data)
 
 
 @pytest.mark.parametrize("obj, violations", [
@@ -210,12 +178,6 @@ def test_qmatrix_json_reader_names_every_violation(obj, violations):
     with pytest.raises(ConfigError) as err:
         read_json(QMatrix.from_json, obj)
     assert err.value.violations == violations
-
-
-def test_signature_json_reader_records_a_nonunitary_j_at_its_pointer():
-    with pytest.raises(ConfigError) as err:
-        read_json(SignatureMatrix.from_json, QMatrix.scalar(0.5).to_json())
-    assert err.value.violations == [("", "signature matrix must be unitary (J^2 = I)")]
 
 
 def test_adjoint_involution(rng):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qschur.blaschke import blaschke_factor
 from qschur.errors import DomainError, IllPosedError, PoleError, QSchurError, ShapeError, SpectrumError
 from qschur.kernels import SchurFunction
-from qschur.qlinalg import QMatrix, SignatureMatrix, complex_adjoint, herm_eigen_neg, qmatrix_inv
+from qschur.qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, qmatrix_inv
 from qschur.quat import I, J, Quaternion, sample_ball_point, sample_halfspace_point, sample_imaginary_unit
 from qschur.realization import (
     Colligation,
@@ -195,13 +195,13 @@ def test_stein_rejects_spectrum_inside_disk():
 def test_halfspace_colligation(rng):
     col = random_halfspace_colligation(rng, 3, 2, 2, 1.0)
     assert col.coisometry_residual() < 1e-12
-    # value at the base point x0 is exactly H
-    assert (realize_eval(col, Quaternion.from_real(1.0)) - col.H).norm() < 1e-13
-    # real-axis reduction H - (p - x0) G (I - phi A)^{-1} F
+    # value at the base point x0 is exactly D (the paper's H)
+    assert (realize_eval(col, Quaternion.from_real(1.0)) - col.D).norm() < 1e-13
+    # real-axis reduction D - (p - x0) C (I - phi A)^{-1} B
     for x in (0.4, 2.0, 3.5):
         phi = (x - 1.0) / (x + 1.0)
         inner = qmatrix_inv(QMatrix.eye(3) - col.A.scale_left(phi))
-        direct = col.H - (col.G @ inner @ col.F).scale_left(x - 1.0)
+        direct = col.D - (col.C @ inner @ col.B).scale_left(x - 1.0)
         assert (realize_eval(col, Quaternion.from_real(x)) - direct).norm() < 1e-11
     # the formula is its own slice extension
     ax = sample_imaginary_unit(rng)
@@ -227,12 +227,18 @@ def test_colligation_validation():
         Colligation(A=QMatrix.zeros(1, 1), B=QMatrix.zeros(1, 1),
                     C=QMatrix.zeros(1, 1), D=QMatrix.zeros(1, 1),
                     domain="halfspace")
-    # J1 acts on the input space (B.cols), J2 on the output space (C.rows)
-    blocks = dict(A=QMatrix.zeros(1, 1), B=QMatrix.zeros(1, 1),
-                  C=QMatrix.zeros(1, 1), D=QMatrix.zeros(1, 1))
-    for key in ("J1", "J2"):
-        with pytest.raises(ShapeError):
-            Colligation(**blocks, **{key: SignatureMatrix.identity(2)})
+
+
+def test_coisometry_residual_examples():
+    # a 0-dimensional state leaves the operator matrix [[D]]: ||D D^* - 1||
+    def residual(d):
+        return Colligation(A=QMatrix.zeros(0, 0), B=QMatrix.zeros(0, 1),
+                           C=QMatrix.zeros(1, 0), D=QMatrix.scalar(d)).coisometry_residual()
+    assert residual(I) == 0.0
+    assert residual(0.5) == 0.75
+    with pytest.raises(ShapeError):
+        Colligation(A=QMatrix.zeros(0, 0), B=QMatrix.zeros(0, 1),
+                    C=QMatrix.zeros(1, 0), D=QMatrix.zeros(1, 2))
 
 
 def test_colligation_json_roundtrip(rng):
