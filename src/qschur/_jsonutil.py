@@ -1,75 +1,25 @@
 """Deterministic JSON emission and strict, path-reporting validation.
 
-Reports must be byte-identical across runs with the same seed, so keys
-are emitted sorted and every float is rendered with 17 significant
-digits.  Validation walks raw parsed JSON and collects violations as
-(JSON pointer, message) pairs instead of failing on the first problem.
+Reports must be byte-identical across runs with the same seed, so they
+are written by the standard encoder with sorted keys.  Validation walks
+raw parsed JSON and collects violations as (JSON pointer, message) pairs
+instead of failing on the first problem.
 The library's readers, from_json(v, obj, path) on ZeroSet, QMatrix,
 StarPoly and Colligation, take a Validator and record into it: unknown
 fields are rejected at every depth, nested objects included.
 """
 
+import json
 import math
-from json.encoder import encode_basestring_ascii
 
 from .errors import QSchurError
 
 
-def format_float(x):
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise TypeError("not a number: %r" % (x,))
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite numbers are not serializable")
-    return format(x, ".17g")
-
-
-def dump_json(obj, indent=0):
-    """Serialize with sorted keys and 17-significant-digit doubles.
-
-    Exact floats, lists (and tuples) and dicts are dispatched on their
-    type, in that order, and floats inside a list or dict are formatted in
-    place; everything else, subclasses such as numpy scalars among them,
-    takes the isinstance branches.
-    """
-    kind = type(obj)
-    if kind is float:
-        if not math.isfinite(obj):
-            raise ValueError("non-finite numbers are not serializable")
-        return format(obj, ".17g")
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = " " * (indent + 2)
-        items = [format(v, ".17g") if type(v) is float and math.isfinite(v)
-                 else dump_json(v, indent + 2) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + " " * indent + "]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = " " * (indent + 2)
-        items = []
-        for k in sorted(obj):
-            v = obj[k]
-            text = (format(v, ".17g") if type(v) is float and math.isfinite(v)
-                    else dump_json(v, indent + 2))
-            items.append(inner + encode_basestring_ascii(str(k)) + ": " + text)
-        return "{\n" + ",\n".join(items) + "\n" + " " * indent + "}"
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, (list, tuple)):
-        return dump_json(list(obj), indent)
-    if isinstance(obj, dict):
-        return dump_json(dict(obj), indent)
-    raise TypeError("cannot serialize %r" % type(obj))
+def dump_json(obj):
+    """One line of JSON: sorted keys, ASCII-escaped strings, every float as
+    its shortest round-trip repr.  A non-finite float raises ValueError and
+    a type that json does not know raises TypeError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False)
 
 
 class Validator:

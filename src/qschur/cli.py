@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsonutil import Validator, dump_json, format_float
+from ._jsonutil import Validator, dump_json
 from .blaschke import BALL, HALFSPACE, ZeroSet, build_product
 from .errors import ConfigError, QSchurError
 from .factorcheck import (
@@ -388,7 +388,7 @@ _RUNNERS = {
 def _eig_csv(eigenvalues):
     lines = ["index,eigenvalue"]
     for idx, val in enumerate(eigenvalues):
-        lines.append("%d,%s" % (idx, format_float(val)))
+        lines.append("%d,%s" % (idx, dump_json(float(val))))
     return "\n".join(lines) + "\n"
 
 

@@ -118,9 +118,6 @@ class Quaternion:
         return Quaternion(self._x0 - other._x0, self._x1 - other._x1,
                           self._x2 - other._x2, self._x3 - other._x3)
 
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __neg__(self):
         return Quaternion(-self._x0, -self._x1, -self._x2, -self._x3)
 
@@ -142,14 +139,6 @@ class Quaternion:
             d = float(other)
             return Quaternion(self._x0 / d, self._x1 / d, self._x2 / d, self._x3 / d)
         return self * _coerce(other).inverse()
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("quaternion powers are nonnegative integers")
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
 
     def isclose(self, other, tol=1e-12):
         other = _coerce(other)

@@ -30,8 +30,6 @@ Each one is a frozen copy of an earlier, more direct implementation:
 * series_sum_pair (with tail_terms): the kernel series cut once its
   geometric tail is below a tolerance, the reference for
   kernels.schur_kernel_eval;
-* dump_json_isinstance: the report writer as a chain of isinstance
-  branches, whose bytes and errors _jsonutil.dump_json must repeat;
 * scalar_poly_per_coeff: a 1x1 StarPoly from one (1, 1, 4) array per
   coefficient, whose bits StarPoly.scalar must repeat;
 * point_rational_checked and sphere_rational_checked: the Blaschke factor
@@ -49,33 +47,35 @@ Each one is a frozen copy of an earlier, more direct implementation:
   the reference for the factor-chain inverse of a Blaschke product.
 
 The test-only helpers below them build inputs for the tests and give
-independent evaluations: a random QMatrix, a signature matrix from
-signs, one-point and batch forms of SliceRational and StarPoly
-evaluations, the isometry residual of a colligation and the negative
-semidefinite test of a Stein solution, the pointwise-product law of a
-Blaschke chain, the degree of a zero set, right-quaternionic
-Gram-Schmidt and the random half-space colligation built on it, a
-QMatrix from Quaternion entries, the point of a sphere representation,
-the cancellation of common real factors of a rational, and read_json,
-which runs a from_json reader on a fresh Validator.
+independent evaluations: a random QMatrix, one-point and batch forms of
+SliceRational and StarPoly evaluations, the isometry residual of a
+colligation and the negative semidefinite test of a Stein solution, the
+pointwise-product law of a Blaschke chain, the degree of a zero set,
+right-quaternionic Gram-Schmidt and the random half-space colligation
+built on it, a QMatrix from Quaternion entries, the point of a sphere
+representation, the cancellation of common real factors of a rational,
+read_json, which runs a from_json reader on a fresh Validator,
+left_root_count, which counts the left roots a polynomial gives up at a
+point, corpus_zero_sets, the seeded corpus of ball and half-space zero
+sets, and crowded_halfspace_zeros, a valid set whose chain zeros crowd
+each other.
 """
-
-import json
 
 import numpy as np
 
 from qschur import _accel, kernels
-from qschur._jsonutil import Validator, format_float
-from qschur.blaschke import BALL, HALFSPACE
+from qschur._jsonutil import Validator
+from qschur.blaschke import BALL, HALFSPACE, ZeroSet
 from qschur.errors import (ConfigError, DivergenceError, DomainError, ExpansionError,
-                           NumericError, PoleError, PrecondError, ShapeError, SpectrumError)
+                           NotARootError, NumericError, PoleError, PrecondError, ShapeError,
+                           SpectrumError)
 from qschur.kernels import NegSquaresReport, sample_gram_vectors
 from qschur.qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr,
                             qmatrix_inv)
-from qschur.quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
+from qschur.quat import Quaternion, as_quaternion, qdecompose, same_sphere, sample_ball_points
 from qschur.realization import Colligation
 from qschur.starpoly import (REAL_COEFF_RTOL, SliceRational, StarPoly, _coeff_moduli,
-                              _magnitude_scales, divmod_real, mul_real_poly)
+                              _magnitude_scales, divmod_real, left_root_extract, mul_real_poly)
 
 
 def qnormsq(a):
@@ -284,37 +284,6 @@ def series_sum_pair(p, mid, q, tol=1e-12):
     qw = qpow_table_loop(q.as_array().reshape(1, 4), n)
     out = _accel.series_sandwich(pw, mid.data[None, None], _accel.qconj(qw))
     return QMatrix(out[0, 0])
-
-
-def dump_json_isinstance(obj, indent=0):
-    """Sorted keys and 17-significant-digit doubles, one isinstance test
-    after another."""
-    pad = " " * indent
-    inner = " " * (indent + 2)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [dump_json_isinstance(v, indent + 2) for v in obj]
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [
-            "%s%s: %s" % (inner, json.dumps(str(k)), dump_json_isinstance(obj[k], indent + 2))
-            for k in sorted(obj)
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError("cannot serialize %r" % type(obj))
 
 
 # ---------------------------------------------------------------------------
@@ -571,3 +540,67 @@ def star_inverse(rational):
         raise DomainError("the closed-form star inverse needs a scalar rational")
     inv = star_inv_scalar(rational.num)
     return SliceRational(mul_real_poly(inv.num, rational.den.real_vector()), inv.den)
+
+
+def corpus_entry(rng, m=None):
+    """A ball point of radius log-uniform in [0.02, 0.95] along a random
+    direction, with multiplicity m, or one drawn from 1..4."""
+    r = np.exp(rng.uniform(np.log(0.02), np.log(0.95)))
+    v = rng.normal(size=4)
+    return Quaternion(*(r * v / np.linalg.norm(v))), (int(rng.integers(1, 5)) if m is None else m)
+
+
+def corpus_zero_sets(rng, domain, count):
+    """Seeded zero sets of 1-3 points and, with probability 0.3, one
+    sphere of multiplicity 1, no two entries on one sphere; half-space
+    sets are the Cayley preimages (1 + w)(1 - w)^{-1} of ball draws."""
+    one = Quaternion.from_real(1.0)
+    out = []
+    for _ in range(count):
+        entries = []
+
+        def draw(m=None):
+            while True:
+                w, mult = corpus_entry(rng, m)
+                if not any(same_sphere(w, e) for e, _ in entries):
+                    entries.append((w, mult))
+                    return
+
+        for _ in range(rng.integers(1, 4)):
+            draw()
+        npoints = len(entries)
+        if rng.uniform() < 0.3:
+            draw(1)
+        if domain == "halfspace":
+            entries = [((one + w) * (one - w).inverse(), m) for w, m in entries]
+        out.append(ZeroSet(domain, points=entries[:npoints], spheres=entries[npoints:]))
+    return out
+
+
+def left_root_count(f, a, limit):
+    """How many times in a row left_root_extract takes the root a out of f,
+    stopping at limit."""
+    count = 0
+    while count < limit:
+        try:
+            f = left_root_extract(f, a)
+        except NotARootError:
+            break
+        count += 1
+    return count
+
+
+def crowded_halfspace_zeros():
+    """Three points of multiplicity 3, 3 and 4 and one sphere, each on its
+    own sphere, with the twelve zeros of the product 0.09-0.27 apart: the
+    residual of a chain is small at its point but far from zero."""
+    pts = [([1.007888618211829, 0.034306254065705755, -0.019997384489951472,
+             -0.019948168742131622], 3),
+           ([0.9029268570791594, -0.04846670056575955, -0.05258509915107937,
+             -0.02724714077546444], 3),
+           ([1.1172467673298048, 0.003279713755946218, -0.03290252642915909,
+             0.12802903225190196], 4)]
+    sphere = [1.0297416082405562, 0.057524935327393605, -0.04199624782252857,
+              -0.09384335590714574]
+    return ZeroSet(HALFSPACE, points=[(Quaternion(*a), n) for a, n in pts],
+                   spheres=[(Quaternion(*sphere), 1)])

@@ -20,7 +20,8 @@ from qschur.quat import (
 )
 from qschur.starpoly import zero_multiplicity
 
-from oracles import eval_left, eval_pointwise_chain, read_json, total_degree
+from oracles import (crowded_halfspace_zeros, eval_left, eval_pointwise_chain, left_root_count,
+                     read_json, total_degree)
 
 
 def sphere_points(c, rng, count=8):
@@ -208,6 +209,17 @@ def test_build_random_sets_multiplicities(rng):
             for q in sphere_points(c, rng, 4):
                 assert eval_left(prod.rational, q).as_quaternion().norm() < 1e-10
             assert zero_multiplicity(prod.rational.num, c) == ("spherical", m)
+
+
+def test_build_crowded_halfspace_set():
+    # a residual value of 8.9e-10 at a point once read as "already vanishes";
+    # validate() keeps every entry on its own sphere, so the set builds
+    zs = crowded_halfspace_zeros()
+    prod = build_product(zs)
+    assert prod.degree() == 12
+    for a, n in zs.points:
+        assert prod.rational.eval_scalar(a).norm() < 1e-15
+        assert left_root_count(prod.rational.num, a, n + 1) == n
 
 
 def test_build_rejects_shared_sphere():

@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,9 @@ from qschur.cli import (
     parse_config,
 )
 from qschur.errors import ConfigError
+from qschur.starpoly import StarPoly
+
+from oracles import corpus_zero_sets, crowded_halfspace_zeros, left_root_count, read_json
 
 BALL_ZEROS = {"domain": "ball", "points": [{"a": [0.0, 0.5, 0.0, 0.0], "n": 1}]}
 
@@ -332,6 +336,33 @@ def test_blaschke_build_command(tmp_path):
     assert len(doc["factors"]) == 2
 
 
+def test_blaschke_build_crowded_halfspace_set(tmp_path):
+    cfg = write_config(tmp_path, "bb.json", {"command": "blaschke-build",
+                                             "zeros": crowded_halfspace_zeros().to_json()})
+    out = str(tmp_path / "r.json")
+    assert main(["blaschke-build", "--config", cfg, "--out", out]) == EXIT_OK
+    assert json.loads(open(out).read())["degree"] == 12
+
+
+def test_blaschke_build_corpus_ratchet(tmp_path):
+    # every corpus set builds through the CLI, and the numerator read back
+    # from the report gives up each point exactly n times
+    rng = np.random.default_rng(2026)
+    sets = corpus_zero_sets(rng, "ball", 200) + corpus_zero_sets(rng, "halfspace", 200)
+    out = str(tmp_path / "r.json")
+    failed = []
+    for index, zeros in enumerate(sets):
+        cfg = write_config(tmp_path, "bb.json", {"command": "blaschke-build",
+                                                 "zeros": zeros.to_json()})
+        if main(["blaschke-build", "--config", cfg, "--out", out]) != EXIT_OK:
+            failed.append(index)
+            continue
+        num = read_json(StarPoly.from_json, json.loads(open(out).read())["product"]["num"])
+        for a, n in zeros.points:
+            assert left_root_count(num, a, n + 1) == n, (index, a, n)
+    assert failed == []
+
+
 def test_seed_override_changes_report(tmp_path):
     cfg = write_config(
         tmp_path, "negsq3.json",
@@ -347,14 +378,12 @@ def test_seed_override_changes_report(tmp_path):
     assert d1["report"]["witness"]["points"] != d2["report"]["witness"]["points"]
 
 
-def test_float_formatting_17_digits(tmp_path):
-    from qschur._jsonutil import dump_json, format_float
+def test_float_formatting_shortest_repr():
+    from qschur._jsonutil import dump_json
 
-    assert format_float(1.0 / 3.0) == "0.33333333333333331"
-    text = dump_json({"x": 0.1})
-    assert "0.10000000000000001" in text
+    assert dump_json({"x": 0.1, "y": 1 / 3}) == '{"x": 0.1, "y": 0.3333333333333333}'
     with pytest.raises(ValueError):
-        format_float(float("inf"))
+        dump_json(float("inf"))
 
 
 ONE = {"rows": 1, "cols": 1, "entries": [[1.0, 0.0, 0.0, 0.0]]}

@@ -19,9 +19,9 @@ from qschur.factorcheck import (
 )
 from qschur.kernels import (IDENTITY_DEV_TOL, SchurFunction, estimate_neg_squares,
                             kernel_identity_check)
-from qschur.quat import Quaternion, same_sphere, sample_ball_point, sample_halfspace_point
+from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
 
-from oracles import qinv, star_inverse
+from oracles import corpus_zero_sets, qinv, star_inverse
 
 SMALL = Budget(trials=30, batch=30)
 
@@ -214,41 +214,6 @@ def test_halfspace_case_checks_the_s_it_is_given():
     wrong = dataclasses.replace(case, s0=synthesize_generalized_schur(zeros, 0.5).s0)
     rep = krein_langer_check(wrong)
     assert rep.identity.status == "fail" and rep.verdict == "FAIL"
-
-
-def _corpus_entry(rng, m=None):
-    """A ball point of radius log-uniform in [0.02, 0.95] along a random
-    direction, with multiplicity m, or one drawn from 1..4."""
-    r = np.exp(rng.uniform(np.log(0.02), np.log(0.95)))
-    v = rng.normal(size=4)
-    return Quaternion(*(r * v / np.linalg.norm(v))), (int(rng.integers(1, 5)) if m is None else m)
-
-
-def corpus_zero_sets(rng, domain, count):
-    """Seeded zero sets of 1-3 points and, with probability 0.3, one
-    sphere of multiplicity 1, no two entries on one sphere; half-space
-    sets are the Cayley preimages (1 + w)(1 - w)^{-1} of ball draws."""
-    one = Quaternion.from_real(1.0)
-    out = []
-    for _ in range(count):
-        entries = []
-
-        def draw(m=None):
-            while True:
-                w, mult = _corpus_entry(rng, m)
-                if not any(same_sphere(w, e) for e, _ in entries):
-                    entries.append((w, mult))
-                    return
-
-        for _ in range(rng.integers(1, 4)):
-            draw()
-        npoints = len(entries)
-        if rng.uniform() < 0.3:
-            draw(1)
-        if domain == "halfspace":
-            entries = [((one + w) * (one - w).inverse(), m) for w, m in entries]
-        out.append(ZeroSet(domain, points=entries[:npoints], spheres=entries[npoints:]))
-    return out
 
 
 def test_verdict_coverage_corpus():
