@@ -40,16 +40,17 @@ from .factorcheck import (
     Budget,
     FactorizationCase,
     VerdictReport,
-    cayley_map,
-    cayley_transport,
     krein_langer_check,
     synthesize_generalized_schur,
 )
 from .kernels import (
+    CAYLEY_X0,
     DoubleSeriesKernel,
     NegSquaresReport,
     SchurFunction,
     base_kernel,
+    cayley_map,
+    cayley_transport,
     estimate_dim_HB,
     estimate_neg_squares,
     gram,

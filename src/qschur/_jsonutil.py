@@ -70,12 +70,6 @@ class Validator:
             return None
         return value
 
-    def boolean(self, value, path):
-        if not isinstance(value, bool):
-            self.fail(path, "expected a boolean")
-            return None
-        return value
-
     def string(self, value, path, choices=None):
         if not isinstance(value, str):
             self.fail(path, "expected a string")

@@ -21,14 +21,15 @@ import numpy as np
 from ._jsonutil import Validator, dump_json
 from .blaschke import BALL, HALFSPACE, ZeroSet, build_product
 from .errors import ConfigError, QSchurError
-from .factorcheck import (
-    Budget,
+from .factorcheck import Budget, krein_langer_check, synthesize_generalized_schur
+from .kernels import (
+    CAYLEY_X0,
+    SchurFunction,
     cayley_map,
     cayley_transport,
-    krein_langer_check,
-    synthesize_generalized_schur,
+    estimate_dim_HB,
+    estimate_neg_squares,
 )
-from .kernels import SchurFunction, estimate_dim_HB, estimate_neg_squares
 from .qlinalg import QMatrix, herm_eigen_neg
 from .quat import Quaternion, sample_ball_points
 from .realization import Colligation, colligation_from_blaschke_factor, realize_many, solve_stein
@@ -181,9 +182,6 @@ _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
                                         choices=("halfspace_to_ball", "ball_to_halfspace")),
                       "halfspace_to_ball"),
         "points": (_quaternions("expected an array"), ()),
-        "negsq": (Validator.boolean, False),
-        "trials": (_int(1), 60),
-        "batch": (_int(1), _BUDGET.batch),
     },
 }.items()}
 
@@ -289,7 +287,7 @@ def _run_negsq(cfg):
     s = cfg.objects["schur"]
     eff = cfg.effective
     if s.domain == HALFSPACE:
-        s = cayley_transport(s, 1.0, "halfspace_to_ball")
+        s = cayley_transport(s, CAYLEY_X0)
     rep = estimate_neg_squares(
         s, trials=eff["trials"], batch=eff["batch"], seed=eff["seed"],
         rho=eff["rho"], cutoff=eff["cutoff"],
@@ -354,23 +352,15 @@ def _run_kl_check(cfg):
 
 def _run_transport(cfg):
     eff = cfg.effective
-    s = cfg.objects["schur"]
     x0 = float(eff["x0"])
     direction = eff["direction"]
-    moved = cayley_transport(s, x0, direction)
+    moved = cayley_transport(cfg.objects["schur"], x0, direction)
     mapped = []
     for p in cfg.objects["points"]:
         image = cayley_map(p, x0, direction)
         mapped.append({"p": p.to_json(), "image": image.to_json()})
     body = {"x0": x0, "direction": direction, "mapped_points": mapped,
-            "domain": moved.domain}
-    body["rational"] = moved.rational.to_json()
-    if eff["negsq"]:
-        target = moved if moved.domain == BALL else s
-        rep = estimate_neg_squares(
-            target, trials=eff["trials"], batch=eff["batch"], seed=eff["seed"]
-        )
-        body["negsq"] = rep.to_json()
+            "domain": moved.domain, "rational": moved.rational.to_json()}
     return EXIT_OK, body, None
 
 

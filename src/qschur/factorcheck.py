@@ -5,8 +5,9 @@ A FactorizationCase packages a Blaschke product B0, a Schur-class S0
 zero), and the star quotient S.  The check estimates the index of S by
 Gram sampling, compares it with deg B0, and runs the factorization
 kernel identity; a verdict is PASS only when both agree within their
-stated tolerances.  Half-space cases are transported to the ball by the
-Cayley map (p - x0)(p + x0)^{-1} and verified there.
+stated tolerances.  Half-space cases are carried to the ball by
+kernels.cayley_transport at x0 = CAYLEY_X0 = 1, which keeps the number
+of negative squares, and verified there.
 
 S is the multiplied slice-rational function B0^{-*} * S0: both factors
 have real denominators, so the star product is one rational whose
@@ -19,11 +20,13 @@ from dataclasses import asdict, dataclass
 from .blaschke import BALL, HALFSPACE, FactoredProduct, ZeroSet, build_product
 from .errors import DomainError, ExpansionError, NumericError, PoleError
 from .kernels import (
+    CAYLEY_X0,
     SchurFunction,
+    cayley_transport,
     estimate_neg_squares,
     kernel_identity_check,
 )
-from .quat import Quaternion, as_quaternion
+from .quat import Quaternion
 
 # reproducible default budget for acceptance runs ("SC05" read as hex 5C05)
 DEFAULT_SEED = 0x5C05
@@ -62,14 +65,12 @@ class FactorizationCase:
 
 
 def _schur_from_spec(spec, domain):
-    """Accept a ZeroSet, FactoredProduct, SchurFunction, Quaternion, or
-    real constant as the S0 ingredient."""
+    """Accept a ZeroSet, SchurFunction, Quaternion, or real constant as
+    the S0 ingredient."""
     if spec is None:
         return SchurFunction.constant(Quaternion.from_real(1.0), domain=domain)
     if isinstance(spec, SchurFunction):
         return spec
-    if isinstance(spec, FactoredProduct):
-        return SchurFunction.from_product(spec)
     if isinstance(spec, ZeroSet):
         return SchurFunction.from_product(build_product(spec))
     if isinstance(spec, (int, float)):
@@ -85,9 +86,8 @@ def synthesize_generalized_schur(b0_spec, s0_spec=None):
     """Build a FactorizationCase with expected index r deg B0, r the rows of S0.
 
     b0_spec is a ZeroSet or a ready FactoredProduct; s0_spec is Blaschke
-    data (ZeroSet / FactoredProduct), a constant of norm <= 1, a ready
-    SchurFunction, or None for the constant 1.  A scalar B0 multiplies an
-    r x s S0 as B0 I_r.
+    data (a ZeroSet), a constant of norm <= 1, a ready SchurFunction, or
+    None for the constant 1.  A scalar B0 multiplies an r x s S0 as B0 I_r.
     """
     if isinstance(b0_spec, ZeroSet):
         b0 = build_product(b0_spec)
@@ -258,48 +258,8 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
 
 
 # ---------------------------------------------------------------------------
-# Cayley transport
+# half-space cases
 # ---------------------------------------------------------------------------
-
-def cayley_map(p, x0, direction="halfspace_to_ball"):
-    """The real Mobius map between the right half-space and the unit ball."""
-    p = as_quaternion(p)
-    if not x0 > 0.0:
-        raise DomainError("x0 must be positive")
-    if direction == "halfspace_to_ball":
-        den = p + Quaternion.from_real(x0)
-        if den.norm() <= 1e-14 * max(1.0, p.norm()):
-            raise DomainError("Cayley map pole at p = -x0")
-        return (p - Quaternion.from_real(x0)) * den.inverse()
-    if direction == "ball_to_halfspace":
-        den = Quaternion.from_real(1.0) - p
-        if den.norm() <= 1e-14 * max(1.0, p.norm()):
-            raise DomainError("inverse Cayley map pole at p = 1")
-        return (Quaternion.from_real(x0) + p * x0) * den.inverse()
-    raise DomainError("unknown transport direction %r" % (direction,))
-
-
-def cayley_transport(s, x0, direction="halfspace_to_ball"):
-    """Compose a Schur function with the Cayley map, swapping its domain.
-
-    halfspace_to_ball returns w -> S(x0 (1 + w)(1 - w)^{-1}) on the ball;
-    ball_to_halfspace returns p -> S((p - x0)(p + x0)^{-1}).  The map has
-    real coefficients, so the rational is composed by direct
-    substitution; index preservation is checked by the callers that
-    compare sampling estimates, not assumed.
-    """
-    if not x0 > 0.0:
-        raise DomainError("x0 must be positive")
-    if direction == "halfspace_to_ball":
-        if s.domain != HALFSPACE:
-            raise DomainError("source must live on the half-space")
-        return SchurFunction.compose_real_mobius(s, x0, x0, 1.0, -1.0, domain=BALL)
-    if direction == "ball_to_halfspace":
-        if s.domain != BALL:
-            raise DomainError("source must live on the ball")
-        return SchurFunction.compose_real_mobius(s, -x0, 1.0, x0, 1.0, domain=HALFSPACE)
-    raise DomainError("unknown transport direction %r" % (direction,))
-
 
 class TransportedProduct(FactoredProduct):
     """Ball-side image of a half-space Blaschke product.
@@ -322,21 +282,22 @@ class TransportedProduct(FactoredProduct):
     inverse = FactoredProduct.inverse
 
 
-def transport_case_to_ball(case, x0=1.0):
+def transport_case_to_ball(case):
     """Move a half-space FactorizationCase to the ball for verification.
 
-    B0^{-*} on the ball is the Cayley image of the half-space factor-chain
-    inverse, of degree 2 deg B0 like the image of B0 itself.  S and S0
-    are the Cayley images of the case's own S and S0, so the ball check
-    reads the S it was given.
+    Every part goes through cayley_transport at CAYLEY_X0.  B0^{-*} on
+    the ball is the Cayley image of the half-space factor-chain inverse,
+    of degree 2 deg B0 like the image of B0 itself.  S and S0 are the
+    Cayley images of the case's own S and S0, so the ball check reads
+    the S it was given.
     """
     if case.domain != HALFSPACE:
         return case
     b0_ball = TransportedProduct(
-        case.b0.rational.compose_real_mobius(x0, x0, 1.0, -1.0), case.b0.degree(),
-        case.b0.inverse().rational.compose_real_mobius(x0, x0, 1.0, -1.0))
-    s0_ball = cayley_transport(case.s0, x0, "halfspace_to_ball")
-    s_ball = cayley_transport(case.s, x0, "halfspace_to_ball")
+        cayley_transport(case.b0, CAYLEY_X0).rational, case.b0.degree(),
+        cayley_transport(case.b0.inverse(), CAYLEY_X0).rational)
+    s0_ball = cayley_transport(case.s0, CAYLEY_X0)
+    s_ball = cayley_transport(case.s, CAYLEY_X0)
     return FactorizationCase(
         b0=b0_ball, s0=s0_ball, s=s_ball,
         expected_kappa=case.expected_kappa, domain=BALL,

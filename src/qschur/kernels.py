@@ -26,7 +26,9 @@ set of points.  estimate_neg_squares runs the first once per block of
 TRIAL_BLOCK trials and the second once per trial, so its per-point
 arrays are O(TRIAL_BLOCK batch) for any number of trials.
 schur_kernel_eval reads one value K_S(p, q) off the Gram at p and q with
-identity columns.
+identity columns.  _gram_columns, which every Gram passes, is the one
+check that S lives on the ball; a half-space function gets there by
+cayley_transport at x0 = CAYLEY_X0, which keeps its negative squares.
 
 Gram matrices built from kernel sections drive two estimators:
 
@@ -52,7 +54,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _accel
-from .blaschke import BALL, HALFSPACE, FactoredProduct, inside
+from .blaschke import BALL, HALFSPACE, FactoredProduct, _check_domain, inside
 from .errors import DivergenceError, DomainError, PoleError, ShapeError
 from .qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr
 from .quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
@@ -80,8 +82,7 @@ class SchurFunction:
     """
 
     def __init__(self, rational, domain=BALL):
-        if domain not in (BALL, HALFSPACE):
-            raise DomainError("domain must be 'ball' or 'halfspace'")
+        _check_domain(domain)
         self.rational = rational
         self.domain = domain
         self.rows, self.cols = rational.shape
@@ -133,6 +134,55 @@ class SchurFunction:
 
 
 # ---------------------------------------------------------------------------
+# Cayley transport
+# ---------------------------------------------------------------------------
+
+# the x0 at which half-space functions are carried to the ball and checked
+CAYLEY_X0 = 1.0
+
+
+def cayley_map(p, x0, direction="halfspace_to_ball"):
+    """The real Mobius map between the right half-space and the unit ball."""
+    p = as_quaternion(p)
+    if not x0 > 0.0:
+        raise DomainError("x0 must be positive")
+    if direction == "halfspace_to_ball":
+        den = p + Quaternion.from_real(x0)
+        if den.norm() <= 1e-14 * max(1.0, p.norm()):
+            raise DomainError("Cayley map pole at p = -x0")
+        return (p - Quaternion.from_real(x0)) * den.inverse()
+    if direction == "ball_to_halfspace":
+        den = Quaternion.from_real(1.0) - p
+        if den.norm() <= 1e-14 * max(1.0, p.norm()):
+            raise DomainError("inverse Cayley map pole at p = 1")
+        return (Quaternion.from_real(x0) + p * x0) * den.inverse()
+    raise DomainError("unknown transport direction %r" % (direction,))
+
+
+def cayley_transport(s, x0, direction="halfspace_to_ball"):
+    """Compose a Schur function with the Cayley map, swapping its domain.
+
+    halfspace_to_ball returns w -> S(x0 (1 + w)(1 - w)^{-1}) on the ball;
+    ball_to_halfspace returns p -> S((p - x0)(p + x0)^{-1}).  s is a
+    SchurFunction or a FactoredProduct, whose rational is carried.  The
+    map has real coefficients, so the rational is composed by direct
+    substitution; index preservation is checked by the callers that
+    compare sampling estimates, not assumed.
+    """
+    if not x0 > 0.0:
+        raise DomainError("x0 must be positive")
+    if direction == "halfspace_to_ball":
+        if s.domain != HALFSPACE:
+            raise DomainError("source must live on the half-space")
+        return SchurFunction.compose_real_mobius(s, x0, x0, 1.0, -1.0, domain=BALL)
+    if direction == "ball_to_halfspace":
+        if s.domain != BALL:
+            raise DomainError("source must live on the ball")
+        return SchurFunction.compose_real_mobius(s, -x0, 1.0, x0, 1.0, domain=HALFSPACE)
+    raise DomainError("unknown transport direction %r" % (direction,))
+
+
+# ---------------------------------------------------------------------------
 # kernels
 # ---------------------------------------------------------------------------
 
@@ -168,8 +218,6 @@ def _szego_halves(z, w):
 def schur_kernel_eval(s, p, q):
     """K_S(p, q) in closed form: the (p, q) block of the Gram at the points
     p and q with identity columns."""
-    if s.domain != BALL:
-        raise DomainError("direct kernel series applies on the ball; transport first")
     r = s.rows
     pts = np.repeat([as_quaternion(p).as_array(), as_quaternion(q).as_array()], r, axis=0)
     g = gram(s, pts, np.tile(QMatrix.eye(r).data, (2, 1, 1)))
@@ -194,7 +242,11 @@ def gram(s, points, vectors):
 
 def _gram_columns(s, pts, vecs):
     """Per-point stage of gram: the complex slice points z and the columns
-    [c; S^* c], [I c; S^* I c] of every point as a (B, r + s, 2, 4) array."""
+    [c; S^* c], [I c; S^* I c] of every point as a (B, r + s, 2, 4) array.
+    The one check that S lives on the ball."""
+    if s.domain != BALL:
+        raise DomainError("the Schur kernel is summed on the ball; "
+                          "use cayley_transport for half-space functions")
     unit, z = slice_split(pts)
     x = np.stack([vecs, _accel.qmul(unit[:, None, :], vecs)], axis=2)
     return z, np.concatenate([x, qmatmul_arr(qadjoint_arr(s.eval_many(pts)), x)], axis=1)
@@ -271,9 +323,6 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
     PoleError may come from a later trial of the block than the last
     Gram solved.
     """
-    if s.domain != BALL:
-        raise DomainError("negative-squares sampling runs on the ball; "
-                          "use cayley_transport for half-space functions")
     if trials < 1:
         raise DomainError("need at least one trial")
     if not 0.0 < rho < 1.0:
@@ -324,8 +373,8 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
     """Numerical rank of the Gram of K_B; equals deg B for Blaschke products.
 
     Needs a genuine product.  A half-space product is first carried to
-    the ball by the Cayley map w -> (1 + w)(1 - w)^{-1}, which keeps its
-    degree; points are ball points either way.  With fewer than 3 deg(B)
+    the ball by cayley_transport at CAYLEY_X0, which keeps its degree;
+    points are ball points either way.  With fewer than 3 deg(B)
     points the result carries an instability warning.
     """
     for f in b.factors:
@@ -339,9 +388,7 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
     deg = b.degree()
     if deg == 0:
         return DimHBReport(0, [])
-    s = SchurFunction.from_product(b)
-    if b.domain == HALFSPACE:
-        s = SchurFunction.compose_real_mobius(s, 1.0, 1.0, 1.0, -1.0, domain=BALL)
+    s = cayley_transport(b, CAYLEY_X0) if b.domain == HALFSPACE else SchurFunction.from_product(b)
     if points is None:
         rng = np.random.default_rng(seed)
         points = sample_ball_points(rng, 3 * deg + 3, radius)

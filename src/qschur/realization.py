@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .blaschke import BALL, HALFSPACE
+from .blaschke import BALL, HALFSPACE, _check_domain
 from .errors import (
     DomainError,
     IllPosedError,
@@ -68,8 +68,7 @@ class Colligation:
             raise ShapeError("B and C must match the state dimension")
         if self.D.shape != (self.C.rows, self.B.cols):
             raise ShapeError("D must be C.rows x B.cols")
-        if self.domain not in (BALL, HALFSPACE):
-            raise DomainError("domain must be 'ball' or 'halfspace'")
+        _check_domain(self.domain)
         if self.x0 is not None:
             if isinstance(self.x0, bool) or not isinstance(self.x0, numbers.Real):
                 raise DomainError("x0 must be a real number, not %r" % (self.x0,))

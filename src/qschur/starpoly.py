@@ -480,12 +480,11 @@ def zero_multiplicity(f, a, tol=ROOT_RTOL):
         g = left_root_extract(g, a, tol)
         count = 1
         while g.degree >= 1:
-            if rep.axis is None:
-                if g.eval_scalar(a).norm() > tol * g.eval_scale(a):
-                    break
+            # spherical factors are divided out, so a zero at a is g's one zero on [a]
+            if g.eval_scalar(a).norm() <= tol * g.eval_scale(a):
                 z = a
             else:
-                z = find_sphere_zero(g, rep.x, rep.y, tol)
+                z = None if rep.axis is None else find_sphere_zero(g, rep.x, rep.y, tol)
                 if z is None or z == "sphere":
                     break
             g = left_root_extract(g, z, 10.0 * tol)

@@ -310,8 +310,8 @@ def test_criterion_9_stein_equation():
 
 
 def test_criterion_10_moebius_and_cayley():
-    from qschur.factorcheck import cayley_map, transport_case_to_ball
-    from qschur.kernels import moebius_identity_check
+    from qschur.factorcheck import transport_case_to_ball
+    from qschur.kernels import cayley_map, moebius_identity_check
 
     rng = np.random.default_rng(0x5C05 + 10)
     functions = [

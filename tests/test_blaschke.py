@@ -220,6 +220,10 @@ def test_build_crowded_halfspace_set():
     for a, n in zs.points:
         assert prod.rational.eval_scalar(a).norm() < 1e-15
         assert left_root_count(prod.rational.num, a, n + 1) == n
+        # after one extraction at the first point the residual still vanishes
+        # there, while its slice data of norm 5.3e-8 once read as "sphere"
+        assert zero_multiplicity(prod.rational.num, a) == ("point", n)
+    assert zero_multiplicity(prod.rational.num, zs.spheres[0][0]) == ("spherical", 1)
 
 
 def test_build_rejects_shared_sphere():

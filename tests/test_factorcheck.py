@@ -11,14 +11,12 @@ from qschur.blaschke import FactoredProduct, ZeroSet, blaschke_factor, build_pro
 from qschur.errors import DomainError
 from qschur.factorcheck import (
     Budget,
-    cayley_map,
-    cayley_transport,
     krein_langer_check,
     synthesize_generalized_schur,
     transport_case_to_ball,
 )
-from qschur.kernels import (IDENTITY_DEV_TOL, SchurFunction, estimate_neg_squares,
-                            kernel_identity_check)
+from qschur.kernels import (CAYLEY_X0, IDENTITY_DEV_TOL, SchurFunction, cayley_map,
+                            cayley_transport, estimate_neg_squares, kernel_identity_check)
 from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
 
 from oracles import corpus_zero_sets, qinv, star_inverse
@@ -332,7 +330,7 @@ def test_closed_form_inverse_matches_the_factor_chain(domain, points, spheres):
     if domain == "halfspace":
         ball_b0 = transport_case_to_ball(synthesize_generalized_schur(b0, 0.7)).b0
         closed = star_inverse(ball_b0.rational)
-        chain = chain.compose_real_mobius(1.0, 1.0, 1.0, -1.0)
+        chain = cayley_transport(b0.inverse(), CAYLEY_X0).rational
     for n in (20, 48):
         fast, ref = closed.taylor(n).coeffs, chain.taylor(n).coeffs
         err = np.sqrt(np.sum((fast - ref) ** 2, axis=(1, 2, 3)))

@@ -26,7 +26,7 @@ from qschur.qlinalg import (
     qadjoint_arr,
     qmatmul_arr,
 )
-from qschur.quat import I, ONE, Quaternion, sample_ball_point
+from qschur.quat import I, ONE, Quaternion, sample_ball_point, sample_ball_points
 from qschur.starpoly import SliceRational, StarPoly
 
 import oracles
@@ -167,9 +167,22 @@ def test_neg_squares_monotone_in_trials():
 
 
 def test_neg_squares_requires_ball():
+    # every Gram goes through the one check in _gram_columns; gram on a
+    # half-space product of index 0 once returned a Gram with eigenvalues
+    # -7.86, -0.197 and -3.4e-4
     s = SchurFunction.constant(Quaternion.from_real(0.5), domain="halfspace")
-    with pytest.raises(DomainError):
-        estimate_neg_squares(s, trials=1)
+    b = SchurFunction.from_product(
+        build_product(ZeroSet("halfspace", points=[(Quaternion(0.6, 0.5, 0, 0), 1)])))
+    pts = sample_ball_points(np.random.default_rng(1), 6, 0.5)
+    calls = [
+        lambda f: estimate_neg_squares(f, trials=1),
+        lambda f: gram(f, pts, np.tile(QMatrix.eye(1).data, (6, 1, 1))),
+        lambda f: schur_kernel_eval(f, Quaternion(0.1), Quaternion(0.2)),
+    ]
+    for f in (s, b):
+        for call in calls:
+            with pytest.raises(DomainError, match="cayley_transport"):
+                call(f)
 
 
 def test_neg_squares_report_json():
