@@ -21,10 +21,15 @@ product Z^* diag(I_r, -I_s) Z, whose columns are [c; S^* c] and
 r + s in (l, j).
 
 gram runs in two stages: _gram_columns evaluates S once at all the
-points and builds their columns, and _gram_slice sums the kernel for one
-set of points.  estimate_neg_squares runs the first once per block of
-TRIAL_BLOCK trials and the second once per trial, so its per-point
-arrays are O(TRIAL_BLOCK batch) for any number of trials.
+points and builds their columns, and _gram_slice sums the kernel for a
+stack of point sets, gram's being a stack of one.  estimate_neg_squares
+runs both once per block of trials, and solves the block's Grams with
+one qlinalg.herm_eigen_neg_arr call.  A block has TRIAL_BLOCK trials, or
+fewer when the batch is above 40 points, so that its Gram stack holds
+at most STACK_ENTRIES entries; its arrays are bounded for any number of
+trials and any batch.  Within a block, a PoleError comes from the
+per-point stage, before any Gram; the Gram stage then raises for the
+first trial whose Gram fails, as that trial alone would.
 schur_kernel_eval reads one value K_S(p, q) off the Gram at p and q with
 identity columns.  _gram_columns, which every Gram passes, is the one
 check that S lives on the ball; a half-space function gets there by
@@ -56,7 +61,8 @@ import numpy as np
 from . import _accel
 from .blaschke import BALL, HALFSPACE, FactoredProduct, _check_domain, inside
 from .errors import DivergenceError, DomainError, PoleError, ShapeError
-from .qlinalg import QMatrix, complex_adjoint, herm_eigen_neg, qadjoint_arr, qmatmul_arr
+from .qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, herm_eigen_neg_arr, qadjoint_arr,
+                      qmatmul_arr)
 from .quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
 from .starpoly import SliceRational, slice_split
 
@@ -204,15 +210,26 @@ def base_kernel(domain, p, q):
     raise DomainError("domain must be 'ball' or 'halfspace'")
 
 
-def _szego_halves(z, w):
-    """(E + F)/2 and (E - F)/2 with E = (1 - z w)^{-1}, F = (1 - z conj(w))^{-1}
-    for every pair of complex slice points, as (B1, B2) arrays."""
-    rho = float(np.max(np.abs(z)) * np.max(np.abs(w)))
-    if rho >= 1.0:
-        raise DivergenceError("kernel series diverges: |p||q| = %.4f >= 1" % rho)
-    e = 1.0 / (1.0 - np.multiply.outer(z, w))
-    f = 1.0 / (1.0 - np.multiply.outer(z, w.conj()))
-    return 0.5 * (e + f), 0.5 * (e - f)
+def _szego_weights(z):
+    """The four real weights of _gram_slice for stacks (T, B) of complex
+    slice points, as one (T, 2, 2, B, B) array: Re and -Im of (E + F)/2,
+    -Im and -Re of (E - F)/2, with E = (1 - z_l z_j)^{-1} and
+    F = (1 - z_l conj(z_j))^{-1}, filled in place."""
+    for rho in (np.abs(z).max(axis=-1) ** 2).tolist():
+        if rho >= 1.0:
+            raise DivergenceError("kernel series diverges: |p||q| = %.4f >= 1" % rho)
+    e, f = z[:, :, None] * z[:, None, :], z[:, :, None] * z.conj()[:, None, :]
+    for g in (e, f):
+        np.divide(1.0, np.subtract(1.0, g, out=g), out=g)
+    w = np.empty((z.shape[0], 2, 2) + e.shape[1:])
+    # c^* I = -(I c)^*, so the weights of the I rows change sign
+    np.add(e.real, f.real, out=w[:, 0, 0])
+    np.subtract(f.imag, e.imag, out=w[:, 0, 1])
+    np.add(e.imag, f.imag, out=w[:, 1, 0])
+    np.negative(w[:, 1, 0], out=w[:, 1, 0])
+    np.subtract(f.real, e.real, out=w[:, 1, 1])
+    w *= 0.5
+    return w
 
 
 def schur_kernel_eval(s, p, q):
@@ -233,11 +250,14 @@ def gram(s, points, vectors):
     """
     pts = as_points(points)
     vecs = np.asarray(vectors, dtype=np.float64)
+    if pts.shape[0] == 0:
+        raise ShapeError("need at least one point")
     if vecs.shape[0] != pts.shape[0]:
         raise ShapeError("need one vector per point")
     if vecs.shape[1] != s.rows:
         raise ShapeError("vectors must have length %d" % s.rows)
-    return _gram_slice(s.rows, *_gram_columns(s, pts, vecs))
+    z, cols = _gram_columns(s, pts, vecs)
+    return QMatrix(_gram_slice(s.rows, z[None], cols[None])[0])
 
 
 def _gram_columns(s, pts, vecs):
@@ -253,27 +273,29 @@ def _gram_columns(s, pts, vecs):
 
 
 def _gram_slice(r, z, cols):
-    """Per-slice stage of gram: the raw Gram from _gram_columns' output for
-    an S with r rows."""
-    b_count, k = z.shape[0], cols.shape[1]
-    half_sum, half_diff = _szego_halves(z, z)
+    """Per-slice stage of gram: the raw Grams, as a (T, B, B, 4) array,
+    from _gram_columns' output for T sets of B points, stacked as
+    (T, B) and (T, B, r + s, 2, 4) arrays, for an S with r rows."""
+    t_count, b_count, k = z.shape[0], z.shape[1], cols.shape[2]
+    weights = _szego_weights(z)
     # Z is the (r + s) x 2B matrix of all the columns, the I columns last
-    zmat = cols.transpose(1, 2, 0, 3).reshape(k, 2 * b_count, 4)
+    zmat = cols.transpose(0, 2, 3, 1, 4).reshape(t_count, k, 2 * b_count, 4)
     # chi(Z) with the two complex columns of each quaternion column side by
     # side: the top rows of chi(Z)^* chi(sig) chi(Z) then hold the pairs of
     # P = Z^* sig Z, entry by entry.  chi(sig) = chi(diag(I_r, -I_s)) negates
     # the S^* c rows of each half of chi(Z), rows r..k and k+r..2k.
-    chi = complex_adjoint(zmat).reshape(2 * k, 2, -1).swapaxes(1, 2)
-    sig_chi = chi.reshape(2, k, -1).copy()
-    np.negative(sig_chi[:, r:], out=sig_chi[:, r:])
-    prod = chi[:, :, 0].conj().T @ sig_chi.reshape(2 * k, -1)
-    prod = prod.view(np.float64).reshape(2, b_count, 2, b_count, 4)
-    # c^* I = -(I c)^*, so the weights of the I rows change sign
-    weights = np.array([[half_sum.real, -half_diff.imag], [-half_sum.imag, -half_diff.real]])
-    return QMatrix(np.einsum("hklj,hlkjc->ljc", weights, prod))
+    chi = complex_adjoint(zmat).reshape(t_count, 2 * k, 2, -1).swapaxes(2, 3)
+    sig_chi = chi.reshape(t_count, 2, k, -1).copy()
+    np.negative(sig_chi[:, :, r:], out=sig_chi[:, :, r:])
+    prod = chi[..., 0].conj().swapaxes(1, 2) @ sig_chi.reshape(t_count, 2 * k, -1)
+    prod = prod.view(np.float64).reshape(t_count, 2, b_count, 2, b_count, 4)
+    return np.einsum("thklj,thlkjc->tljc", weights, prod)
 
 
-TRIAL_BLOCK = 16   # trials per evaluation of S in estimate_neg_squares
+TRIAL_BLOCK = 16   # most trials per block of estimate_neg_squares
+# most Gram entries in a block's stack, TRIAL_BLOCK trials of the standard
+# 40 points: a larger batch takes fewer trials per block, down to one
+STACK_ENTRIES = TRIAL_BLOCK * 40 * 40
 
 
 def sample_gram_vectors(rng, batch, r):
@@ -319,30 +341,40 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
     the true count by construction.  tol is accepted for callers that
     pass it and changes no result: the kernel is summed in closed form.
 
-    A block of TRIAL_BLOCK trials shares one per-point stage, so a
-    PoleError may come from a later trial of the block than the last
-    Gram solved.
+    Trials run in blocks of TRIAL_BLOCK, or of STACK_ENTRIES // batch^2
+    when that is fewer (at least one).  A block evaluates S once at all
+    its points, builds its Grams as one stack and solves them with one
+    eigvalsh call.  A PoleError comes from the block's points as a whole,
+    so it may come from a later trial than one whose Gram fails; otherwise
+    the first failing trial of a block raises what it would raise alone:
+    NumericError for a non-finite Gram, PrecondError for a non-Hermitian
+    one, then NumericError for a failed solve or a broken chi pairing.
     """
     if trials < 1:
         raise DomainError("need at least one trial")
+    if batch < 1:
+        raise DomainError("need at least one point per trial")
     if not 0.0 < rho < 1.0:
         raise DomainError("sampling radius rho must lie in (0, 1)")
     if not 0.0 < cutoff < np.inf:
         raise DomainError("cutoff must be a finite positive number")
+    block = max(1, min(TRIAL_BLOCK, STACK_ENTRIES // batch**2))
     best, witness = -1, None
-    for start in range(0, trials, TRIAL_BLOCK):
+    for start in range(0, trials, block):
         draws = []
-        for t in range(start, min(start + TRIAL_BLOCK, trials)):
+        for t in range(start, min(start + block, trials)):
             rng = np.random.default_rng([int(seed), t])
             draws.append((sample_ball_points(rng, batch, rho),
                           sample_gram_vectors(rng, batch, s.rows)))
         z, cols = _gram_columns(s, *map(np.concatenate, zip(*draws)))
-        for i, (pts, vecs) in enumerate(draws):
-            part = slice(i * batch, (i + 1) * batch)
-            # herm_eigen_neg symmetrizes, so the raw Gram gives the same bits
-            eigs, neg = herm_eigen_neg(_gram_slice(s.rows, z[part], cols[part]), cutoff)
-            if neg > best:
-                best, witness = neg, (pts, vecs, eigs)
+        shape = (len(draws), batch)
+        # herm_eigen_neg_arr symmetrizes, so the raw Grams give the same
+        # bits; they are freed before the next block's are built
+        eigs, negs = herm_eigen_neg_arr(
+            _gram_slice(s.rows, z.reshape(shape), cols.reshape(shape + cols.shape[1:])), cutoff)
+        i = negs.index(max(negs))
+        if negs[i] > best:
+            best, witness = negs[i], draws[i] + (eigs[i],)
     pts, vecs, eigs = witness
     return NegSquaresReport(
         kappa_hat=int(best),

@@ -15,6 +15,8 @@ eigenvalues of chi(H) come in exact pairs and one representative per
 pair is reported.
 """
 
+import math
+
 import numpy as np
 
 from . import _accel
@@ -255,35 +257,77 @@ def herm_eigen_neg(h, cutoff=1e-8):
     returned array keeps one representative per pair (ascending).  The
     negative count applies the relative cutoff against the spectral radius,
     since kernel Gram matrices are frequently near-singular and a raw sign
-    test is noise.
+    test is noise.  A stack of one through herm_eigen_neg_arr.
     """
-    if h.rows != h.cols:
+    reps, negatives = herm_eigen_neg_arr(h.data[None], cutoff)
+    return reps[0], negatives[0]
+
+
+def herm_eigen_neg_arr(d, cutoff=1e-8):
+    """herm_eigen_neg on a stack (T, n, n, 4) of matrices, with one
+    eigvalsh call: their (T, n) spectra and the list of T negative counts.
+
+    Raises for the first failing matrix in stack order, with the error
+    that matrix alone would give, in the order of the checks: NumericError
+    for a non-finite entry, PrecondError if it is not Hermitian,
+    NumericError if the solver fails or the chi pairing is violated.
+    A NumericError's index is the failing matrix's place in the stack.
+    """
+    if d.ndim != 4 or d.shape[1] != d.shape[2]:
         raise ShapeError("Hermitian eigenvalues need a square matrix")
-    d = h.data
     sym = qadjoint_arr(d)
-    skew = d - sym
-    scale = max(1.0, np.sqrt(np.vdot(d, d)))
-    if np.sqrt(np.vdot(skew, skew)) > 1e-10 * scale:
-        raise PrecondError("matrix is not Hermitian within 1e-10 relative")
+    # the checks one matrix at a time, up to the first that fails; a BLAS
+    # dot product overflows to inf without a warning, and no inf - inf of
+    # a non-finite entry is taken
+    k, unfit = 0, None
+    for h, a in zip(d, sym):
+        sq = np.vdot(h, h)
+        if not (math.isfinite(sq) or np.isfinite(h).all()):
+            unfit = NumericError("matrix has a non-finite entry", index=k)
+            break
+        skew = h - a
+        # ||H - H^*|| <= 1e-10 max(1, ||H||), squared
+        if not np.vdot(skew, skew) <= 1e-20 * max(1.0, sq):
+            unfit = PrecondError("matrix is not Hermitian within 1e-10 relative")
+            break
+        k += 1
     # 1/2 (H + H^*) before chi: half the data of chi(H) + chi(H)^*, and
     # the same bits but for the sign of the zero imaginary parts on the
     # diagonal, which eigvalsh does not read
-    sym += d
+    sym = sym[:k]
+    sym += d[:k]
     sym *= 0.5
     z = complex_adjoint(sym)
+    del sym
+    solved, failure = k, None
     try:
         # ascending, so the chi pairs are neighbours
         lam = np.linalg.eigvalsh(z)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError("eigenvalue solver failed: %s" % exc)
-    rho = max(1.0, float(np.max(np.abs(lam))) if lam.size else 0.0)
-    pairs = lam.reshape(-1, 2)
-    gap = float(np.max(np.abs(pairs[:, 0] - pairs[:, 1]))) if pairs.size else 0.0
-    if gap > PAIRING_RTOL * rho:
-        raise NumericError("chi eigenvalue pairing violated (gap %.3e)" % gap)
-    reps = 0.5 * (pairs[:, 0] + pairs[:, 1])
-    negatives = int(np.sum(reps < -cutoff * rho))
-    return reps, negatives
+    except np.linalg.LinAlgError:
+        # one failure fails the whole stack: solve one at a time up to it
+        lam = np.zeros(z.shape[:-1])
+        for i in range(k):
+            try:
+                lam[i] = np.linalg.eigvalsh(z[i])
+            except np.linalg.LinAlgError as exc:
+                solved, failure = i, exc
+                break
+    lam = lam[:solved]
+    rho = np.abs(lam).max(axis=-1, initial=1.0)
+    pairs = lam.reshape(solved, d.shape[1], 2)
+    lo, hi = pairs[..., 0], pairs[..., 1]
+    # ascending, so each gap is the upper value less the lower
+    gap = (hi - lo).max(axis=-1, initial=0.0)
+    paired = (gap <= PAIRING_RTOL * rho).tolist()
+    if False in paired:
+        m = paired.index(False)
+        raise NumericError("chi eigenvalue pairing violated (gap %.3e)" % gap[m], index=m)
+    if failure is not None:
+        raise NumericError("eigenvalue solver failed: %s" % failure, index=solved)
+    if unfit is not None:
+        raise unfit
+    reps = 0.5 * (lo + hi)
+    return reps, (reps < -cutoff * rho[:, None]).sum(axis=-1).tolist()
 
 
 def qinv_arr(a):

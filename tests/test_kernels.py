@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from qschur import _accel, kernels
 from qschur.blaschke import ZeroSet, blaschke_factor, build_product
 from qschur._jsonutil import dump_json
-from qschur.errors import DivergenceError, DomainError, PoleError
+from qschur.errors import DivergenceError, DomainError, PoleError, ShapeError
 from qschur.factorcheck import synthesize_generalized_schur, transport_case_to_ball
 from qschur.kernels import (
     DoubleSeriesKernel,
@@ -23,6 +23,7 @@ from qschur.kernels import (
 from qschur.qlinalg import (
     QMatrix,
     herm_eigen_neg,
+    herm_eigen_neg_arr,
     qadjoint_arr,
     qmatmul_arr,
 )
@@ -638,17 +639,25 @@ ESTIMATOR_CASES = {
 }
 
 
-def record_spectra(monkeypatch, module):
-    """The bytes of every spectrum that module's herm_eigen_neg returns."""
-    spectra = []
+def record_spectra(monkeypatch):
+    """The bytes of every trial's spectrum: a list per stack that the
+    estimator solves, and one list of those that the per-trial reference
+    solves one at a time."""
+    fast, slow = [], []
 
-    def recording(h, cutoff):
+    def stacked(grams, cutoff):
+        eigs, negs = herm_eigen_neg_arr(grams, cutoff)
+        fast.append([e.tobytes() for e in eigs])
+        return eigs, negs
+
+    def one(h, cutoff):
         eigs, neg = herm_eigen_neg(h, cutoff)
-        spectra.append(eigs.tobytes())
+        slow.append(eigs.tobytes())
         return eigs, neg
 
-    monkeypatch.setattr(module, "herm_eigen_neg", recording)
-    return spectra
+    monkeypatch.setattr(kernels, "herm_eigen_neg_arr", stacked)
+    monkeypatch.setattr(oracles, "herm_eigen_neg", one)
+    return fast, slow
 
 
 @pytest.mark.parametrize("trials", [1, 15, 16, 17, 33])
@@ -658,12 +667,40 @@ def test_blocked_estimator_matches_the_per_trial_reference(monkeypatch, label, t
     # 33 runs two whole blocks and one trial.  kappa-hat is reached at
     # trial 0 on most cases, so the spectrum of every trial is compared too.
     s = ESTIMATOR_CASES[label]()
-    fast_spectra = record_spectra(monkeypatch, kernels)
-    slow_spectra = record_spectra(monkeypatch, oracles)
+    stacks, slow_spectra = record_spectra(monkeypatch)
     fast = estimate_neg_squares(s, trials=trials, batch=40, seed=0x5C05)
     slow = estimate_neg_squares_per_trial(s, trials=trials, batch=40, seed=0x5C05)
     assert dump_json(fast.to_json()) == dump_json(slow.to_json())
-    assert len(fast_spectra) == trials and fast_spectra == slow_spectra
+    assert [len(st) for st in stacks] == [16] * (trials // 16) + [trials % 16] * (trials % 16 > 0)
+    assert sum(stacks, []) == slow_spectra and len(slow_spectra) == trials
+
+
+@pytest.mark.parametrize("trials, batch, sizes", [(3, 90, [3]), (17, 50, [10, 7]),
+                                                  (2, 170, [1, 1])])
+def test_batches_above_the_stack_cap_match_the_per_trial_reference(monkeypatch, trials,
+                                                                     batch, sizes):
+    # a stack holds at most 16 x 40^2 Gram entries: 10 trials of 50
+    # points, 3 of 90 and one of 170
+    s = ESTIMATOR_CASES["two-rows"]()
+    stacks, slow_spectra = record_spectra(monkeypatch)
+    fast = estimate_neg_squares(s, trials=trials, batch=batch, seed=0x5C05)
+    slow = estimate_neg_squares_per_trial(s, trials=trials, batch=batch, seed=0x5C05)
+    assert dump_json(fast.to_json()) == dump_json(slow.to_json())
+    assert [len(st) for st in stacks] == sizes
+    assert sum(stacks, []) == slow_spectra and len(slow_spectra) == trials
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_neg_squares_rejects_an_empty_batch(batch):
+    s = SchurFunction.constant(Quaternion.from_real(0.5))
+    with pytest.raises(DomainError, match="at least one point"):
+        estimate_neg_squares(s, trials=1, batch=batch)
+
+
+def test_gram_rejects_an_empty_point_set():
+    s = SchurFunction.constant(Quaternion.from_real(0.5))
+    with pytest.raises(ShapeError, match="at least one point"):
+        gram(s, np.zeros((0, 4)), np.zeros((0, 1, 4)))
 
 
 def test_blocked_estimator_stops_at_the_per_trial_pole():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qschur.qlinalg import (
     complex_adjoint,
     from_complex_adjoint,
     herm_eigen_neg,
+    herm_eigen_neg_arr,
     qadjoint_arr,
     qinv_arr,
     qmatrix_inv,
@@ -99,6 +102,97 @@ def test_herm_eigen_repeats_the_chi_side_symmetrization(rng, n):
     for f in (herm_eigen_neg, herm_eigen_neg_chi):
         with pytest.raises(PrecondError, match="not Hermitian within 1e-10"):
             f(m)
+
+
+def hermitian_stack(rng, t, n):
+    """t random Hermitian n x n matrices, Hermitian only up to rounding in
+    their last bits, as raw Grams are."""
+    m = rng.standard_normal((t, n, n, 4))
+    h = 0.5 * (m + qadjoint_arr(m))
+    h *= 1.0 + 1e-13 * rng.standard_normal(h.shape)
+    return h
+
+
+@pytest.mark.parametrize("t, n", [(1, 1), (3, 5), (16, 12), (10, 40), (2, 0)])
+def test_stacked_eigensolve_repeats_the_one_matrix_eigensolve(rng, t, n):
+    h = hermitian_stack(rng, t, n)
+    # a diagonal matrix in the stack has exact zero entries
+    h[0] *= np.eye(n)[..., None]
+    eigs, negs = herm_eigen_neg_arr(h, 1e-3)
+    assert eigs.shape == (t, n) and len(negs) == t
+    for i in range(t):
+        one, neg = herm_eigen_neg(QMatrix(h[i]), 1e-3)
+        assert eigs[i].tobytes() == one.tobytes() and negs[i] == neg
+
+
+# values of H[0, 0] that mark a matrix for faulty_solver
+SOLVER_FAILS, PAIRING_BREAKS = 123.0, 77.0
+
+
+def faulty_solver(monkeypatch):
+    """eigvalsh failing on any stack or matrix that holds a matrix whose
+    chi starts with SOLVER_FAILS, and splitting the lowest pair of one
+    that starts with PAIRING_BREAKS, as a broken chi pairing would."""
+    solve = np.linalg.eigvalsh
+
+    def faulty(z):
+        first = np.atleast_1d(z[..., 0, 0].real)
+        if np.any(first == SOLVER_FAILS):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        lam = solve(z)
+        lam.reshape(first.size, lam.shape[-1])[first == PAIRING_BREAKS, 0] -= 1.0
+        return lam
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", faulty)
+
+
+@pytest.mark.parametrize("faults, error, index", [
+    ({2: "skew", 4: "pairing"}, PrecondError, None),
+    ({1: "pairing", 3: "skew"}, NumericError, 1),
+    ({3: "nan", 4: "skew"}, NumericError, 3),
+    ({0: "skew", 1: "inf"}, PrecondError, None),
+    ({2: "inf", 4: "pairing"}, NumericError, 2),
+    ({2: "solver", 3: "skew"}, NumericError, 2),
+    ({1: "pairing", 2: "solver"}, NumericError, 1),
+])
+def test_stacked_eigensolve_raises_for_the_first_failing_matrix(rng, monkeypatch, faults,
+                                                                 error, index):
+    # each matrix alone raises its own error; the stack raises the first
+    h = hermitian_stack(rng, 6, 4)
+    for i, fault in faults.items():
+        if fault == "skew":
+            h[i, 0, 1, 2] += 1e-3
+        elif fault in ("nan", "inf"):
+            h[i, 1, 1, 0] = float(fault)
+        else:
+            h[i, 0, 0] = [SOLVER_FAILS if fault == "solver" else PAIRING_BREAKS, 0.0, 0.0, 0.0]
+    faulty_solver(monkeypatch)
+    with pytest.raises(error) as info:
+        herm_eigen_neg_arr(h)
+    if index is not None:
+        assert info.value.index == index
+    with pytest.raises(error) as alone:
+        herm_eigen_neg(QMatrix(h[min(faults)]))
+    assert str(alone.value) == str(info.value)
+    texts = {"skew": "matrix is not Hermitian within 1e-10 relative",
+             "pairing": "chi eigenvalue pairing violated",
+             "nan": "matrix has a non-finite entry", "inf": "matrix has a non-finite entry",
+             "solver": "eigenvalue solver failed: Eigenvalues did not converge"}
+    assert str(info.value).startswith(texts[faults[min(faults)]])
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+def test_herm_eigen_rejects_non_finite_entries_without_warnings(value):
+    h = np.zeros((3, 3, 4))
+    h[1, 2, 0] = h[2, 1, 0] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite entry"):
+            herm_eigen_neg(QMatrix(h))
+        # finite entries whose squares overflow are not non-finite
+        h[1, 2, 0] = h[2, 1, 0] = 1e200
+        eigs, neg = herm_eigen_neg(QMatrix(h))
+    assert np.array_equal(eigs, [-1e200, 0.0, 1e200]) and neg == 1
 
 
 def test_signature_invariance_under_unitary(rng):
