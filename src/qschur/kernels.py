@@ -349,7 +349,13 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
     the first failing trial of a block raises what it would raise alone:
     NumericError for a non-finite Gram, PrecondError for a non-Hermitian
     one, then NumericError for a failed solve or a broken chi pairing.
+    trials, batch and seed must be integers (not bools), the seed >= 0.
     """
+    for name, value in (("trials", trials), ("batch", batch), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError("%s must be an integer" % name)
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
     if trials < 1:
         raise DomainError("need at least one trial")
     if batch < 1:

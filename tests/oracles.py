@@ -57,8 +57,13 @@ representation, the cancellation of common real factors of a rational,
 read_json, which runs a from_json reader on a fresh Validator,
 left_root_count, which counts the left roots a polynomial gives up at a
 point, corpus_zero_sets, the seeded corpus of ball and half-space zero
-sets, and crowded_halfspace_zeros, a valid set whose chain zeros crowd
-each other.
+sets, corpus_400, its 400 sets that the ratchets and pins read, and
+crowded_halfspace_zeros, a valid set whose chain zeros crowd each other.
+
+Last come the inputs that the library tests and the in-process and
+out-of-process CLI tests share, each spelled out once: THREE_SMALL_ZEROS,
+POLE_ZERO, HALFSPACE_SMALL_ZEROS and the Schur function spec
+HALFSPACE_BLASCHKE.
 """
 
 import numpy as np
@@ -577,6 +582,13 @@ def corpus_zero_sets(rng, domain, count):
     return out
 
 
+def corpus_400():
+    """The 400-set corpus: 200 ball sets, then 200 half-space sets, both
+    drawn from one default_rng(2026)."""
+    rng = np.random.default_rng(2026)
+    return corpus_zero_sets(rng, BALL, 200) + corpus_zero_sets(rng, HALFSPACE, 200)
+
+
 def left_root_count(f, a, limit):
     """How many times in a row left_root_extract takes the root a out of f,
     stopping at limit."""
@@ -604,3 +616,33 @@ def crowded_halfspace_zeros():
               -0.09384335590714574]
     return ZeroSet(HALFSPACE, points=[(Quaternion(*a), n) for a, n in pts],
                    spheres=[(Quaternion(*sphere), 1)])
+
+
+# three zeros of modulus 0.036 to 0.10: the Gram of K_S - K_B reaches
+# about 2e8, so its minimum eigenvalue near -3e-8 is rounding
+THREE_SMALL_ZEROS = ZeroSet(BALL, points=[
+    (Quaternion(-0.0204, -0.0257, 0.0094, 0.0362), 1),
+    (Quaternion(0.0285, -0.0805, -0.0436, -0.0473), 1),
+    (Quaternion(-0.0025, 0.0325, 0.0160, 0.0004), 1),
+])
+
+# a simple zero at 0.02 i: B0^{-*} has Taylor coefficients near 50^n,
+# whose squares overflow the identity leg at truncation 48
+POLE_ZERO = ZeroSet(BALL, points=[(Quaternion(0, 0.02, 0, 0), 1)])
+
+# three simple half-space zeros whose Cayley images have moduli 0.036 to
+# 0.107: the weighted sides of the identity reach about 1.4e7, so an
+# absolute deviation near 1e-7 is rounding
+HALFSPACE_SMALL_ZEROS = ZeroSet(HALFSPACE, points=[
+    (Quaternion(0.9561142596215043, -0.049277289018561654, 0.018040750863483106,
+                0.06948504159444965), 1),
+    (Quaternion(1.0356839852191448, -0.16864191496456307, -0.09139239096736215,
+                -0.09915834757829947), 1),
+    (Quaternion(0.9924091876116958, 0.06451500490196532, 0.03174174542721127,
+                0.0007835453795362731), 1),
+])
+
+# a simple half-space Blaschke factor, of index 0
+HALFSPACE_BLASCHKE = {"kind": "blaschke",
+                      "zeros": {"domain": "halfspace",
+                                "points": [{"a": [0.8, 0.4, 0.0, 0.0], "n": 1}]}}

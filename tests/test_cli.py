@@ -1,7 +1,6 @@
 import copy
 import json
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,8 @@ from qschur.cli import (
 from qschur.errors import ConfigError
 from qschur.starpoly import StarPoly, zero_multiplicity
 
-from oracles import corpus_zero_sets, crowded_halfspace_zeros, left_root_count, read_json
+from oracles import (HALFSPACE_BLASCHKE, HALFSPACE_SMALL_ZEROS, POLE_ZERO, THREE_SMALL_ZEROS,
+                     corpus_400, crowded_halfspace_zeros, left_root_count, read_json)
 
 BALL_ZEROS = {"domain": "ball", "points": [{"a": [0.0, 0.5, 0.0, 0.0], "n": 1}]}
 
@@ -113,23 +113,12 @@ def test_kl_check_negative_control_exit_1(tmp_path):
 
 
 def test_kl_check_verdict_rules_through_the_cli(tmp_path):
-    # three small zeros: a Gram minimum near -3e-8 against a largest
-    # eigenvalue near 2e8 is rounding, so PASS; 0.02 i with target 0: the
-    # sampled kappa-hat 1 exceeds it although the identity leg is inconclusive
-    small = {"domain": "ball", "points": [
-        {"a": [-0.0204, -0.0257, 0.0094, 0.0362]},
-        {"a": [0.0285, -0.0805, -0.0436, -0.0473]},
-        {"a": [-0.0025, 0.0325, 0.0160, 0.0004]}]}
-    pole = {"domain": "ball", "points": [{"a": [0.0, 0.02, 0.0, 0.0]}]}
-    # three half-space zeros with Cayley images of modulus 0.036 to 0.107: an
-    # identity deviation near 1e-7 against sides near 1.4e7 is rounding
-    halfspace = {"domain": "halfspace", "points": [
-        {"a": [0.9561142596215043, -0.049277289018561654, 0.018040750863483106,
-               0.06948504159444965]},
-        {"a": [1.0356839852191448, -0.16864191496456307, -0.09139239096736215,
-               -0.09915834757829947]},
-        {"a": [0.9924091876116958, 0.06451500490196532, 0.03174174542721127,
-               0.0007835453795362731]}]}
+    # three small zeros: PASS, the Gram minimum being rounding; 0.02 i with
+    # target 0: the sampled kappa-hat 1 exceeds it although the identity leg
+    # is inconclusive; three small half-space zeros: PASS, the identity
+    # deviation being rounding against the scale of its sides
+    small, pole, halfspace = (z.to_json() for z in (THREE_SMALL_ZEROS, POLE_ZERO,
+                                                     HALFSPACE_SMALL_ZEROS))
     s0 = {"kind": "constant", "value": [0.7, 0.0, 0.0, 0.0]}
     for name, extra, code, verdict, kappa in (
             ("small", {"b0": small}, EXIT_OK, "PASS", 3),
@@ -300,11 +289,6 @@ def test_stein_command(tmp_path):
     assert doc["negative_semidefinite"] is True
 
 
-HALFSPACE_BLASCHKE = {"kind": "blaschke",
-                      "zeros": {"domain": "halfspace",
-                                "points": [{"a": [0.8, 0.4, 0.0, 0.0], "n": 1}]}}
-
-
 def test_transport_command(tmp_path, capsys):
     transport = {"command": "transport", "schur": HALFSPACE_BLASCHKE,
                  "x0": 1.0, "direction": "halfspace_to_ball",
@@ -357,8 +341,7 @@ def test_blaschke_build_corpus_ratchet(tmp_path):
     # from the report gives up each point exactly n times; zero_multiplicity
     # still misreads 13 of the 899 entries, 10 point zeros whose
     # sphere-division remainder passes as spherical and 3 undercounts
-    rng = np.random.default_rng(2026)
-    sets = corpus_zero_sets(rng, "ball", 200) + corpus_zero_sets(rng, "halfspace", 200)
+    sets = corpus_400()
     out = str(tmp_path / "r.json")
     failed, entries, misread = [], 0, []
     for index, zeros in enumerate(sets):

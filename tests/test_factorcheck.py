@@ -19,7 +19,8 @@ from qschur.kernels import (CAYLEY_X0, IDENTITY_DEV_TOL, SchurFunction, cayley_m
                             cayley_transport, estimate_neg_squares, kernel_identity_check)
 from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
 
-from oracles import corpus_zero_sets, qinv, star_inverse
+from oracles import (HALFSPACE_SMALL_ZEROS, POLE_ZERO, THREE_SMALL_ZEROS, corpus_400,
+                     corpus_zero_sets, qinv, star_inverse)
 
 SMALL = Budget(trials=30, batch=30)
 
@@ -121,15 +122,6 @@ def test_krein_langer_negative_control():
     assert "kappa" in rep.reason
 
 
-# three zeros of modulus 0.036 to 0.10: the Gram of K_S - K_B reaches
-# about 2e8, so its minimum eigenvalue near -3e-8 is rounding
-THREE_SMALL_ZEROS = ZeroSet("ball", points=[
-    (Quaternion(-0.0204, -0.0257, 0.0094, 0.0362), 1),
-    (Quaternion(0.0285, -0.0805, -0.0436, -0.0473), 1),
-    (Quaternion(-0.0025, 0.0325, 0.0160, 0.0004), 1),
-])
-
-
 @pytest.mark.parametrize("seed", [0x5C05, 1, 2, 3])
 def test_positivity_is_judged_relative_to_the_gram_scale(seed):
     case = synthesize_generalized_schur(THREE_SMALL_ZEROS, 0.7)
@@ -158,8 +150,7 @@ def test_non_schur_s0_breaks_the_relative_positivity_rule(zeros, c):
 def test_kappa_hat_above_the_target_fails_when_the_identity_is_inconclusive():
     # the pole of B0^{-*} at 0.02 i overflows the identity leg, but the
     # sampled kappa-hat 1 is a lower bound on ind S, already above 0
-    case = synthesize_generalized_schur(
-        ZeroSet("ball", points=[(Quaternion(0, 0.02, 0, 0), 1)]), 0.7)
+    case = synthesize_generalized_schur(POLE_ZERO, 0.7)
     rep = krein_langer_check(case, Budget(trials=20), expected_kappa=0)
     assert rep.identity.status == "inconclusive"
     assert (rep.verdict, rep.kappa_hat) == ("FAIL", 1)
@@ -176,19 +167,6 @@ def test_krein_langer_identity_negative_control():
     assert rep.identity.tail_bound <= 1e-9 < rep.identity.max_coeff_dev
     assert rep.verdict == "FAIL"
     assert "deviation" in rep.reason and "tail" in rep.reason
-
-
-# three simple half-space zeros whose Cayley images have moduli 0.036 to
-# 0.107: the weighted sides of the identity reach about 1.4e7, so an
-# absolute deviation near 1e-7 is rounding
-HALFSPACE_SMALL_ZEROS = ZeroSet("halfspace", points=[
-    (Quaternion(0.9561142596215043, -0.049277289018561654, 0.018040750863483106,
-                0.06948504159444965), 1),
-    (Quaternion(1.0356839852191448, -0.16864191496456307, -0.09139239096736215,
-                -0.09915834757829947), 1),
-    (Quaternion(0.9924091876116958, 0.06451500490196532, 0.03174174542721127,
-                0.0007835453795362731), 1),
-])
 
 
 @pytest.mark.parametrize("seed", [0x5C05, 1, 2])
@@ -244,6 +222,32 @@ def test_verdict_coverage_corpus():
     assert passes >= 10
 
 
+def test_kappa_hat_below_the_target_is_inconclusive_within_the_bound():
+    # corpus set 64 (deg B0 = 5): at the standard budget the sampling leg
+    # reaches kappa-hat 4 while the identity leg is ok.  A lower bound short
+    # of the target refutes nothing, but a target above r deg B0, the bound
+    # on ind S that an ok identity certifies, cannot be met
+    case = synthesize_generalized_schur(corpus_400()[64], 0.7)
+    rep = krein_langer_check(case)
+    assert rep.identity.status == "ok"
+    assert (rep.verdict, rep.kappa_hat, rep.deg_b0) == ("INCONCLUSIVE", 4, 5)
+    assert rep.reason == "kappa-hat 4 below target 5 after 200 trials"
+    high = krein_langer_check(case, expected_kappa=6)
+    assert (high.verdict, high.kappa_hat) == ("FAIL", 4)
+    assert high.reason == "kappa-hat 4 below target 6, which exceeds the bound r deg B0 = 5"
+
+
+@pytest.mark.parametrize("index", [240, 247, 259, 270, 339, 346])
+def test_identity_leg_does_not_fail_genuine_clustered_halfspace_sets(index):
+    # 9-12 zeros clustered near the Cayley point: the Gram radius from the
+    # estimated pole radius keeps these genuine sets inconclusive, while one
+    # of 0.45 x the smallest Cayley-image modulus of the zero data would read
+    # deviations of 1.1e-9 to 3.4e-5 of the side scale as a "fail"
+    case = transport_case_to_ball(synthesize_generalized_schur(corpus_400()[index], 0.7))
+    rep = kernel_identity_check(case.s, case.b0, case.s0, seed=Budget().seed + 1)
+    assert rep.status != "fail"
+
+
 def test_vacuous_identity_leg_is_flagged():
     # S0 = 1 gives S = B, so K_S - K_B = 0 and the identity holds trivially;
     # the flag is reported and the verdict stays PASS
@@ -277,8 +281,7 @@ def test_non_finite_identity_tail_is_inconclusive(wrong_s0):
     # B0^{-*} with its pole at 0.02 i has Taylor coefficients near 50^n, whose
     # squares overflow at truncation 48: the tail bound is NaN, which certifies
     # nothing, whether S0 is the true 0.7 or a wrong 0.5
-    case = synthesize_generalized_schur(
-        ZeroSet("ball", points=[(Quaternion(0, 0.02, 0, 0), 1)]), 0.7)
+    case = synthesize_generalized_schur(POLE_ZERO, 0.7)
     if wrong_s0 is not None:
         case = dataclasses.replace(
             case, s0=SchurFunction.constant(Quaternion.from_real(wrong_s0)))

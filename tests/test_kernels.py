@@ -697,6 +697,21 @@ def test_neg_squares_rejects_an_empty_batch(batch):
         estimate_neg_squares(s, trials=1, batch=batch)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"trials": 2.5}, "trials must be an integer"),
+    ({"trials": True}, "trials must be an integer"),
+    ({"batch": 2.5}, "batch must be an integer"),
+    ({"seed": 1.5}, "seed must be an integer"),
+    ({"seed": -1}, "seed must be non-negative"),
+])
+def test_neg_squares_rejects_non_integer_counts_and_negative_seeds(kwargs, message):
+    # each of these once escaped as a TypeError or numpy's ValueError, or ran
+    # as a different integer (True as one trial, 1.5 as seed 1)
+    s = SchurFunction.constant(Quaternion.from_real(0.5))
+    with pytest.raises(DomainError, match=message):
+        estimate_neg_squares(s, **dict({"trials": 1, "batch": 2}, **kwargs))
+
+
 def test_gram_rejects_an_empty_point_set():
     s = SchurFunction.constant(Quaternion.from_real(0.5))
     with pytest.raises(ShapeError, match="at least one point"):
