@@ -31,7 +31,7 @@ from .kernels import (
     estimate_neg_squares,
 )
 from .qlinalg import QMatrix, herm_eigen_neg
-from .quat import Quaternion, sample_ball_points
+from .quat import Quaternion
 from .realization import Colligation, colligation_from_blaschke_factor, realize_many, solve_stein
 from .starpoly import SliceRational, StarPoly
 
@@ -124,7 +124,7 @@ def _int(minimum):
     return functools.partial(Validator.integer, minimum=minimum)
 
 
-def _out_path(v, value, path):
+def _csv_path(v, value, path):
     return v.string(value, path) or None     # an empty path writes no file
 
 
@@ -139,7 +139,7 @@ _BUDGET = Budget()
 # A check is check(validator, value, pointer) -> parsed value.  An absent or
 # null field takes its default unchecked (dim-hb points 0 means 3 deg B + 3);
 # a check of None leaves the field to a step in _CROSS_CHECKS.
-_COMMON = {"seed": (_int(0), _BUDGET.seed), "out": (_out_path, None), "csv": (_out_path, None)}
+_COMMON = {"seed": (_int(0), _BUDGET.seed), "csv": (_csv_path, None)}
 _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
     "blaschke-build": {
         "zeros": (ZeroSet.from_json, _Required("expected a ZeroSet object")),
@@ -177,7 +177,7 @@ _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
     },
     "transport": {
         "schur": (_parse_schur_spec, _MISSING),
-        "x0": (_positive, 1.0),
+        "x0": (_positive, CAYLEY_X0),
         "direction": (functools.partial(Validator.string,
                                         choices=("halfspace_to_ball", "ball_to_halfspace")),
                       "halfspace_to_ball"),
@@ -271,14 +271,11 @@ def parse_config(text):
 def _run_blaschke_build(cfg):
     zeros = cfg.objects["zeros"]
     product = build_product(zeros)
-    residuals = []
-    for a, _ in zeros.points:
-        residuals.append(product.rational.eval_scalar(a).norm())
     report = {
         "degree": product.degree(),
         "factors": [f.to_json() for f in product.factors],
         "product": product.rational.to_json(),
-        "zero_residuals": residuals,
+        "zero_residuals": [product.rational.eval_scalar(a).norm() for a, _ in zeros.points],
     }
     return EXIT_OK, report, None
 
@@ -292,19 +289,15 @@ def _run_negsq(cfg):
         s, trials=eff["trials"], batch=eff["batch"], seed=eff["seed"],
         rho=eff["rho"], cutoff=eff["cutoff"],
     )
-    csv = _eig_csv(rep.witness_eigenvalues)
-    return EXIT_OK, {"report": rep.to_json()}, csv
+    return EXIT_OK, {"report": rep.to_json()}, _eig_csv(rep.witness_eigenvalues)
 
 
 def _run_dim_hb(cfg):
     zeros = cfg.objects["zeros"]
     eff = cfg.effective
     product = build_product(zeros)
-    kwargs = {"cutoff": eff["cutoff"], "seed": eff["seed"], "radius": eff["radius"]}
-    if eff["points"]:
-        rng = np.random.default_rng(eff["seed"])
-        kwargs["points"] = sample_ball_points(rng, eff["points"], eff["radius"])
-    rep = estimate_dim_HB(product, **kwargs)
+    rep = estimate_dim_HB(product, count=eff["points"] or None, cutoff=eff["cutoff"],
+                          seed=eff["seed"], radius=eff["radius"])
     body = {**rep.to_json(), "degree": product.degree()}
     return EXIT_OK, body, _eig_csv(rep.eigenvalues)
 
@@ -355,10 +348,8 @@ def _run_transport(cfg):
     x0 = float(eff["x0"])
     direction = eff["direction"]
     moved = cayley_transport(cfg.objects["schur"], x0, direction)
-    mapped = []
-    for p in cfg.objects["points"]:
-        image = cayley_map(p, x0, direction)
-        mapped.append({"p": p.to_json(), "image": image.to_json()})
+    mapped = [{"p": p.to_json(), "image": cayley_map(p, x0, direction).to_json()}
+              for p in cfg.objects["points"]]
     body = {"x0": x0, "direction": direction, "mapped_points": mapped,
             "domain": moved.domain, "rational": moved.rational.to_json()}
     return EXIT_OK, body, None
@@ -395,14 +386,14 @@ def _atomic_write(path, data):
         raise
 
 
-def dispatch(cfg, out_override=None):
-    """Run a validated config; returns (exit code, report text)."""
+def dispatch(cfg, out=None):
+    """Run a validated config; returns (exit code, report text), written to
+    out when that path is given."""
     code, body, csv = _RUNNERS[cfg.command](cfg)
     report = {"command": cfg.command, "seed": cfg.effective["seed"],
               "config": cfg.effective}
     report.update(body)
     text = dump_json(report) + "\n"
-    out = out_override or cfg.effective.get("out")
     if out:
         _atomic_write(out, text)
     csv_path = cfg.effective.get("csv")
@@ -421,10 +412,7 @@ def _parser():
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
     parser.add_argument("--out", default=None, help="report output path")
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--batch", type=int, default=None)
     return parser
 
 
@@ -455,30 +443,15 @@ def main(argv=None):
         )
         return EXIT_USAGE
 
-    fields = _FIELDS[cfg.command]
-    for key in ("trials", "batch", "seed"):
-        value = getattr(args, key)
-        if value is None:
-            continue
-        if key not in fields:
-            print("qschur: --%s does not apply to %s" % (key, cfg.command), file=sys.stderr)
-            return EXIT_USAGE
-        v = Validator()
-        fields[key][0](v, value, "--" + key)
-        if not v.ok():
-            print("qschur: %s: %s" % v.violations[0], file=sys.stderr)
-            return EXIT_USAGE
-        cfg.effective[key] = cfg.objects[key] = value
-
     try:
-        code, text = dispatch(cfg, out_override=args.out)
+        code, text = dispatch(cfg, out=args.out)
     except QSchurError as exc:
         print("qschur: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print("qschur: I/O failure: %s" % exc, file=sys.stderr)
         return EXIT_IO
-    if not (args.out or cfg.effective.get("out")):
+    if not args.out:
         sys.stdout.write(text)
     return code
 

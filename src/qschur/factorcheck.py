@@ -179,7 +179,11 @@ def krein_langer_check(case, budget=Budget(), expected_kappa=None):
       8. kappa_hat is below the target: INCONCLUSIVE, since a lower
          bound that falls short of the target refutes nothing;
       9. otherwise PASS, whose reason notes a vacuous identity leg.
+
+    A min_eig_tol that is not finite and >= 0 is a DomainError.
     """
+    if not 0.0 <= budget.min_eig_tol < math.inf:
+        raise DomainError("min_eig_tol must be a finite number >= 0")
     if case.domain == HALFSPACE:
         case = transport_case_to_ball(case)
     target = case.expected_kappa if expected_kappa is None else int(expected_kappa)

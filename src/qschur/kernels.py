@@ -287,7 +287,9 @@ def _gram_slice(r, z, cols):
     chi = complex_adjoint(zmat).reshape(t_count, 2 * k, 2, -1).swapaxes(2, 3)
     sig_chi = chi.reshape(t_count, 2, k, -1).copy()
     np.negative(sig_chi[:, :, r:], out=sig_chi[:, :, r:])
-    prod = chi[..., 0].conj().swapaxes(1, 2) @ sig_chi.reshape(t_count, 2 * k, -1)
+    # an S of huge values overflows here; herm_eigen_neg_arr rejects the result
+    with np.errstate(over="ignore", invalid="ignore"):
+        prod = chi[..., 0].conj().swapaxes(1, 2) @ sig_chi.reshape(t_count, 2 * k, -1)
     prod = prod.view(np.float64).reshape(t_count, 2, b_count, 2, b_count, 4)
     return np.einsum("thklj,thlkjc->tljc", weights, prod)
 
@@ -296,6 +298,12 @@ TRIAL_BLOCK = 16   # most trials per block of estimate_neg_squares
 # most Gram entries in a block's stack, TRIAL_BLOCK trials of the standard
 # 40 points: a larger batch takes fewer trials per block, down to one
 STACK_ENTRIES = TRIAL_BLOCK * 40 * 40
+
+
+def _check_count(name, value):
+    """DomainError unless value is an integer >= 1 (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise DomainError("%s must be an integer >= 1" % name)
 
 
 def sample_gram_vectors(rng, batch, r):
@@ -407,12 +415,14 @@ class DimHBReport:
         return out
 
 
-def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
+def estimate_dim_HB(b, count=None, cutoff=1e-8, seed=17, radius=0.75):
     """Numerical rank of the Gram of K_B; equals deg B for Blaschke products.
 
     Needs a genuine product.  A half-space product is first carried to
     the ball by cayley_transport at CAYLEY_X0, which keeps its degree;
-    points are ball points either way.  With fewer than 3 deg(B)
+    the Gram is taken at count points drawn by sample_ball_points from
+    default_rng(seed) in |p| <= radius, radius in (0, 1), on the ball
+    either way.  count None means 3 deg(B) + 3; with fewer than 3 deg(B)
     points the result carries an instability warning.
     """
     for f in b.factors:
@@ -423,14 +433,15 @@ def estimate_dim_HB(b, points=None, cutoff=1e-8, seed=17, radius=0.75):
             raise DomainError("dim H(B) needs zeros inside the domain")
     if not 0.0 < cutoff < np.inf:
         raise DomainError("cutoff must be a finite positive number")
+    if not 0.0 < radius < 1.0:
+        raise DomainError("sampling radius must lie in (0, 1)")
+    if count is not None:
+        _check_count("count", count)
     deg = b.degree()
     if deg == 0:
         return DimHBReport(0, [])
     s = cayley_transport(b, CAYLEY_X0) if b.domain == HALFSPACE else SchurFunction.from_product(b)
-    if points is None:
-        rng = np.random.default_rng(seed)
-        points = sample_ball_points(rng, 3 * deg + 3, radius)
-    pts = as_points(points)
+    pts = sample_ball_points(np.random.default_rng(seed), count or 3 * deg + 3, radius)
     warning = None
     if pts.shape[0] * s.rows < 3 * deg:
         warning = "fewer than 3 deg(B) kernel sections; rank may be unstable"
@@ -629,7 +640,8 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     one reduction give all three norm tables, and one more pass the
     Hermitian residual of both weighted sides.  Coefficients that
     overflow leave these non-finite, without a warning, and the status
-    'inconclusive'.
+    'inconclusive'.  trunc and gram_points must be integers >= 1 and a
+    given gram_radius must lie in (0, 1); anything else is a DomainError.
 
     The report carries the weighted coefficient deviation, the Hermitian
     symmetry residual, and the minimum and largest absolute Gram
@@ -651,13 +663,19 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     if any(f.domain != BALL for f in (s, b0, s0)):
         raise DomainError("the identity expansion runs on the ball; transport first")
 
+    _check_count("trunc", trunc)
+    _check_count("gram_points", gram_points)
+    if gram_radius is not None and not 0.0 < gram_radius < 1.0:
+        raise DomainError("gram_radius must lie in (0, 1)")
+
     binv = b0.inverse().rational.lift(s.rows)
     if gram_radius is None:
         pole = _min_pole_radius(binv)
         gram_radius = 0.6 if not np.isfinite(pole) else min(0.6, 0.45 * pole)
 
-    sides = _identity_sides(s.taylor(trunc), binv.taylor(trunc).coeffs, s0.taylor(trunc), trunc)
     with np.errstate(over="ignore", invalid="ignore"):
+        sides = _identity_sides(s.taylor(trunc), binv.taylor(trunc).coeffs, s0.taylor(trunc),
+                                trunc)
         norms, resid = _weighted_tables(sides, gram_radius)
         lhs_norms, rhs_norms = norms[0], norms[1]
         dev = float(np.max(norms[2]))

@@ -295,7 +295,9 @@ def herm_eigen_neg_arr(d, cutoff=1e-8):
     # the same bits but for the sign of the zero imaginary parts on the
     # diagonal, which eigvalsh does not read
     sym = sym[:k]
-    sym += d[:k]
+    # entries near the float limit may overflow; the solver then fails
+    with np.errstate(over="ignore"):
+        sym += d[:k]
     sym *= 0.5
     z = complex_adjoint(sym)
     del sym

@@ -163,9 +163,11 @@ def realize_many(col, points):
             phis.append(pres[-1] * shift.inverse())
     phi = _stack(phis)
     c0, c1, c2, c3 = (phi[..., k:k + 1] for k in range(4))
-    normsq = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3    # summed as Quaternion.normsq
     a = col.A.data
-    res = QMatrix.eye(col.state_dim).data - (2.0 * c0) * a + normsq * qmatmul_arr(a, a)
+    # a huge point overflows here, and qinv_arr rejects its resolvent
+    with np.errstate(over="ignore", invalid="ignore"):
+        normsq = c0 * c0 + c1 * c1 + c2 * c2 + c3 * c3    # summed as Quaternion.normsq
+        res = QMatrix.eye(col.state_dim).data - (2.0 * c0) * a + normsq * qmatmul_arr(a, a)
     try:
         rinv = qinv_arr(res)
     except NumericError as exc:

@@ -8,15 +8,16 @@ import pytest
 from qschur import _accel
 from qschur._jsonutil import dump_json
 from qschur.blaschke import FactoredProduct, ZeroSet, blaschke_factor, build_product
-from qschur.errors import DomainError
+from qschur.errors import DomainError, ExpansionError, PoleError
 from qschur.factorcheck import (
     Budget,
     krein_langer_check,
     synthesize_generalized_schur,
     transport_case_to_ball,
 )
-from qschur.kernels import (CAYLEY_X0, IDENTITY_DEV_TOL, SchurFunction, cayley_map,
-                            cayley_transport, estimate_neg_squares, kernel_identity_check)
+from qschur.kernels import (CAYLEY_X0, IDENTITY_DEV_TOL, KernelIdentityReport, NegSquaresReport,
+                            SchurFunction, cayley_map, cayley_transport, estimate_neg_squares,
+                            kernel_identity_check)
 from qschur.quat import Quaternion, sample_ball_point, sample_halfspace_point
 
 from oracles import (HALFSPACE_SMALL_ZEROS, POLE_ZERO, THREE_SMALL_ZEROS, corpus_400,
@@ -367,6 +368,80 @@ def test_zero_at_origin_stops_before_sampling(monkeypatch):
     assert rep.reason == "identity expansion failed: denominator vanishes at the expansion point 0"
     doc = json.loads(dump_json(rep.to_json()))
     assert doc["kappa_hat"] is None and doc["identity_residual"] is None
+
+
+def identity_stub(status="ok", dev=1e-12, tail=1e-12, min_eig=0.0, vacuous=False):
+    return KernelIdentityReport(status=status, max_coeff_dev=dev, min_gram_eig=min_eig,
+                                max_abs_gram_eig=1.0, hermitian_residual=0.0, trunc=48,
+                                tail_bound=tail, vacuous=vacuous)
+
+
+def negsq_stub(kappa_hat):
+    return NegSquaresReport(kappa_hat=kappa_hat, trials=200, batch=40, cutoff=1e-8, seed=0,
+                            witness_points=[], witness_vectors=[], witness_eigenvalues=[])
+
+
+POLE = PoleError(0.0, 0.5)
+
+# (row, identity report or error, sampling report or error, target, verdict,
+# start of the reason); the case has deg B0 = 1 and one row, so the bound
+# r deg B0 is 1
+DECISION_TABLE = [
+    ("1", ExpansionError("no expansion"), negsq_stub(1), 1,
+     "INCONCLUSIVE", "identity expansion failed: no expansion"),
+    ("2", identity_stub("fail", dev=1e-3), negsq_stub(1), 1,
+     "FAIL", "identity deviation 1.000e-03 with certified tail"),
+    ("3", identity_stub("inconclusive", tail=float("inf")), negsq_stub(2), 1,
+     "FAIL", "kappa-hat 2 exceeds target 1"),
+    ("4-tail", identity_stub("inconclusive", tail=float("inf")), negsq_stub(1), 1,
+     "INCONCLUSIVE", "identity tail bound is not finite"),
+    ("4-deviation", identity_stub("inconclusive", dev=float("nan")), negsq_stub(1), 1,
+     "INCONCLUSIVE", "identity deviation is not finite"),
+    ("4-truncation", identity_stub("inconclusive", tail=1e-3), POLE, 1,
+     "INCONCLUSIVE", "identity truncation insufficient (tail 1.000e-03); sampling leg failed"),
+    ("5", identity_stub(), POLE, 1, "INCONCLUSIVE", "sampling leg failed: evaluation on pole"),
+    ("6", identity_stub(), negsq_stub(1), 2,
+     "FAIL", "kappa-hat 1 below target 2, which exceeds the bound r deg B0 = 1"),
+    ("7", identity_stub(min_eig=-1e-3), negsq_stub(1), 1,
+     "FAIL", "difference kernel not positive (min eig -1.000e-03)"),
+    ("8", identity_stub(), negsq_stub(0), 1,
+     "INCONCLUSIVE", "kappa-hat 0 below target 1 after 200 trials"),
+    ("9", identity_stub(), negsq_stub(1), 1, "PASS", ""),
+    ("9-vacuous", identity_stub(vacuous=True), negsq_stub(1), 1,
+     "PASS", "identity leg is vacuous"),
+]
+
+
+@pytest.mark.parametrize("ident, negsq, target, verdict, reason",
+                         [pytest.param(*row[1:], id=row[0]) for row in DECISION_TABLE])
+def test_decision_table_rows(monkeypatch, ident, negsq, target, verdict, reason):
+    from qschur import factorcheck
+
+    def stub(report):
+        def leg(*args, **kwargs):
+            if isinstance(report, Exception):
+                raise report
+            return report
+        return leg
+
+    monkeypatch.setattr(factorcheck, "kernel_identity_check", stub(ident))
+    monkeypatch.setattr(factorcheck, "estimate_neg_squares", stub(negsq))
+    case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]), 0.7)
+    rep = krein_langer_check(case, Budget(), expected_kappa=target)
+    assert rep.verdict == verdict
+    assert rep.reason.startswith(reason) and bool(rep.reason) == bool(reason), rep.reason
+
+
+@pytest.mark.parametrize("budget", [
+    Budget(identity_trunc=0), Budget(identity_points=0), Budget(min_eig_tol=float("nan")),
+    Budget(min_eig_tol=float("inf")), Budget(min_eig_tol=-1e-8),
+], ids=["trunc-0", "points-0", "tol-nan", "tol-inf", "tol-negative"])
+def test_degenerate_budget_is_a_domain_error(budget):
+    # a NaN or infinite min_eig_tol switched row 7 off; a zero truncation or
+    # point count ended in a numpy ValueError
+    case = synthesize_generalized_schur(ZeroSet("ball", points=[(A_I, 1)]), 0.7)
+    with pytest.raises(DomainError):
+        krein_langer_check(case, budget)
 
 
 def test_inconclusive_reason_names_both_legs():

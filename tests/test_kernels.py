@@ -221,10 +221,9 @@ def test_dim_hb_rejects_inverse_factors():
         estimate_dim_HB(b.inverse())
 
 
-def test_dim_hb_warning_on_few_points(rng):
+def test_dim_hb_warning_on_few_points():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0.2, 0.5, 0, 0), 3)]))
-    pts = np.array([sample_ball_point(rng, 0.7).as_array() for _ in range(4)])
-    rep = estimate_dim_HB(b, points=pts)
+    rep = estimate_dim_HB(b, count=4, radius=0.7)
     assert rep.warning is not None
 
 
@@ -744,3 +743,32 @@ def test_dim_hb_rejects_cutoff_out_of_range(cutoff):
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
     with pytest.raises(DomainError):
         estimate_dim_HB(b, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"radius": 0.0}, {"radius": 1.0}, {"radius": -0.5}, {"radius": float("nan")},
+    {"count": 0}, {"count": 2.0}, {"count": True},
+])
+def test_dim_hb_rejects_degenerate_radius_and_count(kwargs):
+    # radius 0 put every point at the origin and reported dim 1 for degree 3
+    b = build_product(ZeroSet("ball", points=[(Quaternion(0.2, 0.5, 0, 0), 3)]))
+    with pytest.raises(DomainError):
+        estimate_dim_HB(b, **kwargs)
+
+
+def test_dim_hb_default_count_is_three_deg_plus_three():
+    b = build_product(ZeroSet("ball", points=[(Quaternion(0.2, 0.5, 0, 0), 3)]))
+    assert estimate_dim_HB(b, seed=4) == estimate_dim_HB(b, count=12, seed=4)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"trunc": 0}, {"trunc": 2.0}, {"trunc": True},
+    {"gram_points": 0}, {"gram_points": 1.5},
+    {"gram_radius": 0.0}, {"gram_radius": 1.0}, {"gram_radius": float("nan")},
+])
+def test_kernel_identity_rejects_degenerate_arguments(kwargs):
+    # gram_radius 0 weighted every coefficient by zero and read "ok"
+    case = synthesize_generalized_schur(
+        ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]), 0.5)
+    with pytest.raises(DomainError):
+        kernel_identity_check(case.s, case.b0, case.s0, **{"trunc": 20, **kwargs})
