@@ -91,14 +91,10 @@ def blaschke_factor(domain, kind, a):
     prescription theorem assumes a != 0; this keeps the builder total).
     Sphere factors require a nonreal representative.
     """
-    _check_domain(domain)
-    a = as_quaternion(a)
     if kind not in ("point", "sphere"):
         raise DomainError("kind must be 'point' or 'sphere'")
-    if kind == "sphere" and qdecompose(a).axis is None:
-        raise DomainError("sphere factor needs a nonreal representative")
-    if not inside(domain, a):
-        raise DomainError(_OUTSIDE[domain] % (kind + " factors", "a"))
+    ZeroSet(domain, **{kind + "s": [(a, 1)]})     # the zero-set rules on a
+    a = as_quaternion(a)
     if kind == "point":
         return _point_rational(domain, a)
     return _sphere_rational(domain, a)
@@ -160,52 +156,52 @@ class SphereFactor:
 # zero sets
 # ---------------------------------------------------------------------------
 
-@dataclass
+def _violations(domain, points, spheres):
+    """The zero-set rules as (JSON pointer, message) pairs.
+
+    Each entry lies in the domain, a sphere representative is nonreal,
+    multiplicities are positive integers, and no entry shares a sphere
+    with an earlier entry that kept the other rules.  Entries with point
+    None (ZeroSet.from_json could not read them) are skipped.
+    """
+    out = [] if domain in _DOMAINS else [("/domain", "must be one of ball|halfspace")]
+    kept = []       # (entry, SphereRep) of the entries that kept every other rule
+    for key, at, mult, noun, entries in (("points", "a", "n", "zeros", points),
+                                         ("spheres", "c", "m", "spheres", spheres)):
+        for idx, (q, count) in enumerate(entries):
+            if q is None:
+                continue
+            entry, q, found = "%s/%d" % (key, idx), as_quaternion(q), []
+            rep = qdecompose(q)
+            if count < 1 or int(count) != count:
+                found.append(("/%s/%s" % (entry, mult), "must be a positive integer"))
+            if domain in _DOMAINS and not inside(domain, q):
+                found.append(("/%s/%s" % (entry, at), _OUTSIDE[domain] % (noun, at)))
+            elif key == "spheres" and rep.axis is None:
+                found.append(("/%s/%s" % (entry, at), "sphere representatives must be nonreal"))
+            if not found:
+                other = next((e for e, r in kept if r.same_sphere(rep)), None)
+                if other is None:
+                    kept.append((entry, rep))
+                else:
+                    found.append(("/%s/%s" % (entry, at), "shares a sphere with " + other))
+            out += found
+    return out
+
+
+@dataclass(frozen=True)
 class ZeroSet:
-    """Finite prescribed zeros: points (a, n) and spheres (c, m)."""
+    """Finite prescribed zeros: points (a, n) and spheres (c, m); making one
+    raises DomainError at the first broken zero-set rule (_violations)."""
 
     domain: str
     points: list = field(default_factory=list)
     spheres: list = field(default_factory=list)
 
-    def violations(self):
-        """The zero-set rules as (JSON pointer, message) pairs.
-
-        Each entry lies in the domain, a sphere representative is nonreal,
-        multiplicities are positive integers, and no entry shares a sphere
-        with an earlier entry that kept the other rules.  Entries with
-        point None (from_json could not read them) are skipped.
-        """
-        out = [] if self.domain in _DOMAINS else [("/domain", "must be one of ball|halfspace")]
-        kept = []       # (entry, SphereRep) of the entries that kept every other rule
-        for key, at, mult, noun, entries in (("points", "a", "n", "zeros", self.points),
-                                             ("spheres", "c", "m", "spheres", self.spheres)):
-            for idx, (q, count) in enumerate(entries):
-                if q is None:
-                    continue
-                entry, q, found = "%s/%d" % (key, idx), as_quaternion(q), []
-                rep = qdecompose(q)
-                if count < 1 or int(count) != count:
-                    found.append(("/%s/%s" % (entry, mult), "must be a positive integer"))
-                if self.domain in _DOMAINS and not inside(self.domain, q):
-                    found.append(("/%s/%s" % (entry, at), _OUTSIDE[self.domain] % (noun, at)))
-                elif key == "spheres" and rep.axis is None:
-                    found.append(("/%s/%s" % (entry, at), "sphere representatives must be nonreal"))
-                if not found:
-                    other = next((e for e, r in kept if r.same_sphere(rep)), None)
-                    if other is None:
-                        kept.append((entry, rep))
-                    else:
-                        found.append(("/%s/%s" % (entry, at), "shares a sphere with " + other))
-                out += found
-        return out
-
-    def validate(self):
-        """self, or DomainError naming the first violation's pointer."""
-        out = self.violations()
-        if out:
-            raise DomainError("%s: %s" % out[0])
-        return self
+    def __post_init__(self):
+        found = _violations(self.domain, self.points, self.spheres)
+        if found:
+            raise DomainError("%s: %s" % found[0])
 
     def to_json(self):
         return {
@@ -238,9 +234,13 @@ class ZeroSet:
                 # an entry that could not be read keeps its place, so later pointers hold
                 q = None if comps is None or count is None else Quaternion(*comps)
                 parts[key].append((q, count))
-        zeros = cls(obj.get("domain"), parts["points"], parts["spheres"])
-        for pointer, message in zeros.violations():
-            v.fail(path + pointer, message)
+        args = obj.get("domain"), parts["points"], parts["spheres"]
+        try:
+            zeros = cls(*args)
+        except DomainError:
+            zeros = None
+            for pointer, message in _violations(*args):
+                v.fail(path + pointer, message)
         return zeros if len(v.violations) == before else None
 
 
@@ -291,7 +291,6 @@ def build_product(zeros):
     residual (partial product with its a_r-chain extracted); every alpha
     stays on [a_r].  Infinite zero sets are out of scope.
     """
-    zeros.validate()
     domain = zeros.domain
     factors = []
     acc = SliceRational.one()
@@ -307,7 +306,7 @@ def build_product(zeros):
         a = as_quaternion(a)
         h = acc
         for _ in range(int(n)):
-            # validate() put every entry on its own sphere, so h(a) != 0
+            # a ZeroSet keeps every entry on its own sphere, so h(a) != 0
             hv = h.eval_scalar(a)
             alpha = hv.inverse() * a * hv
             fac = PointFactor(alpha)

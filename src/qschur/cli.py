@@ -48,7 +48,7 @@ EXIT_IO = 4
 class RunConfig:
     command: str
     effective: dict     # full config after defaults, echoed into the report
-    objects: dict       # parsed field values keyed by field name
+    objects: dict       # parsed field values keyed by field name; kl-check's "case"
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +79,7 @@ def _parse_schur_spec(v, obj, path):
         zs = ZeroSet.from_json(v, obj.get("b0"), "%s/b0" % path)
         s0 = None
         if obj.get("s0") is not None:
-            s0 = _parse_schur_spec(v, obj.get("s0"), "%s/s0" % path)
+            s0 = _parse_s0(v, obj.get("s0"), "%s/s0" % path)
         if zs is None or not v.ok():
             return None
         case = v.build(path, synthesize_generalized_schur, zs, s0)
@@ -96,6 +96,14 @@ def _parse_schur_spec(v, obj, path):
         return None
     rat = v.build(path, SliceRational, num, den)
     return None if rat is None else SchurFunction(rat, domain=domain)
+
+
+def _parse_s0(v, obj, path):
+    """An S0 spec: a Schur function spec, and a constant one needs norm at most 1."""
+    s0 = _parse_schur_spec(v, obj, path)
+    if s0 is not None and obj["kind"] == "constant" and s0.evaluate(0.0).norm() > 1.0 + 1e-14:
+        v.fail(path + "/value", "constant S0 needs norm at most 1")
+    return s0
 
 
 def _quaternions(message):
@@ -168,7 +176,7 @@ _FIELDS = {command: {**_COMMON, **fields} for command, fields in {
     },
     "kl-check": {
         "b0": (ZeroSet.from_json, _MISSING),
-        "s0": (_parse_schur_spec, None),
+        "s0": (_parse_s0, None),
         "expected_kappa": (_int(0), None),
         "trials": (_int(1), _BUDGET.trials),
         "batch": (_int(1), _BUDGET.batch),
@@ -193,28 +201,22 @@ def _realize_colligation(v, raw, objects, effective):
     elif raw.get("blaschke_a") is not None:
         comps = v.quaternion(raw["blaschke_a"], "/blaschke_a")
         if comps is not None:
-            q = Quaternion(*comps)
-            if not 0.0 < q.norm() < 1.0:
-                v.fail("/blaschke_a", "need 0 < |a| < 1")
-            else:
-                objects["colligation"] = v.build("/blaschke_a", colligation_from_blaschke_factor, q)
+            objects["colligation"] = v.build("/blaschke_a", colligation_from_blaschke_factor,
+                                             Quaternion(*comps))
     else:
         objects["colligation"] = Colligation.from_json(v, raw["colligation"], "/colligation")
 
 
-def _kl_domains(v, raw, objects, effective):
-    b0, s0 = objects["b0"], objects["s0"]
-    if b0 is not None and s0 is not None and s0.domain != b0.domain:
-        v.fail("/s0", "S0 lives on the %s but B0 on the %s" % (s0.domain, b0.domain))
-    # a constant S0 must be a Schur function, as synthesize_generalized_schur requires
-    constant = s0 is not None and raw["s0"]["kind"] == "constant"
-    if constant and s0.evaluate(0.0).norm() > 1.0 + 1e-14:
-        v.fail("/s0/value", "constant S0 needs norm at most 1")
+def _kl_case(v, raw, objects, effective):
+    """The factorization case B0^{-*} * S0, built once its parts are read."""
+    if v.ok():
+        objects["case"] = v.build("/s0", synthesize_generalized_schur,
+                                  objects["b0"], objects["s0"])
     effective.setdefault("s0", None)     # S0 = 1 is echoed as null
 
 
 # checks that read several fields, run after the field that keys them
-_CROSS_CHECKS = {("realize", "blaschke_a"): _realize_colligation, ("kl-check", "s0"): _kl_domains}
+_CROSS_CHECKS = {("realize", "blaschke_a"): _realize_colligation, ("kl-check", "s0"): _kl_case}
 
 
 def _echo(parsed, value):
@@ -332,12 +334,12 @@ def _run_stein(cfg):
 
 def _run_kl_check(cfg):
     eff = cfg.effective
-    case = synthesize_generalized_schur(cfg.objects["b0"], cfg.objects.get("s0"))
     budget = Budget(
         trials=eff["trials"], batch=eff["batch"], rho=eff["rho"], seed=eff["seed"],
         identity_trunc=eff["identity_trunc"],
     )
-    verdict = krein_langer_check(case, budget, expected_kappa=eff.get("expected_kappa"))
+    verdict = krein_langer_check(cfg.objects["case"], budget,
+                                 expected_kappa=eff.get("expected_kappa"))
     code = {"PASS": EXIT_OK, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}[verdict.verdict]
     csv = _eig_csv(verdict.negsq.witness_eigenvalues) if verdict.negsq else None
     return code, verdict.to_json(), csv

@@ -17,6 +17,8 @@ values and Taylor coefficients every check reads.
 import math
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .blaschke import BALL, HALFSPACE, FactoredProduct, ZeroSet, build_product
 from .errors import DomainError, ExpansionError, NumericError, PoleError
 from .kernels import (
@@ -107,7 +109,9 @@ def synthesize_generalized_schur(b0_spec, s0_spec=None):
         b0 = FactoredProduct.identity(domain)
         s = s0
     else:
-        s = SchurFunction.star_quotient(b0.inverse().rational, s0)
+        # a zero near the origin overflows B0^{-*}; the checks report the non-finite values
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = SchurFunction.star_quotient(b0.inverse().rational, s0)
     # B0^{-*} acts on S0 as B0^{-*} I_r, a product of degree r deg B0
     return FactorizationCase(
         b0=b0, s0=s0, s=s, expected_kappa=s0.rows * b0.degree(), domain=domain

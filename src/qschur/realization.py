@@ -143,8 +143,9 @@ def realize_many(col, points):
     prefactor annihilates the second term at p = x0, so S(x0) = D.
 
     The resolvents of all points are inverted as one stack.  The error
-    is that of the first failing point: PoleError at p = -x0, or
-    SpectrumError when phi lies on an S-spectrum sphere of A.
+    is that of the first failing point: PoleError at p = -x0, NumericError
+    when |phi|^2 overflows, or SpectrumError when phi lies on an
+    S-spectrum sphere of A.
     """
     pts = [as_quaternion(p) for p in points]
     pole = None
@@ -171,6 +172,8 @@ def realize_many(col, points):
     try:
         rinv = qinv_arr(res)
     except NumericError as exc:
+        if not np.isfinite(normsq[exc.index]).all():
+            raise NumericError("|p|^2 overflows at p = %s" % (pts[exc.index].to_json(),))
         rep = qdecompose(phis[exc.index])
         raise SpectrumError(
             "resolvent singular at sphere (x=%.6g, y=%.6g): %s" % (rep.x, rep.y, exc)
@@ -275,7 +278,6 @@ def solve_stein(a, c):
     pmat = vec.reshape(m, m, order="F")
     pmat = 0.5 * (pmat + pmat.conj().T)
     p = from_complex_adjoint(pmat)
-    p = QMatrix(0.5 * (p.data + p.adjoint().data))
     resid = (a.adjoint() @ p @ a - p + c.adjoint() @ c).norm()
     scale = max(1.0, p.norm(), (c.adjoint() @ c).norm())
     if resid > STEIN_RESIDUAL_TOL * scale:

@@ -159,7 +159,7 @@ def _random_zero_sets(rng, count, max_degree=6):
                 pts.append((a, n))
                 budget -= n
         try:
-            yield ZeroSet("ball", pts, spheres).validate()
+            yield ZeroSet("ball", pts, spheres)
         except Exception:
             continue
         made += 1

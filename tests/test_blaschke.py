@@ -193,7 +193,7 @@ def test_build_random_sets_multiplicities(rng):
                 pts.append((sample_ball_point(rng, 0.75), n))
                 budget -= n
         try:
-            zs = ZeroSet("ball", pts, spheres).validate()
+            zs = ZeroSet("ball", pts, spheres)
         except DomainError:
             continue
         try:
@@ -213,7 +213,7 @@ def test_build_random_sets_multiplicities(rng):
 
 def test_build_crowded_halfspace_set():
     # a residual value of 8.9e-10 at a point once read as "already vanishes";
-    # validate() keeps every entry on its own sphere, so the set builds
+    # a ZeroSet keeps every entry on its own sphere, so the set builds
     zs = crowded_halfspace_zeros()
     prod = build_product(zs)
     assert prod.degree() == 12
@@ -229,7 +229,7 @@ def test_build_crowded_halfspace_set():
 def test_build_rejects_shared_sphere():
     a = Quaternion(0, 0.5, 0, 0)
     with pytest.raises(DomainError):
-        ZeroSet("ball", points=[(a, 1), (Quaternion(0, 0, 0.5, 0), 1)]).validate()
+        ZeroSet("ball", points=[(a, 1), (Quaternion(0, 0, 0.5, 0), 1)])
 
 
 def test_product_inverse_roundtrip(rng):
@@ -343,15 +343,15 @@ def test_zeroset_reports_every_bad_entry_and_the_later_of_two_on_one_sphere():
 
 
 @pytest.mark.parametrize("zeros, message", [
-    (ZeroSet("ball", [(Quaternion(2, 0, 0, 0), 1)]), "/points/0/a: ball zeros need |a| < 1"),
-    (ZeroSet("halfspace", spheres=[(Quaternion(-1, 1, 0, 0), 1)]),
+    (("ball", [(Quaternion(2, 0, 0, 0), 1)]), "/points/0/a: ball zeros need |a| < 1"),
+    (("halfspace", [], [(Quaternion(-1, 1, 0, 0), 1)]),
      "/spheres/0/c: half-space spheres need Re(c) > 0"),
-    (ZeroSet("ball", [(Quaternion(0, 0.5, 0, 0), 0)]), "/points/0/n: must be a positive integer"),
-    (ZeroSet("disk", [(Quaternion(0, 0.5, 0, 0), 1)]), "/domain: must be one of ball|halfspace"),
+    (("ball", [(Quaternion(0, 0.5, 0, 0), 0)]), "/points/0/n: must be a positive integer"),
+    (("disk", [(Quaternion(0, 0.5, 0, 0), 1)]), "/domain: must be one of ball|halfspace"),
 ])
 def test_zeroset_validate_names_the_first_violation(zeros, message):
     with pytest.raises(DomainError) as err:
-        zeros.validate()
+        ZeroSet(*zeros)
     assert str(err.value) == message
 
 

@@ -1,10 +1,13 @@
 import copy
 import json
+import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qschur import blaschke, cli
 from qschur.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -545,3 +548,34 @@ def test_fuzz_wrong_type_fields_never_raise(fuzz_dir, field, value):
             "--out", str(fuzz_dir / "report.json")]
     assert main(argv) in range(5)
 
+
+@pytest.mark.parametrize("command", ["blaschke-build", "dim-hb", "kl-check", "negsq"])
+def test_each_config_zero_set_runs_the_rules_once(tmp_path, monkeypatch, command):
+    # a ZeroSet keeps the zero-set rules from its construction on, so
+    # nothing downstream runs them again
+    calls = []
+    rules = blaschke._violations
+    monkeypatch.setattr(blaschke, "_violations", lambda *args: calls.append(args) or rules(*args))
+    cfg = write_config(tmp_path, "one.json", cheap_config(command))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "r.json")]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("a", [[0.0, 1.5, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+def test_realize_blaschke_a_off_the_punctured_ball_exit_3(tmp_path, capsys, a):
+    cfg = write_config(tmp_path, "r.json", dict(cheap_config("realize"), blaschke_a=a))
+    assert main(["realize", "--config", cfg]) == EXIT_USAGE
+    assert capsys.readouterr().err == "qschur: config /blaschke_a: need 0 < |a| < 1\n"
+
+
+def test_readme_cli_table_names_every_config_field():
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    table = readme.split("| command | field | default | check |", 1)[1].split("\n\n", 1)[0]
+    documented, command = {}, None
+    for row in table.splitlines()[2:]:
+        cells = row.split("|")
+        command = cells[1].strip().strip("`") or command
+        documented.setdefault(command, set()).update(re.findall(r"`(\w+)`", cells[2]))
+    # seed and csv, common to every command, are named above the table
+    assert {c: f | {"seed", "csv"} for c, f in documented.items()} == {
+        c: set(f) for c, f in cli._FIELDS.items()}

@@ -2,7 +2,9 @@
 
 Each row of CASES runs `python -m qschur.cli COMMAND --config cfg.json ...`
 in a child process on the `qschur` of this checkout, in a fresh working
-directory, and checks:
+directory, with `PYTHONWARNINGS=error::RuntimeWarning` as in the
+in-process tests, so a numpy warning fails the row however its stderr is
+matched.  Each row checks:
 
 * the exit code;
 * stderr: it is exactly the given text when that ends in a newline (""
@@ -38,6 +40,11 @@ def ball_zero(y, n):
     return {"domain": "ball", "points": [{"a": [0.0, y, 0.0, 0.0], "n": n}]}
 
 
+def scalar_poly(q):
+    """The 1x1 constant polynomial q."""
+    return {"shape": [1, 1], "coeffs": [{"rows": 1, "cols": 1, "entries": [q]}]}
+
+
 def colligation(key):
     """A 1x1 colligation with one more, unknown, field: a colligation is
     (A, B, C, D, domain, x0), with no signature fields."""
@@ -65,11 +72,10 @@ CASES = [
     ("realize-on-spectrum-sphere", "realize",
      {"blaschke_a": [0.0, 0.5, 0.0, 0.0], "points": [[0.1, 0.2, 0.0, 0.0], [0.0, 2.0, 0.0, 0.0]]},
      (), 3, "resolvent singular at sphere (x=0, y=2)", None),
-    # |p|^2 overflows: the resolvent is rejected, without numpy warnings
+    # |p|^2 overflows: the error names the point and the overflow, without numpy warnings
     ("realize-huge-point", "realize",
      {"blaschke_a": [0.0, 0.5, 0.0, 0.0], "points": [[0.2, 0.1, 1.3407807929942597e154, 0.0]]},
-     (), 3, "qschur: resolvent singular at sphere (x=0.2, y=1.34078e+154): "
-            "matrix too ill-conditioned to invert (cond~nan)\n", None),
+     (), 3, "qschur: |p|^2 overflows at p = [0.2, 0.1, 1.3407807929942597e+154, 0.0]\n", None),
     ("realize-off-spectrum-sphere", "realize",
      {"blaschke_a": [0.0, 0.5, 0.0, 0.0], "points": [[0.1, 0.2, 0.0, 0.0]]},
      (), 0, "", lambda r: len(r["values"]) == 1),
@@ -82,6 +88,15 @@ CASES = [
     ("kl-check-norm-2-s0", "kl-check",
      {"b0": ball_zero(0.5, 1), "s0": dict(S0, value=[2.0, 0.0, 0.0, 0.0])},
      (), 3, "config /s0/value", None),
+    ("kl-check-s0-other-domain", "kl-check",
+     {"b0": ball_zero(0.5, 1), "s0": dict(S0, domain="halfspace")},
+     (), 3, "qschur: config /s0: B0 and S0 live in different domains\n", None),
+    # a quotient's S0 keeps the same rule as kl-check's
+    ("negsq-quotient-norm-3-s0", "negsq",
+     {"trials": 4, "batch": 10,
+      "schur": {"kind": "quotient", "b0": ball_zero(0.5, 1),
+                "s0": dict(S0, value=[3.0, 0.0, 0.0, 0.0])}},
+     (), 3, "qschur: config /schur/s0/value: constant S0 needs norm at most 1\n", None),
     # a zero of multiplicity 8 at 0.1 i: the denominator of S has den_0 =
     # 1e-16, not 0, so the identity leg expands
     ("kl-check-eightfold-zero", "kl-check", {"b0": ball_zero(0.1, 8), "s0": S0},
@@ -96,6 +111,15 @@ CASES = [
     ("kl-check-pole-near-origin", "kl-check",
      {"b0": ball_zero(1e-4, 1), "s0": S0, "trials": 5, "batch": 15},
      OUT, 2, "", lambda r: r["verdict"] == "INCONCLUSIVE"),
+    # B0^{-*} overflows when it is built for a zero this near the origin
+    *[("kl-check-zero-%g-x%d" % (y, n), "kl-check",
+       {"b0": ball_zero(y, n), "s0": S0, "trials": 5, "batch": 15},
+       OUT, 2, "", lambda r: r["verdict"] == "INCONCLUSIVE")
+      for y, n in ((1e-100, 3), (1e-200, 1), (1e-200, 3))],
+    *[("negsq-quotient-zero-%g-x%d" % (y, n), "negsq",
+       {"trials": 2, "batch": 6, "schur": {"kind": "quotient", "b0": ball_zero(y, n), "s0": S0}},
+       (), 3, "qschur: matrix has a non-finite entry\n", None)
+      for y, n in ((1e-100, 3), (1e-300, 2))],
     ("kl-check-small-zeros", "kl-check", {"b0": THREE_SMALL_ZEROS.to_json(), "s0": S0},
      OUT, 0, "", lambda r: r["verdict"] == "PASS"),
     # the identity leg overflows at 0.02 i, but the sampled kappa-hat 1 exceeds 0
@@ -110,11 +134,13 @@ CASES = [
      (), 3, "config /negsq: unknown field", None),
     ("negsq-halfspace", "negsq", {"schur": HALFSPACE_BLASCHKE},
      OUT, 0, "", lambda r: r["report"]["kappa_hat"] == 0),
-    # S0 = 1.9e153 i: the Gram overflows, and only its non-finite entry is reported
+    # S0 = 1.9e153 i, a rational spec since a constant one needs norm at most 1:
+    # the Gram overflows, and only its non-finite entry is reported
     ("negsq-huge-quotient", "negsq",
      {"trials": 2, "batch": 6,
       "schur": {"kind": "quotient", "b0": ball_zero(0.5, 1),
-                "s0": dict(S0, value=[0.0, 1.9063303196956244e153, 0.0, 0.0])}},
+                "s0": {"kind": "rational", "num": scalar_poly([0.0, 1.9063303196956244e153, 0.0, 0.0]),
+                       "den": scalar_poly([1.0, 0.0, 0.0, 0.0])}}},
      (), 3, "qschur: matrix has a non-finite entry\n", None),
     ("dim-hb-few-points", "dim-hb", {"zeros": ball_zero(0.5, 3), "points": 2},
      (), 0, "", lambda r: r["dim"] == 2 and r["warning"].startswith("fewer than 3 deg(B)")),
@@ -129,7 +155,7 @@ CASES = [
 def test_cli_process(tmp_path, command, config, argv, code, stderr, check):
     cfg, out = tmp_path / "cfg.json", tmp_path / "out.json"
     cfg.write_text(json.dumps(dict(config, command=command)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning", PYTHONPATH=os.pathsep.join(
         filter(None, (SRC, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "qschur.cli", command, "--config", str(cfg),
