@@ -10,12 +10,15 @@ in place of sixteen real ones.
 series_sandwich and double_series sum power series term by term; the
 kernels compute the same sums in closed form or as block-Toeplitz
 products, and the tests keep these two as their slow reference.
-qpow_table takes its powers from the complex slice of each point.
+slice_split and qpow_table share one imaginary modulus and one z^n table.
 """
 
 import numpy as np
 
 from .errors import ShapeError
+
+# sys.float_info.min, the smallest normal float: a square below it lost bits
+NORMAL_MIN = 2.2250738585072014e-308
 
 
 def as_pairs(a):
@@ -46,22 +49,53 @@ def qconj(a):
     return out
 
 
+def row_norms(rows, sq=None):
+    """Euclidean norms of the rows of a 2-d array from their squared sums sq,
+    by default einsum's: sqrt(sq) bit for bit, except where sq is not a
+    normal float (it lost bits to underflow, or overflowed), whose rows are
+    divided by their largest component before squaring."""
+    if sq is None:
+        sq = np.einsum("ij,ij->i", rows, rows)
+    out = np.sqrt(sq)
+    if not (NORMAL_MIN <= sq.min(initial=np.inf) and sq.max(initial=0.0) < np.inf):
+        top = np.max(np.abs(rows), axis=1, initial=0.0)
+        fix = ~((sq >= NORMAL_MIN) & (sq < np.inf)) & (top > 0.0) & (top < np.inf)
+        out[fix] = top[fix] * np.sqrt(np.sum(np.square(rows[fix] / top[fix, None]), axis=1))
+    return out
+
+
+def slice_split(points):
+    """Points p = x + I y of an (B, 4) array as (units I, complex z = x + i y),
+    y >= 0; the units are imaginary, and a real point gets the unit i."""
+    pts = np.asarray(points, dtype=np.float64)
+    y = row_norms(pts[:, 1:])
+    unit = np.zeros_like(pts)
+    np.divide(pts[:, 1:], y[:, None], out=unit[:, 1:], where=y[:, None] > 0.0)
+    if not y.all():
+        unit[y == 0.0, 1] = 1.0
+    return unit, pts[:, 0] + 1j * y
+
+
+def powers(z, d):
+    """z^n for n = 0..d as an (B, d + 1) complex array."""
+    out = np.empty((z.shape[0], d + 1), dtype=np.complex128)
+    out[:, 0] = 1.0
+    out[:, 1:] = z[:, None]
+    return np.cumprod(out, axis=1, out=out)
+
+
 def qpow_table(points, nmax):
     """Powers p_l^n for n = 0..nmax, shape (B, nmax + 1, 4), by the
     splitting formula: for p = x + v with imaginary part v of norm y and
     z = x + i y, p^n = Re z^n + v Im z^n / y, one complex cumprod."""
     pts = np.asarray(points, dtype=np.float64)
-    im = pts[:, 1:]
-    y = np.sqrt(np.einsum("ij,ij->i", im, im))
-    zpow = np.empty((pts.shape[0], nmax + 1), dtype=np.complex128)
-    zpow[:, 0] = 1.0
-    zpow[:, 1:] = (pts[:, 0] + 1j * y)[:, None]
-    np.cumprod(zpow, axis=1, out=zpow)
+    y = row_norms(pts[:, 1:])
+    zpow = powers(pts[:, 0] + 1j * y, nmax)
     # a real point has Im z^n = 0, and so no imaginary part
     ratio = np.divide(zpow.imag, y[:, None], out=np.zeros(zpow.shape), where=y[:, None] > 0.0)
     out = np.empty(zpow.shape + (4,))
     out[..., 0] = zpow.real
-    out[..., 1:] = ratio[:, :, None] * im[:, None, :]
+    out[..., 1:] = ratio[:, :, None] * pts[:, None, 1:]
     return out
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, DomainError
-from .quat import Quaternion, as_quaternion, qdecompose
+from .quat import Quaternion, as_quaternion, is_real, qdecompose
 from .starpoly import SliceRational, StarPoly, left_root_extract
 
 BALL = "ball"
@@ -159,23 +159,24 @@ class SphereFactor:
 def _violations(domain, points, spheres):
     """The zero-set rules as (JSON pointer, message) pairs.
 
-    Each entry lies in the domain, a sphere representative is nonreal,
-    multiplicities are positive integers, and no entry shares a sphere
-    with an earlier entry that kept the other rules.  Entries with point
-    None (ZeroSet.from_json could not read them) are skipped.
+    Each entry is a Quaternion or a real number that lies in the domain,
+    a sphere representative is nonreal, multiplicities are positive
+    integers, and no entry shares a sphere with an earlier entry that
+    kept the other rules.
     """
     out = [] if domain in _DOMAINS else [("/domain", "must be one of ball|halfspace")]
     kept = []       # (entry, SphereRep) of the entries that kept every other rule
     for key, at, mult, noun, entries in (("points", "a", "n", "zeros", points),
                                          ("spheres", "c", "m", "spheres", spheres)):
         for idx, (q, count) in enumerate(entries):
-            if q is None:
-                continue
-            entry, q, found = "%s/%d" % (key, idx), as_quaternion(q), []
-            rep = qdecompose(q)
-            if count < 1 or int(count) != count:
+            entry, found = "%s/%d" % (key, idx), []
+            q = as_quaternion(q) if is_real(q) else q
+            rep = qdecompose(q) if isinstance(q, Quaternion) else None
+            if not (is_real(count) and 1 <= count < np.inf and int(count) == count):
                 found.append(("/%s/%s" % (entry, mult), "must be a positive integer"))
-            if domain in _DOMAINS and not inside(domain, q):
+            if rep is None:
+                found.append(("/%s/%s" % (entry, at), "must be a quaternion or a real number"))
+            elif domain in _DOMAINS and not inside(domain, q):
                 found.append(("/%s/%s" % (entry, at), _OUTSIDE[domain] % (noun, at)))
             elif key == "spheres" and rep.axis is None:
                 found.append(("/%s/%s" % (entry, at), "sphere representatives must be nonreal"))
@@ -239,8 +240,12 @@ class ZeroSet:
             zeros = cls(*args)
         except DomainError:
             zeros = None
+            # an entry that could not be read has its reader's message already
+            unread = {"/%s/%d" % (key, idx) for key in parts
+                      for idx, (q, _) in enumerate(parts[key]) if q is None}
             for pointer, message in _violations(*args):
-                v.fail(path + pointer, message)
+                if pointer.rsplit("/", 1)[0] not in unread:
+                    v.fail(path + pointer, message)
         return zeros if len(v.violations) == before else None
 
 

@@ -63,8 +63,9 @@ from .blaschke import BALL, HALFSPACE, FactoredProduct, _check_domain, inside
 from .errors import DivergenceError, DomainError, PoleError, ShapeError
 from .qlinalg import (QMatrix, complex_adjoint, herm_eigen_neg, herm_eigen_neg_arr, qadjoint_arr,
                       qmatmul_arr)
-from .quat import Quaternion, as_quaternion, qdecompose, sample_ball_points
-from .starpoly import SliceRational, slice_split
+from ._accel import slice_split
+from .quat import Quaternion, as_quaternion, mobius, qdecompose, sample_ball_points
+from .starpoly import SliceRational
 
 
 def as_points(points):
@@ -117,12 +118,6 @@ class SchurFunction:
         left = left_scalar_rational.lift(s0.rows)
         return cls(left.star(s0.rational), s0.domain)
 
-    @classmethod
-    def compose_real_mobius(cls, s, alpha, beta, gamma, delta, domain=None):
-        """S after the real Mobius map (alpha + beta p)(gamma + delta p)^{-1}."""
-        rat = s.rational.compose_real_mobius(alpha, beta, gamma, delta)
-        return cls(rat, domain or s.domain)
-
     # -- evaluation -------------------------------------------------------------
 
     def eval_many(self, points):
@@ -147,26 +142,28 @@ class SchurFunction:
 CAYLEY_X0 = 1.0
 
 
-def cayley_map(p, x0, direction="halfspace_to_ball"):
-    """The real Mobius map between the right half-space and the unit ball."""
-    p = as_quaternion(p)
+def _cayley_row(x0, direction):
+    """The Cayley table's row for direction at x0: the source domain, its
+    name, the target domain, and the coefficients of quat.mobius for the
+    map of points and for its inverse."""
     if not x0 > 0.0:
         raise DomainError("x0 must be positive")
-    if direction == "halfspace_to_ball":
-        den = p + Quaternion.from_real(x0)
-        if den.norm() <= 1e-14 * max(1.0, p.norm()):
-            raise DomainError("Cayley map pole at p = -x0")
-        return (p - Quaternion.from_real(x0)) * den.inverse()
-    if direction == "ball_to_halfspace":
-        den = Quaternion.from_real(1.0) - p
-        if den.norm() <= 1e-14 * max(1.0, p.norm()):
-            raise DomainError("inverse Cayley map pole at p = 1")
-        return (Quaternion.from_real(x0) + p * x0) * den.inverse()
-    raise DomainError("unknown transport direction %r" % (direction,))
+    to_ball, to_halfspace = (-x0, 1.0, x0, 1.0), (x0, x0, 1.0, -1.0)
+    rows = {"halfspace_to_ball": (HALFSPACE, "half-space", BALL, to_ball, to_halfspace),
+            "ball_to_halfspace": (BALL, "ball", HALFSPACE, to_halfspace, to_ball)}
+    if not isinstance(direction, str) or direction not in rows:
+        raise DomainError("unknown transport direction %r" % (direction,))
+    return rows[direction]
+
+
+def cayley_map(p, x0, direction="halfspace_to_ball"):
+    """The real Mobius map between the right half-space and the unit ball:
+    p -> (p - x0)(p + x0)^{-1} or w -> x0 (1 + w)(1 - w)^{-1} (quat.mobius)."""
+    return mobius(p, *_cayley_row(x0, direction)[3])
 
 
 def cayley_transport(s, x0, direction="halfspace_to_ball"):
-    """Compose a Schur function with the Cayley map, swapping its domain.
+    """Compose a Schur function with the inverse Cayley map, swapping its domain.
 
     halfspace_to_ball returns w -> S(x0 (1 + w)(1 - w)^{-1}) on the ball;
     ball_to_halfspace returns p -> S((p - x0)(p + x0)^{-1}).  s is a
@@ -175,17 +172,10 @@ def cayley_transport(s, x0, direction="halfspace_to_ball"):
     substitution; index preservation is checked by the callers that
     compare sampling estimates, not assumed.
     """
-    if not x0 > 0.0:
-        raise DomainError("x0 must be positive")
-    if direction == "halfspace_to_ball":
-        if s.domain != HALFSPACE:
-            raise DomainError("source must live on the half-space")
-        return SchurFunction.compose_real_mobius(s, x0, x0, 1.0, -1.0, domain=BALL)
-    if direction == "ball_to_halfspace":
-        if s.domain != BALL:
-            raise DomainError("source must live on the ball")
-        return SchurFunction.compose_real_mobius(s, -x0, 1.0, x0, 1.0, domain=HALFSPACE)
-    raise DomainError("unknown transport direction %r" % (direction,))
+    source, name, target, _, inverse = _cayley_row(x0, direction)
+    if s.domain != source:
+        raise DomainError("source must live on the " + name)
+    return SchurFunction(s.rational.compose_real_mobius(*inverse), target)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +296,14 @@ def _check_count(name, value):
         raise DomainError("%s must be an integer >= 1" % name)
 
 
+def _check_seed(seed):
+    """DomainError unless seed is an integer >= 0 (bools excluded)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise DomainError("seed must be an integer")
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
+
+
 def sample_gram_vectors(rng, batch, r):
     """Random unit column vectors, one per sampled point."""
     v = rng.normal(size=(batch, r, 4))
@@ -359,11 +357,10 @@ def estimate_neg_squares(s, trials=200, batch=40, seed=0x5C05, rho=0.9,
     one, then NumericError for a failed solve or a broken chi pairing.
     trials, batch and seed must be integers (not bools), the seed >= 0.
     """
-    for name, value in (("trials", trials), ("batch", batch), ("seed", seed)):
+    for name, value in (("trials", trials), ("batch", batch)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise DomainError("%s must be an integer" % name)
-    if seed < 0:
-        raise DomainError("seed must be non-negative")
+    _check_seed(seed)
     if trials < 1:
         raise DomainError("need at least one trial")
     if batch < 1:
@@ -422,8 +419,8 @@ def estimate_dim_HB(b, count=None, cutoff=1e-8, seed=17, radius=0.75):
     the ball by cayley_transport at CAYLEY_X0, which keeps its degree;
     the Gram is taken at count points drawn by sample_ball_points from
     default_rng(seed) in |p| <= radius, radius in (0, 1), on the ball
-    either way.  count None means 3 deg(B) + 3; with fewer than 3 deg(B)
-    points the result carries an instability warning.
+    either way; the seed is an integer >= 0.  count None means 3 deg(B) + 3;
+    with fewer than 3 deg(B) points the result carries an instability warning.
     """
     for f in b.factors:
         if getattr(f, "inverted", False):
@@ -437,6 +434,7 @@ def estimate_dim_HB(b, count=None, cutoff=1e-8, seed=17, radius=0.75):
         raise DomainError("sampling radius must lie in (0, 1)")
     if count is not None:
         _check_count("count", count)
+    _check_seed(seed)
     deg = b.degree()
     if deg == 0:
         return DimHBReport(0, [])
@@ -640,8 +638,8 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
     one reduction give all three norm tables, and one more pass the
     Hermitian residual of both weighted sides.  Coefficients that
     overflow leave these non-finite, without a warning, and the status
-    'inconclusive'.  trunc and gram_points must be integers >= 1 and a
-    given gram_radius must lie in (0, 1); anything else is a DomainError.
+    'inconclusive'.  trunc and gram_points must be integers >= 1, the seed
+    >= 0, and a given gram_radius in (0, 1): anything else is a DomainError.
 
     The report carries the weighted coefficient deviation, the Hermitian
     symmetry residual, and the minimum and largest absolute Gram
@@ -665,6 +663,7 @@ def kernel_identity_check(s, b0, s0, trunc=48, gram_points=12, gram_radius=None,
 
     _check_count("trunc", trunc)
     _check_count("gram_points", gram_points)
+    _check_seed(seed)
     if gram_radius is not None and not 0.0 < gram_radius < 1.0:
         raise DomainError("gram_radius must lie in (0, 1)")
 
@@ -719,22 +718,16 @@ def moebius_identity_check(s, x0, p, q):
     With b(p) = (p + x0)(1 + p x0)^{-1} the kernel of S o b factors as
     (1 - x0^2)(1 + p x0)^{-1} K_S(b(p), b(q)) (1 + conj(q) x0)^{-1};
     both kernels come from schur_kernel_eval, the left one of the composed
-    rational S o b, and the norm of the difference is returned.
+    rational S o b, and the norm of the difference is returned.  A point
+    at the pole -1/x0 of b is a PoleError (quat.mobius).
     """
     if not (-1.0 < x0 < 1.0):
         raise DomainError("x0 must lie in (-1, 1)")
     p = as_quaternion(p)
     q = as_quaternion(q)
-
-    def mob(v):
-        den = Quaternion.from_real(1.0) + v * x0
-        if den.norm() <= 1e-13 * max(1.0, v.norm()):
-            rep = qdecompose(v)
-            raise PoleError(rep.x, rep.y, "Mobius pole at p = -1/x0")
-        return (v + Quaternion.from_real(x0)) * den.inverse()
-
-    lhs = schur_kernel_eval(SchurFunction.compose_real_mobius(s, x0, 1.0, 1.0, x0), p, q)
-    inner = schur_kernel_eval(s, mob(p), mob(q))
+    b = (x0, 1.0, 1.0, x0)
+    inner = schur_kernel_eval(s, mobius(p, *b), mobius(q, *b))
+    lhs = schur_kernel_eval(SchurFunction(s.rational.compose_real_mobius(*b)), p, q)
     left = (Quaternion.from_real(1.0) + p * x0).inverse() * (1.0 - x0 * x0)
     right = (Quaternion.from_real(1.0) + q.conj() * x0).inverse()
     rhs = inner.scale_left(left).scale_right(right)

@@ -14,17 +14,16 @@ pair (x, y) alone.  All randomness flows through explicitly passed
 """
 
 import math
-import sys
+import numbers
 
 import numpy as np
 
-from .errors import DomainError
+from ._accel import NORMAL_MIN
+from .errors import DomainError, PoleError
 
 # a point counts as real when its imaginary modulus is below this times
 # max(1, |p|); sphere membership and axis extraction are singular there
 REAL_AXIS_RTOL = 1e-13
-# the smallest normal float; a normsq below it has lost bits to underflow
-_NORMAL_MIN = sys.float_info.min
 
 
 class Quaternion:
@@ -96,7 +95,7 @@ class Quaternion:
 
     def inverse(self):
         n2 = self.normsq()
-        if _NORMAL_MIN <= n2 < math.inf:
+        if NORMAL_MIN <= n2 < math.inf:
             return Quaternion(self._x0 / n2, -self._x1 / n2, -self._x2 / n2, -self._x3 / n2)
         # normsq under- or overflowed: divide by the largest component first
         top = max(abs(self._x0), abs(self._x1), abs(self._x2), abs(self._x3))
@@ -170,6 +169,11 @@ def as_quaternion(x):
     return x if isinstance(x, Quaternion) else Quaternion.from_real(x)
 
 
+def is_real(x):
+    """True for a real number that is not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
 I = Quaternion(0.0, 1.0, 0.0, 0.0)
 J = Quaternion(0.0, 0.0, 1.0, 0.0)
@@ -234,6 +238,17 @@ def qdecompose(p, rtol=REAL_AXIS_RTOL):
 def same_sphere(p, q, tol=1e-12):
     """True when p and q lie on the same 2-sphere (equal x and y)."""
     return qdecompose(p).same_sphere(qdecompose(q), tol)
+
+
+def mobius(p, alpha, beta, gamma, delta):
+    """(alpha + beta p)(gamma + delta p)^{-1} at one point, for real alpha..delta;
+    PoleError where |gamma + delta p| <= 1e-13 max(1, |p|)."""
+    p = as_quaternion(p)
+    den = p * delta + gamma
+    if den.norm() <= 1e-13 * max(1.0, p.norm()):
+        rep = qdecompose(p)
+        raise PoleError(rep.x, rep.y)
+    return (p * beta + alpha) * den.inverse()
 
 
 # ---------------------------------------------------------------------------

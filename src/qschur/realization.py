@@ -17,7 +17,6 @@ metrics appear only through finite Gram matrices handled elsewhere.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,7 @@ from .qlinalg import (
     qmatmul_arr,
     vstack,
 )
-from .quat import Quaternion, as_quaternion, qdecompose
+from .quat import as_quaternion, is_real, mobius, qdecompose
 
 
 @dataclass
@@ -70,7 +69,7 @@ class Colligation:
             raise ShapeError("D must be C.rows x B.cols")
         _check_domain(self.domain)
         if self.x0 is not None:
-            if isinstance(self.x0, bool) or not isinstance(self.x0, numbers.Real):
+            if not is_real(self.x0):
                 raise DomainError("x0 must be a real number, not %r" % (self.x0,))
             if not math.isfinite(self.x0):
                 raise DomainError("x0 must be finite")
@@ -150,18 +149,16 @@ def realize_many(col, points):
     pts = [as_quaternion(p) for p in points]
     pole = None
     if col.domain == BALL:
-        phis, pres = pts, pts
+        phis = pts
     else:
-        x0 = Quaternion.from_real(float(col.x0))
-        phis, pres = [], []
+        x0 = float(col.x0)
+        phis = []
         for p in pts:
-            shift = p + x0
-            if shift.norm() <= 1e-13 * max(1.0, p.norm()):
-                rep = qdecompose(p)
-                pole = PoleError(rep.x, rep.y, "half-space evaluation at p = -x0")
+            try:
+                phis.append(mobius(p, -x0, 1.0, x0, 1.0))
+            except PoleError as exc:
+                pole = exc
                 break
-            pres.append(p - x0)
-            phis.append(pres[-1] * shift.inverse())
     phi = _stack(phis)
     c0, c1, c2, c3 = (phi[..., k:k + 1] for k in range(4))
     a = col.A.data
@@ -182,7 +179,7 @@ def realize_many(col, points):
         raise pole
     # C - conj(phi) C A, times the resolvent inverse and B
     left = col.C.data - _accel.qmul(_accel.qconj(phi), qmatmul_arr(col.C.data, a))
-    pre = phi if col.domain == BALL else _stack(pres)
+    pre = phi if col.domain == BALL else _stack([p - x0 for p in pts[: len(phis)]])
     term = _accel.qmul(pre, qmatmul_arr(qmatmul_arr(left, rinv), col.B.data))
     return col.D.data + term if col.domain == BALL else col.D.data - term
 

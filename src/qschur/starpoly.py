@@ -33,6 +33,7 @@ g comes from a scalar recurrence on the real denominator coefficients.
 import numpy as np
 
 from . import _accel
+from ._accel import powers, row_norms, slice_split
 from .errors import (
     DomainError,
     ExpansionError,
@@ -41,7 +42,7 @@ from .errors import (
     ShapeError,
 )
 from .qlinalg import QMatrix, qmatmul_arr
-from .quat import _NORMAL_MIN, I, ImaginaryUnit, Quaternion, as_quaternion, qdecompose
+from .quat import I, ImaginaryUnit, Quaternion, as_quaternion, qdecompose
 
 # imaginary residue allowed when a polynomial claims real coefficients
 REAL_COEFF_RTOL = 1e-13
@@ -191,7 +192,7 @@ class StarPoly:
     def eval_many(self, points):
         """Batch left evaluation; points is an (B, 4) array."""
         unit, z = slice_split(points)
-        return slice_join(unit, self.eval_slice(_powers(z, self.degree)))
+        return slice_join(unit, self.eval_slice(powers(z, self.degree)))
 
     def eval_slice(self, powers):
         """F(z) = sum_n z^n f_n from the powers z^n, an (B, d + 1) complex
@@ -253,52 +254,17 @@ class StarPoly:
 # the complex slice
 # -------------------------------------------------------------------------------
 
-def slice_split(points):
-    """Points p = x + I y of an (B, 4) array as (units I, complex z = x + i y).
-
-    y >= 0, and the units form an (B, 4) array of imaginary quaternions;
-    a real point gets the unit i.
-    """
-    pts = np.asarray(points, dtype=np.float64)
-    im = pts[:, 1:]
-    y = np.sqrt(np.einsum("ij,ij->i", im, im))
-    unit = np.zeros_like(pts)
-    np.divide(im, y[:, None], out=unit[:, 1:], where=y[:, None] > 0.0)
-    if not y.all():
-        unit[y == 0.0, 1] = 1.0
-    return unit, pts[:, 0] + 1j * y
-
-
 def slice_join(unit, values):
     """Re F + I Im F for complex-slice matrix values F of shape (B, r, s, 4)."""
     return _accel.qmul(unit[:, None, None, :], values.imag) + values.real
 
 
-def _powers(z, d):
-    """z^n for n = 0..d as an (B, d + 1) complex array."""
-    out = np.empty((z.shape[0], d + 1), dtype=np.complex128)
-    out[:, 0] = 1.0
-    out[:, 1:] = z[:, None]
-    return np.cumprod(out, axis=1, out=out)
-
-
-
-
 def _coeff_moduli(c):
-    """Frobenius norms of the coefficients c[n] of a (d + 1, r, s, 4) array.
-
-    A squared sum that is not a normal float has lost bits to underflow
-    or overflowed; those coefficients are divided by their largest
-    component before squaring."""
+    """Frobenius norms of the coefficients c[n] of a (d + 1, r, s, 4) array
+    (see _accel.row_norms)."""
     with np.errstate(over="ignore"):
         sq = np.sum(c * c, axis=(1, 2, 3))
-    mags = np.sqrt(sq)
-    for n, v in enumerate(sq.tolist()):
-        if not _NORMAL_MIN <= v < np.inf:
-            top = np.max(np.abs(c[n]), initial=0.0)
-            if 0.0 < top < np.inf:
-                mags[n] = top * np.sqrt(np.sum(np.square(c[n] / top)))
-    return mags
+    return row_norms(c.reshape(c.shape[0], -1), sq)
 
 
 def _magnitude_scales(mags, points):
@@ -341,15 +307,6 @@ def sphere_poly(a):
     """Real quadratic p^2 - 2 Re(a) p + |a|^2 vanishing on the sphere [a]."""
     a = as_quaternion(a)
     return StarPoly.scalar([a.normsq(), -2.0 * a.re, 1.0])
-
-
-def scalar_poly_times_matrix(poly, m):
-    """Scalar polynomial times a constant matrix: coefficients c_n M."""
-    if not poly.is_scalar():
-        raise ShapeError("need a scalar polynomial")
-    md = m.data if isinstance(m, QMatrix) else np.asarray(m)
-    out = _accel.qmul(poly.coeffs[:, 0, 0, None, None, :], md[None])
-    return StarPoly(out)
 
 
 def mul_real_poly(mp, w):
@@ -615,20 +572,21 @@ class SliceRational:
         pts = np.asarray(points, dtype=np.float64)
         dv = self._dv
         unit, z = slice_split(pts)
-        powers = _powers(z, max(self._num.degree, dv.size - 1))
-        den = powers[:, : dv.size] @ dv
+        zpow = powers(z, max(self._num.degree, dv.size - 1))
+        den = zpow[:, : dv.size] @ dv
         bad = np.nonzero(np.abs(den) <= POLE_RTOL * _magnitude_scales(np.abs(dv), pts))[0]
         if bad.size:
             rep = qdecompose(Quaternion.from_array(pts[bad[0]]))
             raise PoleError(rep.x, rep.y)
-        return slice_join(unit, self._num.eval_slice(powers) / den[:, None, None, None])
+        return slice_join(unit, self._num.eval_slice(zpow) / den[:, None, None, None])
 
     def lift(self, rows):
         """f I_rows for a scalar f, the form in which it star-multiplies a
         function with that many rows; any other f is returned as is."""
         if rows == 1 or not self.is_scalar():
             return self
-        return SliceRational._over(scalar_poly_times_matrix(self._num, QMatrix.eye(rows)), self._dv)
+        num = _accel.qmul(self._num.coeffs[:, 0, 0, None, None, :], QMatrix.eye(rows).data[None])
+        return SliceRational._over(StarPoly(num), self._dv)
 
     # -- algebra -----------------------------------------------------------------
 

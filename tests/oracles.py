@@ -493,7 +493,7 @@ def realize_eval_pointwise(col, p):
     shift = p + Quaternion.from_real(x0)
     if shift.norm() <= 1e-13 * max(1.0, p.norm()):
         rep = qdecompose(p)
-        raise PoleError(rep.x, rep.y, "half-space evaluation at p = -x0")
+        raise PoleError(rep.x, rep.y)
     phi = (p - Quaternion.from_real(x0)) * shift.inverse()
     rinv = resolvent_inverse(col.A, phi)
     ca = col.C @ col.A

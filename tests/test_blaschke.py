@@ -355,6 +355,22 @@ def test_zeroset_validate_names_the_first_violation(zeros, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("point", [None, [0, 0.5, 0, 0], "0.5", True],
+                         ids=["none", "list", "string", "bool"])
+def test_zeroset_rejects_a_point_that_is_not_a_number(point):
+    # None once made a set on which build_product raised a bare TypeError;
+    # a list raised a TypeError and a string a ValueError
+    for key, at in (("points", "a"), ("spheres", "c")):
+        with pytest.raises(DomainError) as err:
+            ZeroSet("ball", **{key: [(Quaternion(0, 0.5, 0, 0), 1), (point, 1)]})
+        assert str(err.value) == "/%s/1/%s: must be a quaternion or a real number" % (key, at)
+    assert ZeroSet("ball", [(np.float64(0.5), 1), (-0.25, np.int64(2))]).points[1] == (-0.25, 2)
+    # a NaN or infinite count once ended in int()'s ValueError or OverflowError
+    for count in (float("nan"), float("inf"), True, 2.5):
+        with pytest.raises(DomainError, match="^/points/0/n: must be a positive integer$"):
+            ZeroSet("ball", [(0.5, count)])
+
+
 def test_cached_rational_matches_factor_chain(rng):
     zs = ZeroSet("ball", points=[(Quaternion(0.1, 0.6, 0, 0), 1),
                                  (Quaternion(-0.2, 0, 0.45, 0), 2)])

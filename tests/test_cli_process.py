@@ -132,6 +132,19 @@ CASES = [
     # function to the ball itself and reads its index there
     ("transport-negsq-field", "transport", {"negsq": True, "schur": HALFSPACE_BLASCHKE},
      (), 3, "config /negsq: unknown field", None),
+    # a point at the pole of the Cayley map, or of a half-space realization,
+    # is the one PoleError of quat.mobius
+    ("transport-at-minus-x0", "transport",
+     {"schur": HALFSPACE_BLASCHKE, "x0": 2.0,
+      "points": [[0.5, 0.1, 0.0, 0.0], [-2.0, 0.0, 0.0, 0.0]]},
+     (), 3, "qschur: evaluation on pole sphere (x=-2, y=0)\n", None),
+    ("transport-at-one", "transport",
+     {"schur": S0, "direction": "ball_to_halfspace", "points": [[1.0, 0.0, 0.0, 0.0]]},
+     (), 3, "qschur: evaluation on pole sphere (x=1, y=0)\n", None),
+    ("realize-halfspace-at-minus-x0", "realize",
+     {"colligation": dict(colligation("x0"), x0=1.0, domain="halfspace"),
+      "points": [[0.5, 0.2, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]]},
+     (), 3, "qschur: evaluation on pole sphere (x=-1, y=0)\n", None),
     ("negsq-halfspace", "negsq", {"schur": HALFSPACE_BLASCHKE},
      OUT, 0, "", lambda r: r["report"]["kappa_hat"] == 0),
     # S0 = 1.9e153 i, a rational spec since a constant one needs norm at most 1:

@@ -27,7 +27,7 @@ from qschur.qlinalg import (
     qadjoint_arr,
     qmatmul_arr,
 )
-from qschur.quat import I, ONE, Quaternion, sample_ball_point, sample_ball_points
+from qschur.quat import I, ONE, Quaternion, mobius, sample_ball_point, sample_ball_points
 from qschur.starpoly import SliceRational, StarPoly
 
 import oracles
@@ -497,6 +497,30 @@ def test_moebius_identity(rng):
         assert moebius_identity_check(s, 0.3, p, q) < 1e-9
 
 
+def test_every_mobius_pole_is_one_pole_error():
+    # the four real Mobius maps, as (call, pole, delta): each raises the
+    # default PoleError within 1e-13 max(1, |p|) of its pole in |gamma + delta p|
+    from qschur.realization import Colligation, realize_many
+
+    col = Colligation(A=QMatrix.scalar(0.5), B=QMatrix.scalar(1.0), C=QMatrix.scalar(1.0),
+                      D=QMatrix.scalar(0.0), domain="halfspace", x0=1.0)
+    half = SchurFunction.constant(0.5)
+    maps = ((lambda p: kernels.cayley_map(p, 2.0), -2.0, 1.0),
+            (lambda p: kernels.cayley_map(p, 2.0, "ball_to_halfspace"), 1.0, -1.0),
+            (lambda p: realize_many(col, [p]), -1.0, 1.0),
+            (lambda p: moebius_identity_check(half, 0.5, Quaternion(), p), -2.0, 0.5))
+    for call, pole, delta in maps:
+        with pytest.raises(PoleError) as info:
+            call(Quaternion.from_real(pole))
+        assert str(info.value) == "evaluation on pole sphere (x=%g, y=0)" % pole
+        step = 1e-13 * max(1.0, abs(pole)) / abs(delta)
+        with pytest.raises(PoleError):
+            call(Quaternion(pole, 0.5 * step, 0.0, 0.0))
+        coeffs = (1.0, 0.0, -delta * pole, delta)
+        assert mobius(Quaternion(pole + 2.0 * step), *coeffs).isclose(
+            Quaternion.from_real(1.0 / (2.0 * step * delta)), 1e-3)
+
+
 def test_schur_kernel_divergence():
     s = SchurFunction.constant(Quaternion.from_real(0.5))
     with pytest.raises(DivergenceError):
@@ -526,7 +550,7 @@ def test_moebius_index_invariance():
     b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
     s = SchurFunction(b.inverse().rational)
     x0 = 0.3
-    composed = SchurFunction.compose_real_mobius(s, x0, 1.0, 1.0, x0)
+    composed = SchurFunction(s.rational.compose_real_mobius(x0, 1.0, 1.0, x0))
     k1 = estimate_neg_squares(s, trials=25, batch=25, seed=6).kappa_hat
     k2 = estimate_neg_squares(composed, trials=25, batch=25, seed=6).kappa_hat
     assert k1 == k2 == 1
@@ -709,6 +733,21 @@ def test_neg_squares_rejects_non_integer_counts_and_negative_seeds(kwargs, messa
     s = SchurFunction.constant(Quaternion.from_real(0.5))
     with pytest.raises(DomainError, match=message):
         estimate_neg_squares(s, **dict({"trials": 1, "batch": 2}, **kwargs))
+
+
+@pytest.mark.parametrize("seed, message", [
+    (-1, "seed must be non-negative"), (1.5, "seed must be an integer"),
+    (True, "seed must be an integer"),
+])
+def test_every_seeded_estimate_rejects_a_bad_seed(seed, message):
+    # estimate_dim_HB and kernel_identity_check once ended in numpy's
+    # ValueError or a TypeError, and estimate_dim_HB ran True as seed 1
+    b = build_product(ZeroSet("ball", points=[(Quaternion(0, 0.5, 0, 0), 1)]))
+    case = synthesize_generalized_schur(b, 0.7)
+    with pytest.raises(DomainError, match=message):
+        estimate_dim_HB(b, seed=seed)
+    with pytest.raises(DomainError, match=message):
+        kernel_identity_check(case.s, case.b0, case.s0, trunc=4, seed=seed)
 
 
 def test_gram_rejects_an_empty_point_set():

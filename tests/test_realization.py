@@ -369,7 +369,7 @@ def test_first_failing_point_decides_the_error():
         assert str(info.value) == expect[1]
     assert "resolvent singular at sphere (x=2, y=0): matrix is numerically singular" \
         in _oracle(col, [spec])[1]
-    assert _oracle(col, [pole])[1] == "half-space evaluation at p = -x0"
+    assert _oracle(col, [pole])[1] == "evaluation on pole sphere (x=-1, y=0)"
 
 
 def test_singular_and_ill_conditioned_points_in_one_stack():

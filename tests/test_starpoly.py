@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 import warnings
 from decimal import Decimal, localcontext
@@ -579,7 +580,15 @@ def eval_points(draw):
     return np.array(rows)
 
 
+# imaginary parts whose squared modulus is subnormal, zero or infinite
+SLICE_EDGE_ROWS = ([0.5, 0.0, 0.0, 3.668e-162], [0.5, 1e-170, 1e-170, 0.0],
+                   [0.0, 1e200, 1e200, 0.0])
+
+
 @given(eval_points())
+@example(np.array([SLICE_EDGE_ROWS[0]]))
+@example(np.array([SLICE_EDGE_ROWS[1]]))
+@example(np.array([SLICE_EDGE_ROWS[2]]))
 def test_slice_split_gives_unit_and_slice_point(pts):
     unit, z = slice_split(pts)
     assert np.all(unit[:, 0] == 0.0) and np.allclose(np.linalg.norm(unit, axis=1), 1.0)
@@ -587,6 +596,16 @@ def test_slice_split_gives_unit_and_slice_point(pts):
     rebuilt = unit * z.imag[:, None]
     rebuilt[:, 0] = z.real
     assert np.allclose(rebuilt, pts, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("row", SLICE_EDGE_ROWS)
+def test_slice_split_scales_tiny_and_huge_imaginary_parts(row):
+    # y = |Im p| is taken as hypot would: no row is read as real, and
+    # unit * y gives back each imaginary component to rounding
+    unit, z = slice_split(np.array([row]))
+    assert z.real[0] == row[0] and np.isclose(z.imag[0], math.hypot(*row[1:]), rtol=1e-15, atol=0.0)
+    assert abs(np.linalg.norm(unit[0]) - 1.0) <= 1e-15
+    assert np.allclose(unit[0] * z.imag[0], [0.0] + row[1:], rtol=1e-15, atol=0.0)
 
 
 @st.composite
